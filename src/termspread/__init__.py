@@ -45,7 +45,6 @@ from .logit import (
     kkt_residual,
     nll_gradient,
     predict_proba,
-    soft_threshold,
     weighted_nll,
 )
 from .models import (

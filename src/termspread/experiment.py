@@ -76,10 +76,18 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "yield_files", tuple(self.yield_files))
-        object.__setattr__(self, "maturities", tuple(self.maturities))
-        object.__setattr__(self, "horizons", tuple(int(h) for h in self.horizons))
-        object.__setattr__(self, "forced_controls", tuple(self.forced_controls))
+        for name in ("yield_files", "maturities", "forced_controls"):
+            object.__setattr__(self, name, _string_tuple(name, getattr(self, name)))
+        for name in ("recession_file", "output_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if not isinstance(self.horizons, (list, tuple)) or any(
+            type(h) is not int for h in self.horizons
+        ):
+            raise ConfigError(f"horizons must be an array of integers, got {self.horizons!r}")
+        object.__setattr__(self, "horizons", tuple(self.horizons))
+        if type(self.weighting) is not bool:
+            raise ConfigError(f"weighting must be true or false, got {self.weighting!r}")
         if not self.yield_files:
             raise ConfigError("yield_files must not be empty")
         if not self.maturities:
@@ -90,8 +98,11 @@ class ExperimentConfig:
             raise ConfigError("horizons must be positive month counts")
         if list(self.horizons) != sorted(self.horizons):
             raise ConfigError("horizons must be sorted ascending")
-        if self.target_nonzero < 1:
-            raise ConfigError("target_nonzero must be >= 1")
+        if type(self.target_nonzero) is not int or self.target_nonzero != 2:
+            raise ConfigError(
+                "panel construction needs a two-maturity selection: "
+                f"target_nonzero must be 2, got {self.target_nonzero!r}"
+            )
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -132,20 +143,24 @@ class ExperimentConfig:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        try:
-            return cls(
-                yield_files=tuple(raw["yield_files"]),
-                recession_file=str(raw["recession_file"]),
-                maturities=tuple(raw["maturities"]),
-                split=split,
-                horizons=tuple(raw.get("horizons", DEFAULT_HORIZONS)),
-                weighting=bool(raw.get("weighting", False)),
-                forced_controls=tuple(raw.get("forced_controls", ())),
-                target_nonzero=int(raw.get("target_nonzero", 2)),
-                output_dir=str(raw.get("output_dir", "out")),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
+        return cls(
+            yield_files=raw["yield_files"],
+            recession_file=raw["recession_file"],
+            maturities=raw["maturities"],
+            split=split,
+            horizons=raw.get("horizons", DEFAULT_HORIZONS),
+            weighting=raw.get("weighting", False),
+            forced_controls=raw.get("forced_controls", ()),
+            target_nonzero=raw.get("target_nonzero", 2),
+            output_dir=raw.get("output_dir", "out"),
+        )
+
+
+def _string_tuple(name: str, value: object) -> tuple[str, ...]:
+    """An array of strings as a tuple; a bare string is refused, not split."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{name} must be an array of strings, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -218,11 +233,6 @@ def run_horizon(
         selection = select_pair(path, config.target_nonzero)
     except TermSpreadError as exc:
         raise _annotate(exc, horizon, "panel A selection")
-    if selection.pair is None:
-        raise ConfigError(
-            "panel construction needs a two-maturity selection, but "
-            f"target_nonzero={config.target_nonzero}"
-        )
 
     models: dict[str, FittedModel] = {}
     models["A"] = fitted_model_from_selection(selection, ds, config.forced_controls)

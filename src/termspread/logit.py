@@ -11,15 +11,21 @@ The L1 objective is
 
 where NLL is the weighted negative log likelihood SUMMED over rows (not
 averaged), the intercept is never penalized, and the penalty mask can
-exempt individual features. ``fit_l1`` minimizes J by proximal gradient
-with backtracking; descent-only Newton polish steps on the active orthant
-are interleaved so the KKT certificate is reached quickly. ``fit_mle``
-solves the unpenalized problem by Newton-Raphson with step halving.
+exempt individual features. ``fit_l1`` minimizes J by active-orthant
+Newton (after OWL-QN, Andrew & Gao 2007): every iteration makes one fused
+evaluation of J, its gradient and the curvature weights w*p*(1-p), which
+give the KKT residual, the Newton system on the active orthant and the
+certificate stored in ``LogitFit``; coefficients that cross zero are
+clipped to exactly zero, and a proximal-gradient step is taken only when
+the Newton step fails to descend. ``fit_mle`` solves the unpenalized
+problem by Newton-Raphson with step halving on the same evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import Separation, SingleClass, Singular
@@ -28,7 +34,8 @@ PROB_FLOOR = 1e-300
 PROB_CEIL = 1.0 - 1e-16
 
 KKT_TOL = 1e-7
-UPDATE_TOL = 1e-9
+DESCENT_SLACK = 1e-13
+MAX_HALVINGS = 40
 MAX_ITER_L1 = 100_000
 SEPARATION_NORM = 1e4
 NONZERO_TOL = 1e-10
@@ -213,28 +220,16 @@ def nll_gradient(
     return float(np.sum(r)), problem.features.T @ r
 
 
-def _nll_hessian(problem: LogitProblem, intercept: float, coefs: np.ndarray) -> np.ndarray:
-    """Hessian over (intercept, coefs); positive semidefinite."""
-    p = predict_proba(intercept, coefs, problem.features)
-    s = problem.weights * p * (1.0 - p)
-    X = problem.features
-    k = X.shape[1]
-    H = np.empty((k + 1, k + 1))
-    H[0, 0] = s.sum()
-    H[0, 1:] = H[1:, 0] = X.T @ s
-    H[1:, 1:] = X.T @ (s[:, None] * X)
-    return H
+def _pseudo_gradient(g: np.ndarray, beta: np.ndarray, pen: np.ndarray, lam: float) -> np.ndarray:
+    """Minimum-norm subgradient of J over (intercept, coefs); its largest
+    absolute entry equals ``kkt_residual``, which stays the independent
+    reference.
 
-
-def soft_threshold(v: float, t: float) -> float:
-    """sign(v) * max(|v| - t, 0); proximal operator of t * |.|"""
-    if t < 0.0:
-        raise ValueError("threshold must be non-negative")
-    return float(np.sign(v) * max(abs(v) - t, 0.0))
-
-
-def _soft_threshold_vec(v: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    For penalized j: g_j + lambda*sign(b_j) when b_j != 0, else g_j shrunk
+    toward zero by lambda; for the intercept and unpenalized features, g_j.
+    """
+    shrunk = np.sign(g) * np.maximum(np.abs(g) - lam, 0.0)
+    return np.where(pen, np.where(beta != 0.0, g + lam * np.sign(beta), shrunk), g)
 
 
 def kkt_residual(problem: LogitProblem, intercept: float, coefs: np.ndarray) -> float:
@@ -259,34 +254,17 @@ def kkt_residual(problem: LogitProblem, intercept: float, coefs: np.ndarray) -> 
     return res
 
 
-def _penalty(problem: LogitProblem, coefs: np.ndarray) -> float:
-    return problem.lam * float(np.abs(coefs[problem.penalty_mask]).sum())
-
-
 def destandardize(
-    fit_or_intercept: "LogitFit | float",
-    coefs_or_standardizer: "np.ndarray | Standardizer",
-    standardizer: Standardizer | None = None,
+    intercept: float, coefs: np.ndarray, standardizer: Standardizer
 ) -> tuple[float, np.ndarray]:
     """Map standardized-scale parameters to the original feature scale.
 
-    ``destandardize(fit, standardizer)`` or
-    ``destandardize(intercept_std, coefs_std, standardizer)``; either way the
-    probability of every row is unchanged:
+    The probability of every row is unchanged:
 
         b_orig_j = b_std_j / std_j
         b0_orig  = b0_std - sum_j b_std_j * mean_j / std_j
     """
-    if isinstance(fit_or_intercept, LogitFit):
-        std = coefs_or_standardizer
-        if not isinstance(std, Standardizer):
-            raise TypeError("expected destandardize(fit, standardizer)")
-        b0, b = fit_or_intercept.intercept_std, fit_or_intercept.coefs_std
-    else:
-        b0, b = float(fit_or_intercept), np.asarray(coefs_or_standardizer, dtype=float)
-        std = standardizer
-        if std is None:
-            raise TypeError("expected destandardize(intercept, coefs, standardizer)")
+    b0, b, std = float(intercept), np.asarray(coefs, dtype=float), standardizer
     if len(std.means) != len(b):
         raise ValueError("standardizer feature count does not match coefficients")
     coefs_orig = b / std.stds
@@ -294,73 +272,141 @@ def destandardize(
     return intercept_orig, coefs_orig
 
 
+class _Point(NamedTuple):
+    """J, its gradient, its pseudo-gradient and the KKT residual (the
+    largest pseudo-gradient entry) at beta = (intercept, coefs)."""
+
+    beta: np.ndarray
+    prob: np.ndarray
+    objective: float
+    grad: np.ndarray
+    pseudo_grad: np.ndarray
+    kkt: float
+
+
+class _FusedObjective:
+    """J on one problem, evaluated in one fused pass per point.
+
+    The design matrix ``[1 | X]`` is built once. The NLL is summed from the
+    margins, softplus((2y - 1)(b0 + x.b)), so its rounding stays far below
+    the decrease of a Newton step near the optimum; summing log(1 - p) from
+    the clamped p loses 1e-10 and more once some p rounds near 1, and the
+    line search then cannot tell a Newton step from noise.
+    """
+
+    def __init__(self, problem: LogitProblem, lam: float) -> None:
+        self.problem = problem
+        self.lam = lam
+        self.design = np.column_stack([np.ones(problem.n_rows), problem.features])
+        self.pen = np.concatenate([[False], problem.penalty_mask]) & (lam > 0.0)
+        self._prox_step = 1.0
+
+    def at(self, beta: np.ndarray) -> _Point:
+        prob = self.problem
+        p = predict_proba(beta[0], beta[1:], prob.features)
+        margins = (2.0 * prob.targets - 1.0) * (self.design @ beta)
+        objective = float(np.sum(prob.weights * np.logaddexp(0.0, margins)))
+        objective += self.lam * float(np.abs(beta[self.pen]).sum())
+        g = self.design.T @ (prob.weights * (prob.targets - p))
+        pg = _pseudo_gradient(g, beta, self.pen, self.lam)
+        return _Point(beta, p, objective, g, pg, float(np.max(np.abs(pg))))
+
+    def hessian(self, pt: _Point, idx: np.ndarray) -> np.ndarray:
+        """NLL Hessian over the entries ``idx`` of beta."""
+        s = self.problem.weights * pt.prob * (1.0 - pt.prob)
+        A = self.design[:, idx]
+        return A.T @ (s[:, None] * A)
+
+    def line_search(
+        self, pt: _Point, idx: np.ndarray, step: np.ndarray, orthant: np.ndarray
+    ) -> _Point | None:
+        """First of beta - t*step (t = 1, 1/2, ...) that does not raise J.
+
+        Entries that leave ``orthant`` are clipped to exactly zero. J may rise
+        by DESCENT_SLACK relative: near the optimum the true decrease is
+        below J's rounding, and a strict test would halve for nothing.
+        """
+        limit = pt.objective + DESCENT_SLACK * abs(pt.objective)
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            beta = pt.beta.copy()
+            beta[idx] -= t * step
+            beta[orthant * beta < 0.0] = 0.0
+            new = self.at(beta)
+            if new.objective <= limit:
+                return new
+            t *= 0.5
+        return None
+
+    def newton_step(self, pt: _Point) -> _Point | None:
+        """Projected Newton step on the active orthant; None if it cannot descend.
+
+        Active entries are the free ones, the nonzero ones and the zero ones
+        that violate KKT (|g_j| > lambda). A penalized entry keeps the sign of
+        its coefficient or, at zero, of the negative pseudo-gradient. A zero
+        entry whose Newton step points out of that orthant would only be
+        clipped back; it is dropped and the system solved again, because
+        keeping it bends the step of the others (on near-separable panels the
+        cold start otherwise crawls for thousands of iterations).
+        """
+        b, pg = pt.beta, pt.pseudo_grad
+        orthant = np.where(b != 0.0, np.sign(b), -np.sign(pg)) * self.pen
+        active = ~self.pen | (b != 0.0) | (pg != 0.0)
+        while True:
+            idx = np.flatnonzero(active)
+            try:
+                step = np.linalg.solve(self.hessian(pt, idx), pg[idx])
+            except np.linalg.LinAlgError:
+                return None
+            leaving = (b[idx] == 0.0) & (orthant[idx] * step > 0.0)
+            if not leaving.any():
+                break
+            active[idx[leaving]] = False
+        if not pg[idx] @ step > 0.0:
+            return None  # a numerically singular system gave no descent direction
+        return self.line_search(pt, idx, step, orthant)
+
+    def proximal_step(self, pt: _Point) -> _Point | None:
+        """Proximal-gradient step that backtracks on the quadratic majorization
+        of the NLL, so J cannot rise; None once the step no longer moves.
+
+        The step length carries over between calls and grows by 1.25 after
+        each, so flat (near-separable) regions are crossed in long steps.
+        """
+        b, g, pen, lam = pt.beta, pt.grad, self.pen, self.lam
+        t = self._prox_step
+        while t >= 1e-18:
+            v = b - t * g
+            beta = np.where(pen, np.sign(v) * np.maximum(np.abs(v) - t * lam, 0.0), v)
+            d = beta - b
+            if not d.any():
+                return None
+            new = self.at(beta)
+            bound = pt.objective + g @ d + d @ d / (2.0 * t)
+            bound += lam * float(np.abs(beta[pen]).sum() - np.abs(b[pen]).sum())
+            if new.objective <= bound + DESCENT_SLACK * abs(bound):
+                self._prox_step = 1.25 * t
+                return new
+            t *= 0.5
+        return None
+
+
 def _make_fit(
-    problem: LogitProblem,
-    b0: float,
-    b: np.ndarray,
-    iterations: int,
-    converged: bool,
-    standardizer: Standardizer | None,
-    objective: float,
+    pt: _Point, iterations: int, converged: bool, standardizer: Standardizer | None
 ) -> LogitFit:
+    b0, b = float(pt.beta[0]), pt.beta[1:].copy()
     std = standardizer if standardizer is not None else Standardizer.identity(len(b))
     i_orig, c_orig = destandardize(b0, b, std)
     return LogitFit(
-        intercept_std=float(b0),
-        coefs_std=b.copy(),
+        intercept_std=b0,
+        coefs_std=b,
         intercept_orig=i_orig,
         coefs_orig=c_orig,
-        objective_value=float(objective),
+        objective_value=pt.objective,
         iterations=iterations,
         converged=converged,
-        kkt_residual=kkt_residual(problem, b0, b),
+        kkt_residual=pt.kkt,
     )
-
-
-def _orthant_newton_step(
-    problem: LogitProblem, b0: float, b: np.ndarray, f_cur: float
-) -> tuple[float, np.ndarray, float] | None:
-    """One descent-only Newton step restricted to the active orthant.
-
-    Active coordinates are the unpenalized features plus the penalized
-    features that are currently nonzero; their signs are held fixed (updates
-    that would cross zero are clipped to exactly zero). The step is accepted
-    only if it strictly decreases J, so interleaving it with proximal
-    gradient iterations preserves monotone descent.
-    """
-    lam, mask = problem.lam, problem.penalty_mask
-    active = (b != 0.0) | ~mask
-    idx = np.flatnonzero(active)
-    g0, g = nll_gradient(problem, b0, b)
-    ga = np.concatenate([[g0], g[idx]])  # gradient of J on the orthant
-    ga[1:] += lam * np.where(mask[idx], np.sign(b[idx]), 0.0)
-
-    X = problem.features
-    p = predict_proba(b0, b, X)
-    s = problem.weights * p * (1.0 - p)
-    Xa = X[:, idx]
-    k = len(idx)
-    H = np.empty((k + 1, k + 1))
-    H[0, 0] = s.sum()
-    H[0, 1:] = H[1:, 0] = Xa.T @ s
-    H[1:, 1:] = Xa.T @ (s[:, None] * Xa)
-    try:
-        step = np.linalg.solve(H, ga)
-    except np.linalg.LinAlgError:
-        return None
-
-    t = 1.0
-    for _ in range(40):
-        nb0 = b0 - t * step[0]
-        nb = b.copy()
-        nb[idx] = b[idx] - t * step[1:]
-        crossed = (np.sign(nb[idx]) != np.sign(b[idx])) & (b[idx] != 0.0) & mask[idx]
-        nb[idx[crossed]] = 0.0
-        f_new = weighted_nll(problem, nb0, nb) + _penalty(problem, nb)
-        if f_new < f_cur - 1e-14 * max(1.0, abs(f_cur)):
-            return nb0, nb, f_new
-        t *= 0.5
-    return None
 
 
 def fit_l1(
@@ -368,83 +414,32 @@ def fit_l1(
     standardizer: Standardizer | None = None,
     start: tuple[float, np.ndarray] | None = None,
     max_iter: int = MAX_ITER_L1,
-    kkt_tol: float = KKT_TOL,
-    update_tol: float = UPDATE_TOL,
-    polish_every: int = 10,
 ) -> LogitFit:
-    """Minimize NLL + lambda * ||penalized coefs||_1 by proximal gradient.
+    """Minimize NLL + lambda * ||penalized coefs||_1 by active-orthant Newton.
 
-    Backtracking on the quadratic majorization guarantees the objective
-    never increases; the proximal step produces exact zeros. Every
-    ``polish_every`` iterations a descent-only Newton step on the active
-    orthant is attempted (plain proximal gradient alone cannot reach the
-    1e-7 certificate within the iteration cap on strongly correlated
-    panels). Convergence is declared when the KKT residual is <= kkt_tol
-    or the update norm falls below update_tol; at the cap the fit is
-    returned with ``converged=False``.
+    Each iteration reuses the one evaluation of J, its gradient and the KKT
+    residual made at the point the last step accepted, then takes a projected
+    Newton step on the active orthant with a descent-only line search; when
+    that fails, it takes a proximal-gradient step instead.
+    Crossings are clipped to exact zeros. Convergence is the certificate
+    ``kkt_residual <= KKT_TOL``; at the iteration cap, or when no step can
+    move, the fit is returned with ``converged=False``.
     """
-    p = problem.n_features
+    objective = _FusedObjective(problem, problem.lam)
+    beta = np.zeros(problem.n_features + 1)
     if start is not None:
-        b0, b = float(start[0]), np.asarray(start[1], dtype=float).copy()
-    else:
-        b0, b = 0.0, np.zeros(p)
-    mask, lam = problem.penalty_mask, problem.lam
-
-    f_nll = weighted_nll(problem, b0, b)
-    f_obj = f_nll + _penalty(problem, b)
-    t = 1.0
+        beta[0], beta[1:] = start[0], start[1]
+    pt = objective.at(beta)
     iterations = 0
-    converged = False
-
-    for it in range(max_iter):
-        iterations = it
-        res = kkt_residual(problem, b0, b)
-        if res <= kkt_tol:
-            converged = True
-            break
-
-        if polish_every and (it + 1) % polish_every == 0:
-            polished = _orthant_newton_step(problem, b0, b, f_obj)
-            if polished is not None:
-                b0, b, f_obj = polished
-                f_nll = f_obj - _penalty(problem, b)
-                continue
-
-        d0, d = nll_gradient(problem, b0, b)
-        accepted = False
-        while t >= 1e-18:
-            nb0 = b0 - t * d0
-            nb = b - t * d
-            nb = np.where(mask, _soft_threshold_vec(nb, t * lam), nb)
-            df0, df = nb0 - b0, nb - b
-            f_new = weighted_nll(problem, nb0, nb)
-            quad = f_nll + d0 * df0 + d @ df + (df0 * df0 + df @ df) / (2.0 * t)
-            if f_new <= quad + 1e-12 * abs(quad):
-                accepted = True
+    while pt.kkt > KKT_TOL and iterations < max_iter:
+        nxt = objective.newton_step(pt)
+        if nxt is None:
+            nxt = objective.proximal_step(pt)
+            if nxt is None:
                 break
-            t *= 0.5
-        if not accepted:
-            # step size collapsed; report whatever certificate we have
-            converged = kkt_residual(problem, b0, b) <= kkt_tol
-            break
-        update_norm = float(np.sqrt(df0 * df0 + df @ df))
-        b0, b, f_nll = nb0, nb, f_new
-        f_obj = f_nll + _penalty(problem, b)
-        t *= 1.25
-        if update_norm < update_tol:
-            converged = kkt_residual(problem, b0, b) <= kkt_tol
-            if converged:
-                break
-    else:
-        iterations = max_iter
-
-    return _make_fit(problem, b0, b, iterations, converged, standardizer, f_obj)
-
-
-def _is_saturated(problem: LogitProblem, b0: float, b: np.ndarray) -> bool:
-    """Every row classified beyond float discrimination: separation."""
-    p = predict_proba(b0, b, problem.features)
-    return bool(np.max(np.abs(problem.targets - p)) < 1e-8)
+        pt = nxt
+        iterations += 1
+    return _make_fit(pt, iterations, pt.kkt <= KKT_TOL, standardizer)
 
 
 def fit_mle(
@@ -463,50 +458,33 @@ def fit_mle(
     """
     if np.unique(problem.targets).size < 2:
         raise SingleClass("logistic MLE needs both classes in the training targets")
-    p = problem.n_features
-    b0, b = 0.0, np.zeros(p)
-    f = weighted_nll(problem, b0, b)
+    objective = _FusedObjective(problem, 0.0)
+    everything = np.arange(problem.n_features + 1)
+    no_orthant = np.zeros(problem.n_features + 1)
+    pt = objective.at(np.zeros(problem.n_features + 1))
     iterations = 0
-    converged = False
-    for it in range(max_iter):
-        iterations = it
-        g0, g = nll_gradient(problem, b0, b)
-        grad = np.concatenate([[g0], g])
-        if float(np.max(np.abs(grad))) <= grad_tol:
-            if _is_saturated(problem, b0, b):
-                raise Separation(
-                    "fit saturated to a perfect classification; "
-                    "data appears linearly separable"
-                )
-            converged = True
-            break
-        H = _nll_hessian(problem, b0, b)
+    while pt.kkt > grad_tol and iterations < max_iter:
         try:
-            step = np.linalg.solve(H, grad)
+            step = np.linalg.solve(objective.hessian(pt, everything), pt.grad)
         except np.linalg.LinAlgError:
             raise Singular("Hessian is singular; features may be collinear") from None
         if not np.all(np.isfinite(step)):
             raise Singular("Newton step is non-finite")
-        t = 1.0
-        improved = False
-        for _ in range(60):
-            nb0 = b0 - t * step[0]
-            nb = b - t * step[1:]
-            f_new = weighted_nll(problem, nb0, nb)
-            if f_new <= f:
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            # cannot descend along the Newton direction; accept current point
-            converged = float(np.max(np.abs(grad))) <= grad_tol
-            break
-        b0, b, f = nb0, nb, f_new
-        if max(abs(b0), float(np.max(np.abs(b))) if p else 0.0) > SEPARATION_NORM:
+        nxt = objective.line_search(pt, everything, step, no_orthant)
+        if nxt is None:
+            break  # cannot descend along the Newton direction; keep the current point
+        pt = nxt
+        iterations += 1
+        if float(np.max(np.abs(pt.beta))) > SEPARATION_NORM:
             raise Separation(
                 "coefficient norm exceeded 1e4; data appears linearly separable"
             )
-    return _make_fit(problem, b0, b, iterations, converged, standardizer, f)
+    converged = pt.kkt <= grad_tol
+    if converged and float(np.max(np.abs(problem.targets - pt.prob))) < 1e-8:
+        raise Separation(
+            "fit saturated to a perfect classification; data appears linearly separable"
+        )
+    return _make_fit(pt, iterations, converged, standardizer)
 
 
 def null_model_lambda_bound(

@@ -18,6 +18,7 @@ import numpy as np
 from .data import MaturityLabel
 from .errors import CountNeverAttained, NotConverged
 from .logit import (
+    KKT_TOL,
     NONZERO_TOL,
     LogitFit,
     LogitProblem,
@@ -33,11 +34,8 @@ class LambdaGrid:
 
     k_start: int = -100
     k_end: int = 100
-    k_step: int = 1
 
     def __post_init__(self) -> None:
-        if self.k_step != 1:
-            raise ValueError("the grid advances one k at a time")
         if self.k_end < self.k_start:
             raise ValueError("k_end must be >= k_start")
 
@@ -120,6 +118,17 @@ class SelectionResult:
     feature_names: tuple[str, ...]
 
 
+def _certified(fit: LogitFit, k: float) -> LogitFit:
+    """The fit, or NotConverged naming where and how far the solver got."""
+    if not fit.converged:
+        raise NotConverged(
+            f"L1 fit did not converge at lambda={LambdaGrid.lambda_at(k):.6g} (k={k}) "
+            f"after {fit.iterations} iterations; last KKT residual "
+            f"{fit.kkt_residual:.3g} > {KKT_TOL:g}"
+        )
+    return fit
+
+
 def _penalized_nonzeros(fit: LogitFit, mask: np.ndarray) -> int:
     return int(np.sum(mask & (np.abs(fit.coefs_std) > NONZERO_TOL)))
 
@@ -139,8 +148,8 @@ def sweep_path(
     and the per-lambda coefficients are reported back in the original scale.
     When no grid is given, one is built to reach just past the null-model
     bound, so the path always ends with every penalized coefficient at zero.
-    Raises NotConverged (tagged with the offending lambda) if any fit misses
-    its certificate.
+    Raises NotConverged (naming lambda, k, the iterations used and the last
+    KKT residual) if any fit misses its certificate.
     """
     X = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(targets, dtype=float)
@@ -170,9 +179,7 @@ def sweep_path(
     fits: list[LogitFit] = []
     start: tuple[float, np.ndarray] | None = None
     for k, lam in zip(grid.k_values, grid.values):
-        fit = fit_l1(problem_data.at_lambda(lam), standardizer, start=start)
-        if not fit.converged:
-            raise NotConverged(f"L1 fit did not converge at lambda={lam:.6g} (k={k})")
+        fit = _certified(fit_l1(problem_data.at_lambda(lam), standardizer, start=start), k)
         fits.append(fit)
         start = (fit.intercept_std, fit.coefs_std)
 
@@ -240,13 +247,14 @@ def _bisect(
     while k_hi - k_lo >= 1e-6:
         k_mid = 0.5 * (k_lo + k_hi)
         lam = LambdaGrid.lambda_at(k_mid)
-        fit = fit_l1(
-            path.problem.at_lambda(lam),
-            path.problem.standardizer,
-            start=(fit_lo.intercept_std, fit_lo.coefs_std),
+        fit = _certified(
+            fit_l1(
+                path.problem.at_lambda(lam),
+                path.problem.standardizer,
+                start=(fit_lo.intercept_std, fit_lo.coefs_std),
+            ),
+            k_mid,
         )
-        if not fit.converged:
-            raise NotConverged(f"L1 fit did not converge at lambda={lam:.6g} (k={k_mid})")
         count = _penalized_nonzeros(fit, mask)
         if count == target:
             return _result_from_fit(path, k_mid, lam, fit)

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import csv
 import filecmp
+import functools
 import json
 import os
 
 import numpy as np
 import pytest
 
+from termspread import logit, selection
 from termspread.cli import main as cli_main
 from termspread.errors import ConfigError, IoError
 from termspread.experiment import (
@@ -85,6 +87,33 @@ def test_config_validates_horizons(tmp_path, data_files):
         )
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json(write_config(tmp_path, data_files, horizons=[0]))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("yield_files", "ab"),  # would have been split into ('a', 'b')
+        ("weighting", "false"),  # would have been truthy
+        ("target_nonzero", 2.9),  # would have been truncated to 2
+        ("horizons", [3.7]),  # would have been truncated to (3,)
+    ],
+)
+def test_config_rejects_coercible_types(tmp_path, data_files, capsys, key, value):
+    cfg_path = write_config(tmp_path, data_files, **{key: value})
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_json(cfg_path)
+    assert cli_main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    assert key in capsys.readouterr().err
+
+
+def test_config_target_nonzero_checked_before_any_input_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "absent.csv")
+    raw = base_config_dict({"yields": missing, "recessions": missing}, target_nonzero=3)
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(raw), "utf-8")
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "target_nonzero must be 2" in err and "absent.csv" not in err
 
 
 def test_config_validates_split_ordering(tmp_path, data_files):
@@ -313,11 +342,13 @@ def test_cli_missing_data_exit_1(tmp_path, data_files, capsys):
     assert "30y" in capsys.readouterr().err
 
 
-def test_cli_computation_error_exit_2(tmp_path, data_files, capsys):
-    cfg_path = write_config(tmp_path, data_files, horizons=[3], target_nonzero=25)
+def test_cli_computation_error_exit_2(tmp_path, data_files, capsys, monkeypatch):
+    # a solver capped at one iteration cannot certify the first grid point
+    monkeypatch.setattr(selection, "fit_l1", functools.partial(logit.fit_l1, max_iter=1))
+    cfg_path = write_config(tmp_path, data_files, horizons=[3])
     assert cli_main(["run", "--config", cfg_path, "--out", str(tmp_path / "y")]) == 2
     err = capsys.readouterr().err
-    assert "horizon=3" in err and "25" in err
+    assert "horizon=3" in err and "did not converge" in err and "1 iterations" in err
 
 
 def test_cli_single_survivor_target_rejected(tmp_path, data_files, capsys):

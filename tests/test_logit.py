@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termspread.errors import Separation, SingleClass, Singular
 from termspread.logit import (
@@ -17,7 +19,6 @@ from termspread.logit import (
     nll_gradient,
     null_model_lambda_bound,
     predict_proba,
-    soft_threshold,
     weighted_nll,
 )
 
@@ -144,26 +145,6 @@ def test_gradient_matches_central_differences_100_instances():
         scale = max(1.0, abs(e0), float(np.max(np.abs(e))))
         assert abs(a0 - e0) / scale <= 1e-6
         assert np.max(np.abs(a - e)) / scale <= 1e-6
-
-
-# --- soft threshold -------------------------------------------------------------
-
-def test_soft_threshold_cases():
-    assert soft_threshold(0.5, 0.7) == 0.0
-    assert soft_threshold(1.5, 0.7) == pytest.approx(0.8)
-    assert soft_threshold(-1.5, 0.7) == pytest.approx(-0.8)
-    with pytest.raises(ValueError):
-        soft_threshold(1.0, -0.1)
-
-
-def test_soft_threshold_odd_and_shrinking():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        v = float(rng.normal(scale=3))
-        t = float(rng.uniform(0, 3))
-        out = soft_threshold(v, t)
-        assert out == -soft_threshold(-v, t)
-        assert abs(out) <= max(abs(v) - t, 0.0) + 1e-15
 
 
 # --- standardizer / destandardize ------------------------------------------------
@@ -336,37 +317,20 @@ def test_l1_kkt_certificate_randomized():
         assert np.all(fit.coefs_std[mask][small] == 0.0)
 
 
-def test_l1_monotone_descent_without_polish():
-    # pure proximal gradient: trace the objective across iterations
-    rng = np.random.default_rng(31)
-    raw = random_problem(rng, 50, 3)
-    st = Standardizer.fit(raw.features)
-    Z = st.transform(raw.features)
-    prob = LogitProblem(features=Z, targets=raw.targets, lam=1.0)
-
-    values = []
-    for cap in range(1, 60):
-        fit = fit_l1(prob, st, max_iter=cap, polish_every=0)
-        values.append(
-            weighted_nll(prob, fit.intercept_std, fit.coefs_std)
-            + prob.lam * np.abs(fit.coefs_std[prob.penalty_mask]).sum()
-        )
-    assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
-
-
-def test_l1_monotone_descent_with_polish():
-    rng = np.random.default_rng(37)
-    raw = random_problem(rng, 60, 4)
-    st = Standardizer.fit(raw.features)
-    prob = LogitProblem(features=st.transform(raw.features), targets=raw.targets, lam=0.7)
-    values = []
-    for cap in range(1, 60):
-        fit = fit_l1(prob, st, max_iter=cap)
-        values.append(
-            weighted_nll(prob, fit.intercept_std, fit.coefs_std)
-            + prob.lam * np.abs(fit.coefs_std[prob.penalty_mask]).sum()
-        )
-    assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
+def test_fit_objective_matches_reference_likelihood():
+    rng = np.random.default_rng(43)
+    raw = random_problem(rng, 80, 4, weighted=True)
+    Z = Standardizer.fit(raw.features).transform(raw.features)
+    prob = LogitProblem(features=Z, targets=raw.targets, weights=raw.weights, lam=0.8)
+    fit = fit_l1(prob)
+    reference = weighted_nll(prob, fit.intercept_std, fit.coefs_std) + 0.8 * np.abs(
+        fit.coefs_std
+    ).sum()
+    assert fit.objective_value == pytest.approx(reference, rel=1e-12)
+    mle = fit_mle(LogitProblem(features=Z, targets=raw.targets, weights=raw.weights))
+    assert mle.objective_value == pytest.approx(
+        weighted_nll(prob, mle.intercept_std, mle.coefs_std), rel=1e-12
+    )
 
 
 def test_l1_unpenalized_features_kept_free():
@@ -381,3 +345,97 @@ def test_l1_unpenalized_features_kept_free():
     # the exempt feature keeps a gradient-zero (not shrunk-to-zero) value
     g0, g = nll_gradient(prob, fit.intercept_std, fit.coefs_std)
     assert abs(g[2]) <= 1e-7
+
+
+# --- fit_l1 properties ---------------------------------------------------------------
+
+def overlapping_problem(seed, n, p, rho, weighted, lam, free_share=0.0, flip_weight=0.5):
+    """Correlated random rows, each present once with its label and once,
+    weighted by ``flip_weight``, with the other: no hyperplane separates the
+    classes, so every optimum is finite. A small ``flip_weight`` gives steep
+    logits, where full Newton steps from a cold start overshoot."""
+    rng = np.random.default_rng(seed)
+    common = rng.normal(size=(n, 1))
+    X = np.sqrt(1.0 - rho) * rng.normal(size=(n, p)) + np.sqrt(rho) * common
+    z = X @ rng.normal(scale=2.0, size=p) + rng.normal(scale=0.5)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(z))).astype(float)
+    w = rng.uniform(0.5, 2.0, size=n) if weighted else np.ones(n)
+    mask = rng.random(p) >= free_share
+    mask[0] = True
+    return LogitProblem(
+        features=np.vstack([X, X]),
+        targets=np.concatenate([y, 1.0 - y]),
+        weights=np.concatenate([w, flip_weight * w]),
+        penalty_mask=mask,
+        lam=lam,
+    )
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+seeds = st.integers(0, 2**32 - 1)
+rows = st.integers(10, 60)
+widths = st.integers(1, 8)
+correlations = st.floats(0.0, 0.95)
+lambdas = st.floats(1e-3, 20.0)
+
+
+@PROPERTY
+@given(
+    seeds,
+    st.integers(10, 30),
+    st.integers(2, 8),
+    correlations,
+    st.booleans(),
+    st.floats(1e-3, 0.1),
+    st.floats(1e-5, 1e-2),
+)
+def test_l1_objective_never_rises_with_more_iterations(seed, n, p, rho, weighted, lam, flip):
+    # steep, nearly separable problems: about one in six has a full Newton
+    # step that raises J, so the line search must act
+    prob = overlapping_problem(seed, n, p, rho, weighted, lam, 0.3, flip_weight=flip)
+    values = [fit_l1(prob, max_iter=cap).objective_value for cap in range(25)]
+    assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
+    final = fit_l1(prob)
+    assert final.objective_value <= values[-1] + 1e-12 * max(1.0, abs(values[-1]))
+
+
+@PROPERTY
+@given(
+    seeds, rows, widths, correlations, st.booleans(), lambdas, st.floats(0.0, 0.6),
+    st.floats(1e-3, 1.0),
+)
+def test_l1_certificate_and_exact_zeros(seed, n, p, rho, weighted, lam, free_share, flip):
+    prob = overlapping_problem(seed, n, p, rho, weighted, lam, free_share, flip)
+    fit = fit_l1(prob)
+    assert fit.converged
+    reference = kkt_residual(prob, fit.intercept_std, fit.coefs_std)
+    assert reference <= 1e-7
+    assert abs(fit.kkt_residual - reference) <= 1e-9
+    mask = prob.penalty_mask
+    small = np.abs(fit.coefs_std[mask]) < 1e-10
+    assert np.all(fit.coefs_std[mask][small] == 0.0)
+
+
+@PROPERTY
+@given(seeds, rows, widths, correlations, st.booleans())
+def test_l1_at_zero_lambda_is_the_mle(seed, n, p, rho, weighted):
+    prob = overlapping_problem(seed, n, p, rho, weighted, lam=0.0, free_share=0.3)
+    f_l1, f_mle = fit_l1(prob), fit_mle(prob)
+    assert f_l1.converged and f_mle.converged
+    assert abs(f_l1.intercept_std - f_mle.intercept_std) <= 1e-6
+    assert np.max(np.abs(f_l1.coefs_std - f_mle.coefs_std)) <= 1e-6
+
+
+def test_l1_numerically_singular_newton_system_falls_back_quickly():
+    # 12 distinct rows for 10 parameters, nearly separable: the active-set
+    # Hessian becomes singular to rounding and 17 Newton steps give no descent
+    # direction, so the proximal fallback carries the fit. Its step length
+    # adapts; at a constant 1/L it took 5,318 iterations, and proximal
+    # gradient with a Newton polish took 270.
+    prob = overlapping_problem(
+        2235105666, 12, 9, 0.727324043682471, False, 0.0019808514343538767,
+        0.3656495314739199, 1.6261225853290896e-05,
+    )
+    fit = fit_l1(prob)
+    assert fit.converged and fit.iterations <= 100
+    assert kkt_residual(prob, fit.intercept_std, fit.coefs_std) <= 1e-7

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
-from termspread.errors import CountNeverAttained
+from termspread import logit, selection
+from termspread.data import align_dataset, split_views
+from termspread.errors import CountNeverAttained, NotConverged
 from termspread.logit import (
     LogitProblem,
     Standardizer,
@@ -80,6 +84,28 @@ def test_sweep_deterministic():
     b = sweep_path(X, y)
     assert np.array_equal(a.coef_matrix, b.coef_matrix)
     assert np.array_equal(a.nonzero_counts, b.nonzero_counts)
+
+
+def test_sweep_not_converged_names_lambda_k_iterations_and_kkt(monkeypatch):
+    X, y = make_instance(seed=3)
+    monkeypatch.setattr(selection, "fit_l1", functools.partial(logit.fit_l1, max_iter=2))
+    with pytest.raises(NotConverged) as info:
+        sweep_path(X, y)
+    msg = str(info.value)
+    assert "lambda=0.000976562 (k=-100)" in msg
+    assert "after 2 iterations" in msg and "last KKT residual" in msg
+
+
+def test_solver_work_on_the_reference_market_is_pinned(market, split95):
+    # h=12 on make_market(42): the proximal-gradient solver this replaced
+    # needed about 3,400 iterations over the grid
+    panel, recessions = market
+    codes = tuple(m.code for m in panel.maturities)
+    ds = align_dataset(panel, recessions, 12, split95, codes)
+    train, _ = split_views(ds)
+    path = sweep_path(train.features, train.targets, feature_names=codes)
+    assert all(f.converged for f in path.fits)
+    assert sum(f.iterations for f in path.fits) <= 1000
 
 
 def test_sweep_shape_and_names():
@@ -180,3 +206,13 @@ def test_bisection_finds_fractional_k_when_grid_skips():
     assert np.array_equal(
         np.abs(cold.coefs_std) > 1e-10, np.abs(sel.fit.coefs_std) > 1e-10
     )
+
+
+def test_bisection_not_converged_names_fractional_k(monkeypatch):
+    rng = np.random.default_rng(1013)
+    X = rng.normal(size=(150, 3)) + 4.0
+    y = logistic_draw(rng, X, np.array([0.7, -0.65, 0.6]))
+    path = sweep_path(X, y, feature_names=["10y", "3m", "5y"])
+    monkeypatch.setattr(selection, "fit_l1", functools.partial(logit.fit_l1, max_iter=0))
+    with pytest.raises(NotConverged, match=r"\(k=-?\d+\.5\) after 0 iterations"):
+        select_pair(path, 2)
