@@ -333,6 +333,39 @@ def test_fit_objective_matches_reference_likelihood():
     )
 
 
+def test_l1_monotone_descent_without_polish():
+    # trace the objective across iteration caps on a small unweighted problem
+    rng = np.random.default_rng(31)
+    raw = random_problem(rng, 50, 3)
+    st = Standardizer.fit(raw.features)
+    Z = st.transform(raw.features)
+    prob = LogitProblem(features=Z, targets=raw.targets, lam=1.0)
+
+    values = []
+    for cap in range(1, 60):
+        fit = fit_l1(prob, st, max_iter=cap)
+        values.append(
+            weighted_nll(prob, fit.intercept_std, fit.coefs_std)
+            + prob.lam * np.abs(fit.coefs_std[prob.penalty_mask]).sum()
+        )
+    assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
+
+
+def test_l1_monotone_descent_with_polish():
+    rng = np.random.default_rng(37)
+    raw = random_problem(rng, 60, 4)
+    st = Standardizer.fit(raw.features)
+    prob = LogitProblem(features=st.transform(raw.features), targets=raw.targets, lam=0.7)
+    values = []
+    for cap in range(1, 60):
+        fit = fit_l1(prob, st, max_iter=cap)
+        values.append(
+            weighted_nll(prob, fit.intercept_std, fit.coefs_std)
+            + prob.lam * np.abs(fit.coefs_std[prob.penalty_mask]).sum()
+        )
+    assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
+
+
 def test_l1_unpenalized_features_kept_free():
     rng = np.random.default_rng(41)
     raw = random_problem(rng, 100, 3)
