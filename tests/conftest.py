@@ -83,10 +83,10 @@ def split95() -> SplitConfig:
     )
 
 
-@pytest.fixture(scope="session")
-def data_files(tmp_path_factory, market) -> dict[str, str]:
-    panel, recessions = market
-    root = tmp_path_factory.mktemp("market")
+def write_market(
+    root: str, panel: YieldPanel, recessions: RecessionSeries
+) -> dict[str, str]:
+    """The market as the two CSV inputs a configured run reads."""
     yields_path = os.path.join(root, "yields.csv")
     write_yield_panel(panel, yields_path)
     rec_path = os.path.join(root, "recessions.csv")
@@ -95,3 +95,8 @@ def data_files(tmp_path_factory, market) -> dict[str, str]:
         for d, v in zip(recessions.dates, recessions.indicator):
             fh.write(f"{d},{int(v)}\n")
     return {"yields": yields_path, "recessions": rec_path, "dir": str(root)}
+
+
+@pytest.fixture(scope="session")
+def data_files(tmp_path_factory, market) -> dict[str, str]:
+    return write_market(str(tmp_path_factory.mktemp("market")), *market)
