@@ -28,7 +28,6 @@ from .evaluation import (
 from .experiment import (
     ExperimentConfig,
     ExperimentResult,
-    TableRow,
     emit_all,
     emit_tables,
     run_experiment,
@@ -38,7 +37,6 @@ from .logit import (
     LogitFit,
     LogitProblem,
     Standardizer,
-    class_weights,
     destandardize,
     fit_l1,
     fit_mle,
@@ -52,7 +50,6 @@ from .models import (
     ForecastSeries,
     ModelKind,
     ModelSpec,
-    build_features,
     fit_spec,
     forecast_series,
 )

@@ -2,8 +2,9 @@
 
     termspread run --config experiment.json [--out DIR] [--format csv|markdown]
 
-Exit codes: 0 success, 1 configuration or input-data error, 2 computation
-error (solver or selection failure).
+Exit codes: 0 success, otherwise the failing error's ``exit_code``: 1 for a
+configuration or input-data error, 2 for a computation error (solver,
+selection or scoring failure) or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -12,41 +13,8 @@ import argparse
 import sys
 from typing import Sequence
 
-from .errors import (
-    ConfigError,
-    CountNeverAttained,
-    CoverageError,
-    EmptyInput,
-    GapInDates,
-    HorizonTooLong,
-    IoError,
-    MalformedRow,
-    MissingSeries,
-    NotConverged,
-    Separation,
-    SingleClass,
-    Singular,
-    TermSpreadError,
-)
+from .errors import TermSpreadError
 from .experiment import ExperimentConfig, emit_all, run_experiment
-
-_VALIDATION_ERRORS = (
-    ConfigError,
-    MissingSeries,
-    GapInDates,
-    MalformedRow,
-    EmptyInput,
-    CoverageError,
-    HorizonTooLong,
-)
-_COMPUTATION_ERRORS = (
-    NotConverged,
-    Separation,
-    Singular,
-    SingleClass,
-    CountNeverAttained,
-    IoError,
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,15 +44,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         out_dir = args.out if args.out is not None else config.output_dir
         result = run_experiment(config)
         written = emit_all(result, out_dir, fmt=args.format)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _COMPUTATION_ERRORS as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
-        return 2
     except TermSpreadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        prefix = "error" if exc.exit_code == 1 else "computation failed"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     for path in written:
         print(path)
     return 0

@@ -419,7 +419,8 @@ def align_dataset(
     A predictor month t is included iff t >= sample_start and
     t + horizon <= sample_end; the train partition holds the rows whose
     target date is <= train_end (so its predictor dates end ``horizon``
-    months earlier).
+    months earlier). Raises HorizonTooLong if no rows or an empty partition
+    remain.
     """
     if horizon_months < 1:
         raise ValueError("horizon_months must be >= 1")
@@ -445,6 +446,11 @@ def align_dataset(
     features = np.column_stack([c[rows] for c in cols]) if cols else np.empty((len(rows), 0))
     targets = np.array([recessions.at(t + horizon_months) for t in dates])
     split_index = sum(1 for t in dates if t + horizon_months <= split.train_end)
+    if not 0 < split_index < len(dates):
+        raise HorizonTooLong(
+            f"horizon of {horizon_months} months leaves an empty partition: "
+            f"{split_index} training rows and {len(dates) - split_index} test rows"
+        )
     return AlignedDataset(
         horizon_months=horizon_months,
         predictor_dates=dates,

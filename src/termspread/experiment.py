@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .evaluation import (
     relative_mse,
     roc_curve,
 )
-from .logit import class_weights
+from .logit import ClassWeights
 from .models import (
     FittedModel,
     ForecastSeries,
@@ -72,7 +73,6 @@ class ExperimentConfig:
     horizons: tuple[int, ...] = DEFAULT_HORIZONS
     weighting: bool = False
     forced_controls: tuple[str, ...] = ()
-    target_nonzero: int = 2
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
@@ -98,11 +98,6 @@ class ExperimentConfig:
             raise ConfigError("horizons must be positive month counts")
         if list(self.horizons) != sorted(self.horizons):
             raise ConfigError("horizons must be sorted ascending")
-        if type(self.target_nonzero) is not int or self.target_nonzero != 2:
-            raise ConfigError(
-                "panel construction needs a two-maturity selection: "
-                f"target_nonzero must be 2, got {self.target_nonzero!r}"
-            )
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -129,6 +124,13 @@ class ExperimentConfig:
         missing = {"yield_files", "recession_file", "maturities", "split"} - set(raw)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
+        # accepted for the README's config, but the panels need a pair
+        target = raw.get("target_nonzero", 2)
+        if type(target) is not int or target != 2:
+            raise ConfigError(
+                "panel construction needs a two-maturity selection: "
+                f"target_nonzero must be 2, got {target!r}"
+            )
         split_raw = raw["split"]
         if not isinstance(split_raw, dict):
             raise ConfigError("split must be an object")
@@ -151,7 +153,6 @@ class ExperimentConfig:
             horizons=raw.get("horizons", DEFAULT_HORIZONS),
             weighting=raw.get("weighting", False),
             forced_controls=raw.get("forced_controls", ()),
-            target_nonzero=raw.get("target_nonzero", 2),
             output_dir=raw.get("output_dir", "out"),
         )
 
@@ -164,40 +165,27 @@ def _string_tuple(name: str, value: object) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class TableRow:
-    """One published-table row: a model at one horizon."""
-
-    panel: str
-    horizon: int
-    pair: tuple[str, str]
-    coefficients: tuple[float, float]
-    control_coefs: Mapping[str, float] = field(default_factory=dict)
-    lambda_selected: float | None = None
-    auc_train: float = float("nan")
-    auc_test: float = float("nan")
-    log_l: float = float("nan")
-    log_ppl: float = float("nan")
-    ebf: float = float("nan")
-
-
-@dataclass(frozen=True)
 class HorizonArtifacts:
-    """Everything computed for one horizon, kept for plotting/inspection."""
+    """Everything computed for one horizon; per-model maps are keyed by panel letter."""
 
     dataset: AlignedDataset
     path: CoefficientPath
     selection: SelectionResult
     models: Mapping[str, FittedModel]
     forecasts: Mapping[str, ForecastSeries]
+    reports: Mapping[str, EvalReport]
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
-    panels: Mapping[str, tuple[TableRow, ...]]
-    reports: tuple[EvalReport, ...]
     artifacts: Mapping[int, HorizonArtifacts]
     recessions: RecessionSeries
+
+    @property
+    def reports(self) -> tuple[EvalReport, ...]:
+        """Every model's report, by horizon, then panel."""
+        return tuple(art.reports[p] for art in self.artifacts.values() for p in PANELS)
 
 
 def _annotate(exc: TermSpreadError, horizon: int, where: str) -> TermSpreadError:
@@ -212,30 +200,35 @@ def run_horizon(
     horizon: int,
     config: ExperimentConfig,
 ) -> HorizonArtifacts:
-    """Selection plus the three nested fits for one forecasting horizon."""
+    """Selection, the three nested fits, and every model's scores for one horizon.
+
+    The train/test split and the class weights are derived once here and
+    shared by the sweep, the fits and the scoring. Class weights use the
+    training recession ratio on the test rows too.
+    """
     feature_names = config.maturities + config.forced_controls
     ds = align_dataset(panel, recessions, horizon, config.split, feature_names)
-    train, _ = split_views(ds)
-    weights = (
-        class_weights(train.targets).per_row(train.targets) if config.weighting else None
-    )
+    train, test = split_views(ds)
+    if config.weighting:
+        cw = ClassWeights.from_targets(train.targets)
+        w_train, w_test = cw.per_row(train.targets), cw.per_row(test.targets)
+    else:
+        w_train = w_test = None
     penalty_mask = np.array([name in config.maturities for name in feature_names])
 
     try:
         path = sweep_path(
             train.features,
             train.targets,
-            weights=weights,
+            weights=w_train,
             penalty_mask=penalty_mask,
             feature_names=feature_names,
-            horizon_months=horizon,
         )
-        selection = select_pair(path, config.target_nonzero)
+        selection = select_pair(path)
     except TermSpreadError as exc:
         raise _annotate(exc, horizon, "panel A selection")
 
-    models: dict[str, FittedModel] = {}
-    models["A"] = fitted_model_from_selection(selection, ds, config.forced_controls)
+    models = {"A": fitted_model_from_selection(selection, config.forced_controls)}
     for letter in ("B", "C", "D"):
         spec = ModelSpec(
             kind=PANEL_KINDS[letter],
@@ -243,69 +236,38 @@ def run_horizon(
             controls=config.forced_controls,
         )
         try:
-            models[letter] = fit_spec(ds, spec, weighting=config.weighting)
+            models[letter] = fit_spec(ds, spec, weights=w_train)
         except TermSpreadError as exc:
             raise _annotate(exc, horizon, f"panel {letter}")
 
     forecasts = {letter: forecast_series(models[letter], ds) for letter in PANELS}
-    return HorizonArtifacts(
-        dataset=ds, path=path, selection=selection, models=models, forecasts=forecasts
-    )
-
-
-def _score_horizon(
-    art: HorizonArtifacts, config: ExperimentConfig
-) -> tuple[list[TableRow], list[EvalReport]]:
-    ds = art.dataset
-    train, test = split_views(ds)
-    if config.weighting:
-        cw = class_weights(train.targets)
-        w_train = cw.per_row(train.targets)
-        w_test = cw.per_row(test.targets)  # same training r on the test period
-    else:
-        w_train = w_test = None
-
     split = ds.split_index
-    probs = {p: art.forecasts[p].probabilities for p in PANELS}
+    probs = {p: forecasts[p].probabilities for p in PANELS}
     log_ppl = {
         p: avg_log_likelihood(test.targets, probs[p][split:], w_test) for p in PANELS
     }
-    bench_test_probs = probs["D"][split:]
-
-    rows: list[TableRow] = []
-    reports: list[EvalReport] = []
+    reports: dict[str, EvalReport] = {}
     for letter in PANELS:
-        model = art.models[letter]
         e = ebf(log_ppl[letter], log_ppl["D"])
-        report = EvalReport(
-            horizon_months=ds.horizon_months,
-            kind=model.spec.kind.value,
+        reports[letter] = EvalReport(
+            horizon_months=horizon,
+            kind=models[letter].spec.kind.value,
             log_l_train=avg_log_likelihood(train.targets, probs[letter][:split], w_train),
             log_ppl_test=log_ppl[letter],
             ebf=e,
             auc_train=auc(train.targets, probs[letter][:split]),
             auc_test=auc(test.targets, probs[letter][split:]),
-            rm=relative_mse(test.targets, probs[letter][split:], bench_test_probs),
+            rm=relative_mse(test.targets, probs[letter][split:], probs["D"][split:]),
             avg_weight=model_avg_weight(e),
         )
-        reports.append(report)
-        long, short = model.spec.pair
-        rows.append(
-            TableRow(
-                panel=letter,
-                horizon=ds.horizon_months,
-                pair=(long.code, short.code),
-                coefficients=model.display_coefficients,
-                control_coefs=dict(model.control_coefs),
-                lambda_selected=art.selection.lambda_selected if letter == "A" else None,
-                auc_train=report.auc_train,
-                auc_test=report.auc_test,
-                log_l=report.log_l_train,
-                log_ppl=report.log_ppl_test,
-                ebf=report.ebf,
-            )
-        )
-    return rows, reports
+    return HorizonArtifacts(
+        dataset=ds,
+        path=path,
+        selection=selection,
+        models=models,
+        forecasts=forecasts,
+        reports=reports,
+    )
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -321,25 +283,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if name not in panel.extras:
             raise MissingSeries(f"forced control {name!r} not present in the data")
     recessions = load_recession_series(config.recession_file)
-
-    artifacts: dict[int, HorizonArtifacts] = {}
-    panel_rows: dict[str, list[TableRow]] = {p: [] for p in PANELS}
-    reports: list[EvalReport] = []
-    for horizon in config.horizons:
-        art = run_horizon(panel, recessions, horizon, config)
-        artifacts[horizon] = art
-        rows, horizon_reports = _score_horizon(art, config)
-        for row in rows:
-            panel_rows[row.panel].append(row)
-        reports.extend(horizon_reports)
-
-    return ExperimentResult(
-        config=config,
-        panels={p: tuple(panel_rows[p]) for p in PANELS},
-        reports=tuple(reports),
-        artifacts=artifacts,
-        recessions=recessions,
-    )
+    artifacts = {h: run_horizon(panel, recessions, h, config) for h in config.horizons}
+    return ExperimentResult(config=config, artifacts=artifacts, recessions=recessions)
 
 
 # --- emitters ---------------------------------------------------------------
@@ -348,12 +293,33 @@ def _fmt3(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _fmt_pair(pair: tuple[str, str]) -> str:
-    return f"({pair[0]}, {pair[1]})"
+def _fmt_g(v: float) -> str:
+    return f"{v:.10g}"
 
 
-def _fmt_beta(coefs: tuple[float, float]) -> str:
-    return f"({coefs[0]:.3f}, {coefs[1]:.3f})"
+def _write_rows(
+    path: str, rows: Iterable[Sequence[str]], preamble: str = "", fmt: str = "csv"
+) -> str:
+    """Write ``preamble`` verbatim, then the rows: a header row, then data.
+
+    ``fmt`` is "csv" or "markdown" (a pipe table). Returns the path; any
+    OSError becomes IoError naming the file.
+    """
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(preamble)
+            if fmt == "csv":
+                csv.writer(fh, lineterminator="\n").writerows(rows)
+            else:
+                rows = iter(rows)
+                header = next(rows)
+                fh.write("| " + " | ".join(header) + " |\n")
+                fh.write("|" + "|".join("---" for _ in header) + "|\n")
+                for row in rows:
+                    fh.write("| " + " | ".join(row) + " |\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from None
+    return path
 
 
 def _table_header(controls: Sequence[str], with_lambda: bool) -> list[str]:
@@ -365,105 +331,82 @@ def _table_header(controls: Sequence[str], with_lambda: bool) -> list[str]:
     return head
 
 
-def _table_cells(row: TableRow, controls: Sequence[str], with_lambda: bool) -> list[str]:
-    cells = [str(row.horizon), _fmt_pair(row.pair), _fmt_beta(row.coefficients)]
-    cells += [_fmt3(row.control_coefs[name]) for name in controls]
-    if with_lambda:
-        cells.append("" if row.lambda_selected is None else _fmt3(row.lambda_selected))
+def _table_cells(art: HorizonArtifacts, letter: str, controls: Sequence[str]) -> list[str]:
+    model, report = art.models[letter], art.reports[letter]
+    long, short = model.spec.pair
+    b_long, b_short = model.display_coefficients
+    cells = [str(report.horizon_months), f"({long.code}, {short.code})"]
+    cells.append(f"({b_long:.3f}, {b_short:.3f})")
+    cells += [_fmt3(model.control_coefs[name]) for name in controls]
+    if letter == "A":
+        cells.append(_fmt3(art.selection.lambda_selected))
     cells += [
-        _fmt3(row.auc_train),
-        _fmt3(row.auc_test),
-        _fmt3(row.log_l),
-        _fmt3(row.log_ppl),
-        _fmt3(row.ebf),
+        _fmt3(report.auc_train),
+        _fmt3(report.auc_test),
+        _fmt3(report.log_l_train),
+        _fmt3(report.log_ppl_test),
+        _fmt3(report.ebf),
     ]
     return cells
 
 
-def emit_tables(
-    panels: Mapping[str, Sequence[TableRow]],
-    fmt: str,
-    out_dir: str,
-    controls: Sequence[str] = (),
-) -> list[str]:
-    """Write one table file per panel; numeric columns use 3 decimals.
+def emit_tables(result: ExperimentResult, fmt: str, out_dir: str) -> list[str]:
+    """Write one table file per panel, one row per horizon; 3 decimals.
 
-    Returns the written paths. Validates everything before touching the
-    filesystem so a bad panel never leaves a partial file behind.
+    Returns the written paths. The format and the horizons are checked
+    before the filesystem is touched, so a bad call leaves no file behind.
     """
     if fmt not in ("csv", "markdown"):
         raise ConfigError(f"unknown table format: {fmt!r}")
-    for letter, rows in panels.items():
-        if not rows:
-            raise IoError(f"panel {letter} is empty; refusing to write")
+    if not result.artifacts:
+        raise IoError("the result holds no horizons; refusing to write empty panels")
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for letter in sorted(panels):
-        rows = panels[letter]
-        with_lambda = letter == "A"
-        header = _table_header(controls, with_lambda)
-        ext = "csv" if fmt == "csv" else "md"
-        path = os.path.join(out_dir, f"panel_{letter}.{ext}")
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                if fmt == "csv":
-                    writer = csv.writer(fh, lineterminator="\n")
-                    writer.writerow(header)
-                    for row in rows:
-                        writer.writerow(_table_cells(row, controls, with_lambda))
-                else:
-                    fh.write("| " + " | ".join(header) + " |\n")
-                    fh.write("|" + "|".join("---" for _ in header) + "|\n")
-                    for row in rows:
-                        fh.write(
-                            "| " + " | ".join(_table_cells(row, controls, with_lambda)) + " |\n"
-                        )
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from None
-        written.append(path)
-    return written
+    controls = result.config.forced_controls
+    ext = "csv" if fmt == "csv" else "md"
+    return [
+        _write_rows(
+            os.path.join(out_dir, f"panel_{letter}.{ext}"),
+            [_table_header(controls, letter == "A")]
+            + [_table_cells(art, letter, controls) for art in result.artifacts.values()],
+            fmt=fmt,
+        )
+        for letter in PANELS
+    ]
 
 
-def _fmt_g(v: float) -> str:
-    return f"{v:.10g}"
-
-
-def emit_coefficient_path(path_obj: CoefficientPath, out_path: str) -> None:
+def emit_coefficient_path(path_obj: CoefficientPath, out_path: str) -> str:
     """CSV of the original-scale coefficient path: lambda, one column per maturity."""
     names = path_obj.problem.feature_names
     keep = [j for j, n in enumerate(names) if path_obj.problem.penalty_mask[j]]
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("lambda," + ",".join(names[j] for j in keep) + "\n")
-            for lam, coefs in zip(path_obj.lambdas, path_obj.coef_matrix):
-                fh.write(
-                    _fmt_g(lam) + "," + ",".join(_fmt_g(coefs[j]) for j in keep) + "\n"
-                )
-    except OSError as exc:
-        raise IoError(f"cannot write {out_path}: {exc}") from None
+    header = ["lambda"] + [names[j] for j in keep]
+    rows = (
+        [_fmt_g(lam)] + [_fmt_g(coefs[j]) for j in keep]
+        for lam, coefs in zip(path_obj.lambdas, path_obj.coef_matrix)
+    )
+    return _write_rows(out_path, chain([header], rows))
 
 
 def emit_spread_series(
     forecast: ForecastSeries, recessions: RecessionSeries, out_path: str
-) -> None:
+) -> str:
     """CSV of date, spread, probability, is_recession, is_test per row.
 
     ``is_recession`` flags the recession indicator at the row's own date
     (for shading); ``is_test`` marks rows past the train/test split, which
     sits ``horizon`` months before the target-date split.
     """
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("date,spread,probability,is_recession,is_test\n")
-            for i, date in enumerate(forecast.dates):
-                rec = int(recessions.at(date))
-                fh.write(
-                    f"{date},{_fmt_g(forecast.spread[i])},"
-                    f"{_fmt_g(forecast.probabilities[i])},{rec},"
-                    f"{int(i >= forecast.split_index)}\n"
-                )
-    except OSError as exc:
-        raise IoError(f"cannot write {out_path}: {exc}") from None
+    header = ["date", "spread", "probability", "is_recession", "is_test"]
+    rows = (
+        [
+            str(date),
+            _fmt_g(forecast.spread[i]),
+            _fmt_g(forecast.probabilities[i]),
+            str(int(recessions.at(date))),
+            str(int(i >= forecast.split_index)),
+        ]
+        for i, date in enumerate(forecast.dates)
+    )
+    return _write_rows(out_path, chain([header], rows))
 
 
 def emit_roc(
@@ -471,65 +414,50 @@ def emit_roc(
     scores: np.ndarray,
     out_path: str,
     label: str = "",
-) -> None:
+) -> str:
     """CSV of (fpr, tpr) pairs with the AUC on a leading metadata line."""
     points = roc_curve(targets, scores)
     area = auc(targets, scores)
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# {label + ' ' if label else ''}auc={area:.6f}\n")
-            fh.write("fpr,tpr\n")
-            for fpr, tpr in points:
-                fh.write(f"{_fmt_g(fpr)},{_fmt_g(tpr)}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {out_path}: {exc}") from None
+    preamble = f"# {label + ' ' if label else ''}auc={area:.6f}\n"
+    rows = [["fpr", "tpr"]] + [[_fmt_g(fpr), _fmt_g(tpr)] for fpr, tpr in points]
+    return _write_rows(out_path, rows, preamble=preamble)
 
 
-def emit_eval_reports(reports: Sequence[EvalReport], out_path: str) -> None:
+def emit_eval_reports(reports: Sequence[EvalReport], out_path: str) -> str:
     """CSV of every EvalReport (includes RM and the model-averaging weight)."""
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["horizon", "kind", "log_l_train", "log_ppl_test", "ebf",
-                 "auc_train", "auc_test", "rm", "avg_weight"]
-            )
-            for r in reports:
-                writer.writerow(
-                    [r.horizon_months, r.kind, _fmt3(r.log_l_train),
-                     _fmt3(r.log_ppl_test), _fmt3(r.ebf), _fmt3(r.auc_train),
-                     _fmt3(r.auc_test), _fmt3(r.rm), _fmt3(r.avg_weight)]
-                )
-    except OSError as exc:
-        raise IoError(f"cannot write {out_path}: {exc}") from None
+    rows = [["horizon", "kind", "log_l_train", "log_ppl_test", "ebf",
+             "auc_train", "auc_test", "rm", "avg_weight"]]
+    rows += [
+        [str(r.horizon_months), r.kind, _fmt3(r.log_l_train), _fmt3(r.log_ppl_test),
+         _fmt3(r.ebf), _fmt3(r.auc_train), _fmt3(r.auc_test), _fmt3(r.rm),
+         _fmt3(r.avg_weight)]
+        for r in reports
+    ]
+    return _write_rows(out_path, rows)
 
 
 def emit_all(result: ExperimentResult, out_dir: str, fmt: str = "csv") -> list[str]:
     """Write tables, eval reports, and plot data for a finished run."""
-    written = emit_tables(
-        result.panels, fmt, out_dir, controls=result.config.forced_controls
-    )
-    os.makedirs(out_dir, exist_ok=True)
-    reports_path = os.path.join(out_dir, "eval_reports.csv")
-    emit_eval_reports(result.reports, reports_path)
-    written.append(reports_path)
-    for horizon in result.config.horizons:
-        art = result.artifacts[horizon]
-        path_file = os.path.join(out_dir, f"coefficient_path_h{horizon}.csv")
-        emit_coefficient_path(art.path, path_file)
-        written.append(path_file)
-        spread_file = os.path.join(out_dir, f"spread_series_h{horizon}.csv")
-        emit_spread_series(art.forecasts["A"], result.recessions, spread_file)
-        written.append(spread_file)
-        _, test = split_views(art.dataset)
+    def out(name: str) -> str:
+        return os.path.join(out_dir, name)
+
+    written = emit_tables(result, fmt, out_dir)
+    written.append(emit_eval_reports(result.reports, out("eval_reports.csv")))
+    for horizon, art in result.artifacts.items():
+        written.append(emit_coefficient_path(art.path, out(f"coefficient_path_h{horizon}.csv")))
+        written.append(
+            emit_spread_series(
+                art.forecasts["A"], result.recessions, out(f"spread_series_h{horizon}.csv")
+            )
+        )
         split = art.dataset.split_index
         for letter in PANELS:
-            roc_file = os.path.join(out_dir, f"roc_h{horizon}_{letter}.csv")
-            emit_roc(
-                test.targets,
-                art.forecasts[letter].probabilities[split:],
-                roc_file,
-                label=f"horizon={horizon} panel={letter}",
+            written.append(
+                emit_roc(
+                    art.dataset.targets[split:],
+                    art.forecasts[letter].probabilities[split:],
+                    out(f"roc_h{horizon}_{letter}.csv"),
+                    label=f"horizon={horizon} panel={letter}",
+                )
             )
-            written.append(roc_file)
     return written

@@ -93,6 +93,7 @@ class ClassWeights:
 
     @classmethod
     def from_targets(cls, targets: np.ndarray) -> "ClassWeights":
+        """Weights from the positive fraction of the TRAINING targets."""
         y = np.asarray(targets, dtype=float)
         r = float(y.mean())
         if r <= 0.0 or r >= 1.0:
@@ -108,11 +109,6 @@ class ClassWeights:
     def per_row(self, targets: np.ndarray) -> np.ndarray:
         y = np.asarray(targets, dtype=float)
         return np.where(y == 1.0, self.w_pos, self.w_neg)
-
-
-def class_weights(targets: np.ndarray) -> ClassWeights:
-    """Class weights from the positive fraction of the TRAINING targets."""
-    return ClassWeights.from_targets(targets)
 
 
 @dataclass(frozen=True)
@@ -175,9 +171,6 @@ class LogitFit:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefs_std", np.asarray(self.coefs_std, dtype=float))
         object.__setattr__(self, "coefs_orig", np.asarray(self.coefs_orig, dtype=float))
-
-    def nonzero_mask(self, tol: float = NONZERO_TOL) -> np.ndarray:
-        return np.abs(self.coefs_std) > tol
 
 
 def predict_proba(intercept: float, coefs: np.ndarray, x: np.ndarray) -> "float | np.ndarray":

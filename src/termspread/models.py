@@ -16,16 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import AlignedDataset, MaturityLabel, Month, YieldPanel, split_views
+from .data import AlignedDataset, MaturityLabel, Month
 from .errors import MissingSeries
-from .logit import (
-    LogitFit,
-    LogitProblem,
-    Standardizer,
-    class_weights,
-    fit_mle,
-    predict_proba,
-)
+from .logit import LogitFit, LogitProblem, Standardizer, fit_mle, predict_proba
 from .selection import SelectionResult
 
 CONVENTIONAL_PAIR = (MaturityLabel.from_code("10y"), MaturityLabel.from_code("3m"))
@@ -79,7 +72,6 @@ class FittedModel:
     """A specification with estimated original-scale parameters."""
 
     spec: ModelSpec
-    horizon_months: int
     fit: LogitFit
     feature_names: tuple[str, ...]
     control_coefs: Mapping[str, float] = field(default_factory=dict)
@@ -101,71 +93,41 @@ class FittedModel:
 class ForecastSeries:
     """Generalized spread and implied probability for every dataset row."""
 
-    horizon_months: int
     dates: tuple[Month, ...]
     spread: np.ndarray
     probabilities: np.ndarray
     split_index: int
 
 
-def _columns(get, spec: ModelSpec) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Design columns from a name->series accessor, shared by both entry points."""
-    long, short = spec.pair
-    try:
-        if spec.kind.is_simple:
-            cols = [get(long.code) - get(short.code)]
-        else:
-            cols = [get(long.code), get(short.code)]
-        for name in spec.controls:
-            cols.append(get(name))
-    except KeyError as exc:
-        raise MissingSeries(str(exc)) from None
-    names = spec.yield_feature_names + spec.controls
-    return np.column_stack(cols), names
-
-
-def build_features(
-    panel: YieldPanel, spec: ModelSpec
-) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
-    """Design matrix for a spec from a yield panel.
-
-    Returns (matrix, names, penalty_mask); control columns carry a False
-    mask entry (exempt from the L1 penalty), yield-derived columns True.
-    """
-    matrix, names = _columns(panel.series, spec)
-    mask = np.array([name not in spec.controls for name in names])
-    return matrix, names, mask
-
-
 def _aligned_columns(ds: AlignedDataset, spec: ModelSpec) -> tuple[np.ndarray, tuple[str, ...]]:
-    lookup = {name: ds.features[:, j] for j, name in enumerate(ds.feature_names)}
+    """The spec's design columns (yield pair or spread, then controls) and names."""
+    columns = dict(zip(ds.feature_names, ds.features.T))
+    series = spec.pair[0].code, spec.pair[1].code, *spec.controls
+    missing = [name for name in series if name not in columns]
+    if missing:
+        raise MissingSeries(f"dataset does not carry the series {missing[0]!r}")
+    cols = [columns[name] for name in series]
+    if spec.kind.is_simple:
+        cols[:2] = [cols[0] - cols[1]]
+    return np.column_stack(cols), spec.yield_feature_names + spec.controls
 
-    def get(name: str) -> np.ndarray:
-        if name not in lookup:
-            raise KeyError(f"dataset does not carry the series {name!r}")
-        return lookup[name]
 
-    return _columns(get, spec)
-
-
-def fit_spec(ds: AlignedDataset, spec: ModelSpec, weighting: bool = False) -> FittedModel:
+def fit_spec(
+    ds: AlignedDataset, spec: ModelSpec, weights: np.ndarray | None = None
+) -> FittedModel:
     """Unregularized MLE of a specification on the training partition.
 
-    With ``weighting`` on, rows are weighted by class (1/(2r) for recession
-    months, 1/(2(1-r)) otherwise) with r taken from the training targets.
+    ``weights`` are per-row weights for the training rows, e.g. the class
+    weights of ``ClassWeights.from_targets``; None weighs every row 1.
     Features are z-scored for the optimization and the reported coefficients
     are mapped back to the original scale.
     """
     design, names = _aligned_columns(ds, spec)
-    train, _ = split_views(ds)
     X_train = design[: ds.split_index]
-    weights = (
-        class_weights(train.targets).per_row(train.targets) if weighting else None
-    )
     standardizer = Standardizer.fit(X_train)
     problem = LogitProblem(
         features=standardizer.transform(X_train),
-        targets=train.targets,
+        targets=ds.targets[: ds.split_index],
         weights=weights,
     )
     fit = fit_mle(problem, standardizer)
@@ -174,7 +136,6 @@ def fit_spec(ds: AlignedDataset, spec: ModelSpec, weighting: bool = False) -> Fi
     }
     return FittedModel(
         spec=spec,
-        horizon_months=ds.horizon_months,
         fit=fit,
         feature_names=names,
         control_coefs=controls,
@@ -182,7 +143,7 @@ def fit_spec(ds: AlignedDataset, spec: ModelSpec, weighting: bool = False) -> Fi
 
 
 def fitted_model_from_selection(
-    selection: SelectionResult, ds: AlignedDataset, controls: Sequence[str] = ()
+    selection: SelectionResult, controls: Sequence[str] = ()
 ) -> FittedModel:
     """Wrap an L1 selection fit as a generalized-ML FittedModel.
 
@@ -214,7 +175,6 @@ def fitted_model_from_selection(
     }
     return FittedModel(
         spec=spec,
-        horizon_months=ds.horizon_months,
         fit=reduced,
         feature_names=names,
         control_coefs=controls_map,
@@ -234,7 +194,6 @@ def forecast_series(model: FittedModel, ds: AlignedDataset) -> ForecastSeries:
     spread = b0 + design @ b
     probs = predict_proba(b0, b, design)
     return ForecastSeries(
-        horizon_months=ds.horizon_months,
         dates=ds.predictor_dates,
         spread=spread,
         probabilities=probs,

@@ -87,12 +87,10 @@ class CoefficientPath:
 
     k_values: np.ndarray
     lambdas: np.ndarray
-    intercepts: np.ndarray
     coef_matrix: np.ndarray
     nonzero_counts: np.ndarray
     fits: tuple[LogitFit, ...]
     problem: PathProblem
-    horizon_months: int | None = None
 
     def __post_init__(self) -> None:
         if self.coef_matrix.shape[0] != len(self.lambdas):
@@ -108,11 +106,9 @@ class SelectionResult:
     support size is not two.
     """
 
-    horizon_months: int | None
     lambda_selected: float
     k_selected: float
     pair: tuple[MaturityLabel, MaturityLabel] | None
-    intercept_orig: float
     coefs_orig: tuple[float, ...]
     fit: LogitFit
     feature_names: tuple[str, ...]
@@ -140,7 +136,6 @@ def sweep_path(
     penalty_mask: np.ndarray | None = None,
     grid: LambdaGrid | None = None,
     feature_names: Sequence[str] | None = None,
-    horizon_months: int | None = None,
 ) -> CoefficientPath:
     """Fit the L1 path over an ascending lambda grid with warm starts.
 
@@ -186,12 +181,10 @@ def sweep_path(
     return CoefficientPath(
         k_values=grid.k_values.copy(),
         lambdas=grid.values.copy(),
-        intercepts=np.array([f.intercept_orig for f in fits]),
         coef_matrix=np.array([f.coefs_orig for f in fits]),
         nonzero_counts=np.array([_penalized_nonzeros(f, mask) for f in fits]),
         fits=tuple(fits),
         problem=problem_data,
-        horizon_months=horizon_months,
     )
 
 
@@ -205,11 +198,9 @@ def _result_from_fit(
     labels = [MaturityLabel.from_code(path.problem.feature_names[nz[i]]) for i in order]
     pair = (labels[0], labels[1]) if len(labels) == 2 else None
     return SelectionResult(
-        horizon_months=path.horizon_months,
         lambda_selected=lam,
         k_selected=k,
         pair=pair,
-        intercept_orig=fit.intercept_orig,
         coefs_orig=tuple(coefs[i] for i in order),
         fit=fit,
         feature_names=path.problem.feature_names,

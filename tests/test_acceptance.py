@@ -31,9 +31,9 @@ from termspread.evaluation import (
 )
 from termspread.experiment import ExperimentConfig, run_experiment
 from termspread.logit import (
+    ClassWeights,
     LogitProblem,
     Standardizer,
-    class_weights,
     fit_l1,
     fit_mle,
     kkt_residual,
@@ -212,18 +212,15 @@ def test_acceptance_4_balanced_weight_identity(market, data_files, tmp_path):
     weighted = run_experiment(
         ExperimentConfig.from_mapping({**base, "weighting": True})
     )
-    r = plain.artifacts[13].dataset.targets[: plain.artifacts[13].dataset.split_index].mean()
-    assert r == 0.5
+    p_art, w_art = plain.artifacts[13], weighted.artifacts[13]
+    assert p_art.dataset.targets[: p_art.dataset.split_index].mean() == 0.5
     for letter in ("A", "B", "C", "D"):
-        p_row = plain.panels[letter][0]
-        w_row = weighted.panels[letter][0]
-        assert p_row.pair == w_row.pair
-        assert p_row.coefficients == w_row.coefficients  # exact
-        assert p_row.log_l == w_row.log_l
-        assert p_row.log_ppl == w_row.log_ppl
-        assert p_row.ebf == w_row.ebf
-        assert p_row.auc_train == w_row.auc_train
-        assert p_row.auc_test == w_row.auc_test
+        assert p_art.models[letter].spec.pair == w_art.models[letter].spec.pair
+        coefs = p_art.models[letter].display_coefficients
+        assert coefs == w_art.models[letter].display_coefficients  # exact
+        # every score, exactly: log L, log PPL, EBF, both AUCs, RM, weight
+        assert p_art.reports[letter] == w_art.reports[letter]
+    assert p_art.selection.lambda_selected == w_art.selection.lambda_selected
     print("\nACCEPTANCE 4 (balanced-weight identity): PASS [r=1/2 pipelines exactly equal]")
 
 
@@ -301,12 +298,17 @@ def golden_config(train_end, weighting=False):
     )
 
 
+def pair_codes(model):
+    long, short = model.spec.pair
+    return (long.code, short.code)
+
+
 def check_pairs(result, published, label):
     mismatches = []
-    for row in result.panels["A"]:
-        want = published[row.horizon]
-        if row.pair != want:
-            mismatches.append((row.horizon, row.pair, want))
+    for horizon, art in result.artifacts.items():
+        got, want = pair_codes(art.models["A"]), published[horizon]
+        if got != want:
+            mismatches.append((horizon, got, want))
     for h, got, want in mismatches:
         print(f"  DEVIATION {label} h={h}: selected {got}, published {want}")
     assert len(mismatches) <= 2, f"{label}: pair matches {8-len(mismatches)}/8 < 6/8"
@@ -321,34 +323,33 @@ def test_acceptance_5_published_baseline_reproduction():
     mismatches = check_pairs(result, PAIRS_1995, "split-1995")
     mismatched_horizons = {h for h, _, _ in mismatches}
 
-    row12 = next(r for r in result.panels["A"] if r.horizon == 12)
-    assert row12.pair == ("7y", "3m")
+    assert pair_codes(result.artifacts[12].models["A"]) == ("7y", "3m")
     # lambda within one grid step of 0.354 = 2^(-15/10)
     k12 = result.artifacts[12].selection.k_selected
     assert abs(k12 - (-15.0)) <= 1.0
 
     for letter in ("A", "B", "C", "D"):
-        for row in result.panels[letter]:
-            skip_coefs = letter in ("A", "B") and row.horizon in mismatched_horizons
-            want = PUBLISHED_1995[letter][row.horizon]
+        for horizon, art in result.artifacts.items():
+            skip_coefs = letter in ("A", "B") and horizon in mismatched_horizons
+            want = PUBLISHED_1995[letter][horizon]
             if not skip_coefs:
-                d_long = abs(row.coefficients[0] - want[0])
-                d_short = abs(row.coefficients[1] - want[1])
-                d_ppl = abs(row.log_ppl - want[2])
+                b_long, b_short = art.models[letter].display_coefficients
+                log_ppl = art.reports[letter].log_ppl_test
+                d_long = abs(b_long - want[0])
+                d_short = abs(b_short - want[1])
+                d_ppl = abs(log_ppl - want[2])
                 if max(d_long, d_short) > COEF_TOL or d_ppl > PPL_TOL:
                     print(
-                        f"  DEVIATION split-1995 {letter} h={row.horizon}: "
-                        f"beta=({row.coefficients[0]:.3f},{row.coefficients[1]:.3f}) "
+                        f"  DEVIATION split-1995 {letter} h={horizon}: "
+                        f"beta=({b_long:.3f},{b_short:.3f}) "
                         f"vs ({want[0]:.3f},{want[1]:.3f}), "
-                        f"log_ppl={row.log_ppl:.3f} vs {want[2]:.3f}"
+                        f"log_ppl={log_ppl:.3f} vs {want[2]:.3f}"
                     )
                 assert d_long <= COEF_TOL and d_short <= COEF_TOL
                 assert d_ppl <= PPL_TOL
-    assert all(r.ebf == 1.0 for r in result.panels["D"])
+    assert all(art.reports["D"].ebf == 1.0 for art in result.artifacts.values())
     # no alternative model clears Jeffreys' substantial-evidence bar
-    assert not any(
-        exceeds_jeffreys(row.ebf) for rows in result.panels.values() for row in rows
-    )
+    assert not any(exceeds_jeffreys(r.ebf) for r in result.reports)
     elapsed = time.time() - start_time
     assert elapsed < 300.0
     print(f"\nACCEPTANCE 5 (published baseline, split 1995): PASS [{elapsed:.0f}s]")
@@ -366,10 +367,10 @@ def test_acceptance_6_robustness_protocols():
     weighted = run_experiment(golden_config("1995-12", weighting=True))
     art = weighted.artifacts[12]
     train, _ = split_views(art.dataset)
-    cw = class_weights(train.targets)
+    cw = ClassWeights.from_targets(train.targets)
     assert cw.recession_ratio == pytest.approx(0.14, abs=0.01)
     assert cw.oversampling_factor == pytest.approx(6.0, abs=0.5)
-    assert all(r.ebf == 1.0 for r in weighted.panels["D"])
+    assert all(art.reports["D"].ebf == 1.0 for art in weighted.artifacts.values())
     elapsed = time.time() - start_time
     print(
         f"\nACCEPTANCE 6 (robustness protocols): PASS "

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import filecmp
 import functools
 import json
@@ -11,9 +12,10 @@ import os
 import numpy as np
 import pytest
 
-from termspread import logit, selection
+from termspread import cli, errors, logit, selection
 from termspread.cli import main as cli_main
 from termspread.errors import ConfigError, IoError
+from termspread.evaluation import avg_log_likelihood
 from termspread.experiment import (
     DEFAULT_HORIZONS,
     ExperimentConfig,
@@ -21,6 +23,7 @@ from termspread.experiment import (
     emit_tables,
     run_experiment,
 )
+from termspread.logit import ClassWeights
 
 MATS = ["3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y"]
 
@@ -55,8 +58,13 @@ def test_config_defaults(tmp_path, data_files):
     )
     assert cfg.horizons == DEFAULT_HORIZONS
     assert cfg.weighting is False
-    assert cfg.target_nonzero == 2
     assert cfg.forced_controls == ()
+    # the README's "target_nonzero": 2 parses and changes nothing
+    explicit = write_config(
+        tmp_path, data_files, horizons=list(DEFAULT_HORIZONS), target_nonzero=2
+    )
+    assert ExperimentConfig.from_json(explicit) == cfg
+    assert not hasattr(cfg, "target_nonzero")
 
 
 def test_config_rejects_unknown_keys(tmp_path, data_files):
@@ -140,38 +148,41 @@ def small_run(data_files):
 
 
 def test_run_produces_four_panels_per_horizon(small_run):
-    assert set(small_run.panels) == {"A", "B", "C", "D"}
-    for rows in small_run.panels.values():
-        assert [r.horizon for r in rows] == [3, 12]
-    assert len(small_run.reports) == 8
+    assert list(small_run.artifacts) == [3, 12]
+    for art in small_run.artifacts.values():
+        assert list(art.models) == list(art.forecasts) == list(art.reports) == list("ABCD")
+    assert [r.horizon_months for r in small_run.reports] == [3] * 4 + [12] * 4
 
 
 def test_benchmark_ebf_exactly_one(small_run):
-    assert all(r.ebf == 1.0 for r in small_run.panels["D"])
+    assert all(art.reports["D"].ebf == 1.0 for art in small_run.artifacts.values())
 
 
 def test_panel_b_reuses_selected_pair(small_run):
-    for a_row, b_row in zip(small_run.panels["A"], small_run.panels["B"]):
-        assert a_row.pair == b_row.pair
+    for art in small_run.artifacts.values():
+        assert art.models["A"].spec.pair == art.models["B"].spec.pair == art.selection.pair
 
 
 def test_panels_cd_use_conventional_pair(small_run):
-    for letter in ("C", "D"):
-        assert all(r.pair == ("10y", "3m") for r in small_run.panels[letter])
+    for art in small_run.artifacts.values():
+        for letter in ("C", "D"):
+            long, short = art.models[letter].spec.pair
+            assert (long.code, short.code) == ("10y", "3m")
 
 
 def test_simple_panels_constrain_coefficients(small_run):
-    for letter in ("B", "D"):
-        for row in small_run.panels[letter]:
-            b_long, b_short = row.coefficients
+    for art in small_run.artifacts.values():
+        for letter in ("B", "D"):
+            b_long, b_short = art.models[letter].display_coefficients
             assert b_long == -b_short
 
 
 def test_panel_b_equals_d_when_pair_is_conventional(small_run):
-    for b_row, d_row in zip(small_run.panels["B"], small_run.panels["D"]):
-        if b_row.pair == ("10y", "3m"):
-            assert b_row.coefficients == d_row.coefficients
-            assert b_row.log_ppl == d_row.log_ppl
+    for art in small_run.artifacts.values():
+        b, d = art.models["B"], art.models["D"]
+        if b.spec.pair == d.spec.pair:
+            assert b.display_coefficients == d.display_coefficients
+            assert art.reports["B"].log_ppl_test == art.reports["D"].log_ppl_test
 
 
 def test_reports_carry_rm_and_weight(small_run):
@@ -179,29 +190,27 @@ def test_reports_carry_rm_and_weight(small_run):
         assert r.rm > 0
         assert 0.0 <= r.avg_weight <= 1.0
         assert abs(r.avg_weight - r.ebf / (1 + r.ebf)) < 1e-12
-        assert r.ebf == pytest.approx(
-            np.exp(r.log_ppl_test - _bench_ppl(small_run, r.horizon_months)), rel=1e-12
-        )
-
-
-def _bench_ppl(result, horizon):
-    for r in result.reports:
-        if r.horizon_months == horizon and r.kind == "simple_conventional":
-            return r.log_ppl_test
-    raise AssertionError("missing benchmark report")
+        bench = small_run.artifacts[r.horizon_months].reports["D"]
+        assert bench.kind == "simple_conventional"
+        assert r.ebf == pytest.approx(np.exp(r.log_ppl_test - bench.log_ppl_test), rel=1e-12)
 
 
 def test_weighted_run_differs_and_uses_training_ratio(data_files):
     cfg = ExperimentConfig.from_mapping(
         base_config_dict(data_files, horizons=[12], weighting=True)
     )
-    weighted = run_experiment(cfg)
-    row = weighted.panels["D"][0]
-    assert row.ebf == 1.0
+    weighted = run_experiment(cfg).artifacts[12]
+    assert weighted.reports["D"].ebf == 1.0
     plain = run_experiment(
         ExperimentConfig.from_mapping(base_config_dict(data_files, horizons=[12]))
+    ).artifacts[12]
+    assert weighted.reports["D"].log_l_train != plain.reports["D"].log_l_train
+    # the fits and the scores share one set of weights, from the training ratio
+    train_y = weighted.dataset.targets[: weighted.dataset.split_index]
+    w = ClassWeights.from_targets(train_y).per_row(train_y)
+    assert weighted.reports["D"].log_l_train == avg_log_likelihood(
+        train_y, weighted.forecasts["D"].probabilities[: len(train_y)], w
     )
-    assert weighted.panels["D"][0].log_l != plain.panels["D"][0].log_l
 
 
 def test_forced_control_run(data_files):
@@ -209,11 +218,9 @@ def test_forced_control_run(data_files):
         base_config_dict(data_files, horizons=[12], forced_controls=["lead_idx"])
     )
     result = run_experiment(cfg)
-    for letter in ("A", "B", "C", "D"):
-        row = result.panels[letter][0]
-        assert "lead_idx" in row.control_coefs
     art = result.artifacts[12]
-    assert "lead_idx" in art.models["A"].control_coefs
+    for letter in ("A", "B", "C", "D"):
+        assert "lead_idx" in art.models[letter].control_coefs
     # the control is exempt from the penalty, so it survives selection
     j = art.selection.feature_names.index("lead_idx")
     assert not art.path.problem.penalty_mask[j]
@@ -223,7 +230,7 @@ def test_forced_control_run(data_files):
 
 def test_emit_tables_csv_layout(small_run, tmp_path):
     out = tmp_path / "tables"
-    paths = emit_tables(small_run.panels, "csv", str(out))
+    paths = emit_tables(small_run, "csv", str(out))
     assert sorted(os.path.basename(p) for p in paths) == [
         "panel_A.csv", "panel_B.csv", "panel_C.csv", "panel_D.csv",
     ]
@@ -247,7 +254,7 @@ def test_emit_tables_csv_layout(small_run, tmp_path):
 
 def test_emit_tables_markdown(small_run, tmp_path):
     out = tmp_path / "md"
-    paths = emit_tables(small_run.panels, "markdown", str(out))
+    paths = emit_tables(small_run, "markdown", str(out))
     text = open(os.path.join(str(out), "panel_A.md")).read()
     lines = text.splitlines()
     assert lines[0].startswith("| horizon | pair | beta |")
@@ -256,17 +263,16 @@ def test_emit_tables_markdown(small_run, tmp_path):
 
 
 def test_emit_tables_rejects_empty_panel(small_run, tmp_path):
-    broken = dict(small_run.panels)
-    broken["C"] = ()
+    broken = dataclasses.replace(small_run, artifacts={})
     out = tmp_path / "broken"
     with pytest.raises(IoError):
         emit_tables(broken, "csv", str(out))
-    assert not (out / "panel_A.csv").exists()  # nothing partially written
+    assert not out.exists()  # nothing partially written
 
 
 def test_emit_tables_rejects_unknown_format(small_run, tmp_path):
     with pytest.raises(ConfigError):
-        emit_tables(small_run.panels, "html", str(tmp_path))
+        emit_tables(small_run, "html", str(tmp_path))
 
 
 def test_emit_all_plot_data(small_run, tmp_path):
@@ -364,3 +370,43 @@ def test_cli_markdown_format(tmp_path, data_files):
         ["run", "--config", cfg_path, "--out", str(out), "--format", "markdown"]
     ) == 0
     assert (out / "panel_A.md").exists()
+
+
+def test_cli_empty_training_partition_exit_1(tmp_path, data_files, capsys):
+    # a 3-month horizon puts every target date after a 1961-07 train_end
+    split = {"sample_start": "1961-06", "train_end": "1961-07", "sample_end": "2020-07"}
+    cfg_path = write_config(tmp_path, data_files, horizons=[3], split=split)
+    assert cli_main(["run", "--config", cfg_path, "--out", str(tmp_path / "e")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "horizon of 3 months" in err and "0 training rows and 707 test rows" in err
+
+
+INPUT_ERRORS = {
+    "ConfigError", "CoverageError", "DomainError", "EmptyInput", "GapInDates",
+    "HorizonTooLong", "MalformedRow", "MissingSeries",
+}
+ERROR_CLASSES = sorted(
+    (c for c in vars(errors).values()
+     if isinstance(c, type) and issubclass(c, errors.TermSpreadError)
+     and c is not errors.TermSpreadError),
+    key=lambda c: c.__name__,
+)
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_cli_exit_code_and_prefix_follow_the_error_class(
+    tmp_path, data_files, capsys, monkeypatch, error
+):
+    def fail(config):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    cfg_path = write_config(tmp_path, data_files)
+    code = cli_main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")])
+    if error.__name__ in INPUT_ERRORS:
+        assert code == error.exit_code == 1
+        assert capsys.readouterr().err == "error: boom\n"
+    else:
+        assert code == error.exit_code == 2
+        assert capsys.readouterr().err == "computation failed: boom\n"

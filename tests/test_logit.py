@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from termspread.errors import Separation, SingleClass, Singular
 from termspread.logit import (
+    ClassWeights,
     LogitProblem,
     Standardizer,
-    class_weights,
     destandardize,
     fit_l1,
     fit_mle,
@@ -84,7 +84,7 @@ def test_nll_balanced_weights_recover_unweighted():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(40, 2))
     y = np.array([1.0, 0.0] * 20)  # r = 1/2 exactly
-    w = class_weights(y).per_row(y)
+    w = ClassWeights.from_targets(y).per_row(y)
     assert np.all(w == 1.0)
     pw = LogitProblem(features=X, targets=y, weights=w)
     pu = LogitProblem(features=X, targets=y)
@@ -197,14 +197,14 @@ def test_fit_prediction_equivalence_across_scales():
 # --- class weights ----------------------------------------------------------------
 
 def test_class_weights_balanced():
-    cw = class_weights(np.array([1.0, 0.0, 1.0, 0.0]))
+    cw = ClassWeights.from_targets(np.array([1.0, 0.0, 1.0, 0.0]))
     assert cw.w_pos == 1.0 and cw.w_neg == 1.0
 
 
 def test_class_weights_imbalanced_oversampling():
     y = np.zeros(100)
     y[:14] = 1.0
-    cw = class_weights(y)
+    cw = ClassWeights.from_targets(y)
     assert cw.w_pos == pytest.approx(1.0 / 0.28)
     assert cw.w_neg == pytest.approx(1.0 / 1.72)
     assert cw.w_pos == pytest.approx(3.5714, abs=1e-4)
@@ -217,7 +217,7 @@ def test_class_weights_imbalanced_oversampling():
 
 def test_class_weights_single_class():
     with pytest.raises(SingleClass):
-        class_weights(np.ones(5))
+        ClassWeights.from_targets(np.ones(5))
 
 
 # --- fit_mle ---------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Nested specifications: feature building, fitting, forecasting."""
+"""Nested specifications: design columns, fitting, forecasting."""
 
 from __future__ import annotations
 
@@ -16,13 +16,13 @@ from termspread.data import (
     split_views,
 )
 from termspread.errors import MissingSeries
-from termspread.logit import predict_proba
+from termspread.logit import ClassWeights, predict_proba
 from termspread.models import (
     CONVENTIONAL_PAIR,
     FittedModel,
     ModelKind,
     ModelSpec,
-    build_features,
+    _aligned_columns,
     fit_spec,
     fitted_model_from_selection,
     forecast_series,
@@ -36,17 +36,29 @@ def lab(code: str) -> MaturityLabel:
     return MaturityLabel.from_code(code)
 
 
-def tiny_panel(values: dict[str, list[float]], extras=None) -> YieldPanel:
+def tiny_panel(values: dict[str, list[float]]) -> YieldPanel:
     n = len(next(iter(values.values())))
     return YieldPanel(
         dates=tuple(Month(2000, 1) + i for i in range(n)),
         maturities=tuple(lab(c) for c in values),
         values=np.column_stack([np.asarray(v, float) for v in values.values()]),
-        extras=extras or {},
     )
 
 
-# --- specs and features ---------------------------------------------------------
+def tiny_dataset(values: dict[str, list[float]]) -> AlignedDataset:
+    """A dataset carrying the given columns, one training row, the rest test."""
+    n = len(next(iter(values.values())))
+    return AlignedDataset(
+        horizon_months=1,
+        predictor_dates=tuple(Month(2000, 1) + i for i in range(n)),
+        features=np.column_stack([np.asarray(v, float) for v in values.values()]),
+        targets=np.arange(n) % 2.0,
+        split_index=1,
+        feature_names=tuple(values),
+    )
+
+
+# --- specs and design columns -----------------------------------------------------
 
 def test_conventional_kinds_pin_the_pair():
     spec = ModelSpec(kind=ModelKind.SIMPLE_CONVENTIONAL)
@@ -64,37 +76,36 @@ def test_ml_kinds_require_pair():
 
 
 def test_build_features_simple_difference():
-    panel = tiny_panel({"10y": [6.0, 5.0], "3m": [4.5, 4.0]})
-    m, names, mask = build_features(panel, ModelSpec(kind=ModelKind.SIMPLE_CONVENTIONAL))
+    ds = tiny_dataset({"3m": [4.5, 4.0], "10y": [6.0, 5.0]})
+    m, names = _aligned_columns(ds, ModelSpec(kind=ModelKind.SIMPLE_CONVENTIONAL))
     assert names == ("10y-3m",)
-    assert m[:, 0].tolist() == [1.5, 1.0]
-    assert mask.tolist() == [True]
+    assert m.tolist() == [[1.5], [1.0]]
 
 
 def test_build_features_generalized_projection():
-    panel = tiny_panel({"7y": [5.2], "3m": [4.1]})
+    ds = tiny_dataset({"3m": [4.1, 4.0], "5y": [4.9, 4.8], "7y": [5.2, 5.0]})
     spec = ModelSpec(kind=ModelKind.GENERALIZED_ML, ml_pair=(lab("7y"), lab("3m")))
-    m, names, mask = build_features(panel, spec)
+    m, names = _aligned_columns(ds, spec)
     assert names == ("7y", "3m")
-    assert m.tolist() == [[5.2, 4.1]]
+    assert m.tolist() == [[5.2, 4.1], [5.0, 4.0]]
 
 
 def test_build_features_appends_penalty_exempt_control():
-    panel = tiny_panel(
-        {"10y": [6.0, 5.9], "3m": [4.5, 4.6]},
-        extras={"lead_idx": np.array([1.25, -0.5])},
-    )
-    spec = ModelSpec(kind=ModelKind.GENERALIZED_CONVENTIONAL, controls=("lead_idx",))
-    m, names, mask = build_features(panel, spec)
-    assert names == ("10y", "3m", "lead_idx")
-    assert m[:, 2].tolist() == [1.25, -0.5]
-    assert mask.tolist() == [True, True, False]
+    # the control comes last whatever the dataset's column order
+    ds = tiny_dataset({"lead_idx": [1.25, -0.5], "3m": [4.5, 4.6], "10y": [6.0, 5.9]})
+    spec = ModelSpec(kind=ModelKind.SIMPLE_CONVENTIONAL, controls=("lead_idx",))
+    m, names = _aligned_columns(ds, spec)
+    assert names == ("10y-3m", "lead_idx")
+    assert m[:, 1].tolist() == [1.25, -0.5]
 
 
 def test_build_features_missing_series():
-    panel = tiny_panel({"10y": [6.0]})
-    with pytest.raises(MissingSeries):
-        build_features(panel, ModelSpec(kind=ModelKind.SIMPLE_CONVENTIONAL))
+    ds = tiny_dataset({"10y": [6.0, 5.0]})
+    with pytest.raises(MissingSeries, match="3m"):
+        _aligned_columns(ds, ModelSpec(kind=ModelKind.SIMPLE_CONVENTIONAL))
+    spec = ModelSpec(kind=ModelKind.SIMPLE_CONVENTIONAL, controls=("lead_idx",))
+    with pytest.raises(MissingSeries, match="lead_idx"):
+        _aligned_columns(tiny_dataset({"10y": [6.0, 5.0], "3m": [4.5, 4.0]}), spec)
 
 
 # --- fitting ----------------------------------------------------------------------
@@ -122,10 +133,13 @@ def test_weighting_identity_on_balanced_targets(market, split95):
         dates=tuple(Month(1961, 6) + i for i in range(n + 24)), indicator=indicator
     )
     ds = align_dataset(panel, recessions, 13, split95, ALL)
-    assert ds.targets[: ds.split_index].mean() == 0.5
+    train_targets = ds.targets[: ds.split_index]
+    assert train_targets.mean() == 0.5
+    weights = ClassWeights.from_targets(train_targets).per_row(train_targets)
+    assert np.all(weights == 1.0)
     spec = ModelSpec(kind=ModelKind.GENERALIZED_CONVENTIONAL)
-    on = fit_spec(ds, spec, weighting=True)
-    off = fit_spec(ds, spec, weighting=False)
+    on = fit_spec(ds, spec, weights=weights)
+    off = fit_spec(ds, spec)
     assert on.fit.intercept_std == off.fit.intercept_std
     assert np.array_equal(on.fit.coefs_std, off.fit.coefs_std)
 
@@ -216,11 +230,9 @@ def test_forecast_covers_all_rows_with_split(ds12):
 
 def test_selection_model_reduction_preserves_probabilities(ds12):
     train, _ = split_views(ds12)
-    path = sweep_path(
-        train.features, train.targets, feature_names=ALL, horizon_months=12
-    )
+    path = sweep_path(train.features, train.targets, feature_names=ALL)
     sel = select_pair(path)
-    model = fitted_model_from_selection(sel, ds12)
+    model = fitted_model_from_selection(sel)
     fc = forecast_series(model, ds12)
     # the dropped exact zeros cannot change the linear combination
     full_spread = sel.fit.intercept_orig + ds12.features @ sel.fit.coefs_orig

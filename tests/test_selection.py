@@ -110,10 +110,10 @@ def test_solver_work_on_the_reference_market_is_pinned(market, split95):
 
 def test_sweep_shape_and_names():
     X, y = make_instance(seed=5, p=3)
-    path = sweep_path(X, y, feature_names=["10y", "3m", "5y"], horizon_months=12)
+    path = sweep_path(X, y, feature_names=["10y", "3m", "5y"])
     assert path.coef_matrix.shape == (len(path.lambdas), 3)
+    assert path.k_values.shape == path.nonzero_counts.shape == (len(path.fits),)
     assert path.problem.feature_names == ("10y", "3m", "5y")
-    assert path.horizon_months == 12
 
 
 # --- selection -------------------------------------------------------------------
