@@ -5,6 +5,7 @@ schemas (UTF-8, LF, dot decimals, no thousands separators):
 
 * yields:     ``date,<code1>,<code2>,...`` where codes are maturity labels
   (``3m`` ... ``30y``) or named control series; rows ``YYYY-MM,<decimal>,...``
+  where a decimal is an optional ``-``, digits, then optionally ``.digits``
 * recessions: ``date,recession`` with rows ``YYYY-MM,0|1``
 
 All types are immutable after construction; operations are pure functions.
@@ -31,6 +32,7 @@ from .errors import (
 )
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_DECIMAL_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
 
 # code <-> month-count mapping is bijective by construction
 CODE_TO_MONTHS = {
@@ -275,10 +277,9 @@ def _parse_csv(path: str) -> tuple[list[str], list[Month], list[list[float]]]:
             raise MalformedRow(f"{path}:{lineno}: {exc}") from None
         vals = []
         for name, cell in zip(cols, parts[1:]):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise MalformedRow(f"{path}:{lineno}: cannot parse {name}={cell!r}") from None
+            if not _DECIMAL_RE.fullmatch(cell):
+                raise MalformedRow(f"{path}:{lineno}: cannot parse {name}={cell!r}")
+            v = float(cell)
             if not np.isfinite(v):
                 raise MalformedRow(f"{path}:{lineno}: non-finite {name}={cell!r}")
             vals.append(v)

@@ -53,7 +53,7 @@ class HorizonTooLong(TermSpreadError):
 
 
 class CoverageError(TermSpreadError):
-    """The recession series does not cover the requested sample."""
+    """The recession series does not cover the sample, or a partition's two classes."""
 
     exit_code = 1
 

@@ -30,7 +30,7 @@ from .data import (
     load_yield_panel,
     split_views,
 )
-from .errors import ConfigError, IoError, MissingSeries, TermSpreadError
+from .errors import ConfigError, CoverageError, IoError, MissingSeries, TermSpreadError
 from .evaluation import (
     EvalReport,
     auc,
@@ -50,7 +50,13 @@ from .models import (
     fitted_model_from_selection,
     forecast_series,
 )
-from .selection import CoefficientPath, SelectionResult, select_pair, sweep_path
+from .selection import (
+    TARGET_NONZERO,
+    CoefficientPath,
+    SelectionResult,
+    select_pair,
+    sweep_path,
+)
 
 PANELS = ("A", "B", "C", "D")
 PANEL_KINDS = {
@@ -125,11 +131,11 @@ class ExperimentConfig:
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         # accepted for the README's config, but the panels need a pair
-        target = raw.get("target_nonzero", 2)
-        if type(target) is not int or target != 2:
+        target = raw.get("target_nonzero", TARGET_NONZERO)
+        if type(target) is not int or target != TARGET_NONZERO:
             raise ConfigError(
                 "panel construction needs a two-maturity selection: "
-                f"target_nonzero must be 2, got {target!r}"
+                f"target_nonzero must be {TARGET_NONZERO}, got {target!r}"
             )
         split_raw = raw["split"]
         if not isinstance(split_raw, dict):
@@ -204,11 +210,19 @@ def run_horizon(
 
     The train/test split and the class weights are derived once here and
     shared by the sweep, the fits and the scoring. Class weights use the
-    training recession ratio on the test rows too.
+    training recession ratio on the test rows too. A partition holding one
+    class only is a CoverageError naming the horizon, the partition and its
+    row count.
     """
     feature_names = config.maturities + config.forced_controls
     ds = align_dataset(panel, recessions, horizon, config.split, feature_names)
     train, test = split_views(ds)
+    for name, part in (("training", train), ("test", test)):
+        if np.unique(part.targets).size < 2:
+            raise CoverageError(
+                f"[horizon={horizon}] the {name} partition's {len(part.targets)} rows "
+                f"all have recession={int(part.targets[0])}; both classes are needed"
+            )
     if config.weighting:
         cw = ClassWeights.from_targets(train.targets)
         w_train, w_test = cw.per_row(train.targets), cw.per_row(test.targets)
@@ -220,15 +234,15 @@ def run_horizon(
         path = sweep_path(
             train.features,
             train.targets,
+            feature_names,
             weights=w_train,
             penalty_mask=penalty_mask,
-            feature_names=feature_names,
         )
         selection = select_pair(path)
     except TermSpreadError as exc:
         raise _annotate(exc, horizon, "panel A selection")
 
-    models = {"A": fitted_model_from_selection(selection, config.forced_controls)}
+    models = {"A": fitted_model_from_selection(path, selection)}
     for letter in ("B", "C", "D"):
         spec = ModelSpec(
             kind=PANEL_KINDS[letter],
@@ -376,7 +390,7 @@ def emit_tables(result: ExperimentResult, fmt: str, out_dir: str) -> list[str]:
 
 def emit_coefficient_path(path_obj: CoefficientPath, out_path: str) -> str:
     """CSV of the original-scale coefficient path: lambda, one column per maturity."""
-    names = path_obj.problem.feature_names
+    names = path_obj.feature_names
     keep = [j for j, n in enumerate(names) if path_obj.problem.penalty_mask[j]]
     header = ["lambda"] + [names[j] for j in keep]
     rows = (

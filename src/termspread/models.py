@@ -10,16 +10,15 @@ exempt from the L1 penalty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from .data import AlignedDataset, MaturityLabel, Month
 from .errors import MissingSeries
 from .logit import LogitFit, LogitProblem, Standardizer, fit_mle, predict_proba
-from .selection import SelectionResult
+from .selection import CoefficientPath, SelectionResult
 
 CONVENTIONAL_PAIR = (MaturityLabel.from_code("10y"), MaturityLabel.from_code("3m"))
 
@@ -69,16 +68,20 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """A specification with estimated original-scale parameters."""
+    """A specification with estimated original-scale parameters.
+
+    The fit holds one coefficient per design column: the yield pair or
+    spread, then the spec's controls.
+    """
 
     spec: ModelSpec
     fit: LogitFit
-    feature_names: tuple[str, ...]
-    control_coefs: Mapping[str, float] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "control_coefs", dict(self.control_coefs))
+    @property
+    def control_coefs(self) -> dict[str, float]:
+        """Original-scale coefficient of each control, by name."""
+        trailing = self.fit.coefs_orig[len(self.spec.yield_feature_names):]
+        return {name: float(b) for name, b in zip(self.spec.controls, trailing)}
 
     @property
     def display_coefficients(self) -> tuple[float, float]:
@@ -99,8 +102,8 @@ class ForecastSeries:
     split_index: int
 
 
-def _aligned_columns(ds: AlignedDataset, spec: ModelSpec) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The spec's design columns (yield pair or spread, then controls) and names."""
+def _aligned_columns(ds: AlignedDataset, spec: ModelSpec) -> np.ndarray:
+    """The spec's design columns: yield pair or spread, then controls."""
     columns = dict(zip(ds.feature_names, ds.features.T))
     series = spec.pair[0].code, spec.pair[1].code, *spec.controls
     missing = [name for name in series if name not in columns]
@@ -109,7 +112,7 @@ def _aligned_columns(ds: AlignedDataset, spec: ModelSpec) -> tuple[np.ndarray, t
     cols = [columns[name] for name in series]
     if spec.kind.is_simple:
         cols[:2] = [cols[0] - cols[1]]
-    return np.column_stack(cols), spec.yield_feature_names + spec.controls
+    return np.column_stack(cols)
 
 
 def fit_spec(
@@ -122,63 +125,36 @@ def fit_spec(
     Features are z-scored for the optimization and the reported coefficients
     are mapped back to the original scale.
     """
-    design, names = _aligned_columns(ds, spec)
-    X_train = design[: ds.split_index]
+    X_train = _aligned_columns(ds, spec)[: ds.split_index]
     standardizer = Standardizer.fit(X_train)
     problem = LogitProblem(
         features=standardizer.transform(X_train),
         targets=ds.targets[: ds.split_index],
         weights=weights,
     )
-    fit = fit_mle(problem, standardizer)
-    controls = {
-        name: float(fit.coefs_orig[names.index(name)]) for name in spec.controls
-    }
-    return FittedModel(
-        spec=spec,
-        fit=fit,
-        feature_names=names,
-        control_coefs=controls,
-    )
+    return FittedModel(spec=spec, fit=fit_mle(problem, standardizer))
 
 
 def fitted_model_from_selection(
-    selection: SelectionResult, controls: Sequence[str] = ()
+    path: CoefficientPath, selection: SelectionResult
 ) -> FittedModel:
-    """Wrap an L1 selection fit as a generalized-ML FittedModel.
+    """Panel A: the selection fit as a generalized-ML FittedModel.
 
-    The selection fit carries one coefficient per universe feature, almost
-    all exactly zero; this reduces it to the surviving pair plus any forced
-    controls, which leaves every predicted probability unchanged.
+    The selection fit carries one coefficient per path column, almost all
+    exactly zero; this reduces it to the surviving pair plus the path's
+    unpenalized columns (the forced controls), which leaves every predicted
+    probability unchanged.
     """
-    if selection.pair is None:
-        raise ValueError("selection does not hold a two-maturity pair")
-    spec = ModelSpec(
-        kind=ModelKind.GENERALIZED_ML, ml_pair=selection.pair, controls=tuple(controls)
+    controls = tuple(
+        name
+        for name, penalized in zip(path.feature_names, path.problem.penalty_mask)
+        if not penalized
     )
-    names = spec.yield_feature_names + spec.controls
-    src = list(selection.feature_names)
-    idx = [src.index(name) for name in names]
+    spec = ModelSpec(kind=ModelKind.GENERALIZED_ML, ml_pair=selection.pair, controls=controls)
+    idx = [path.feature_names.index(name) for name in spec.yield_feature_names + controls]
     fit = selection.fit
-    reduced = LogitFit(
-        intercept_std=fit.intercept_std,
-        coefs_std=fit.coefs_std[idx],
-        intercept_orig=fit.intercept_orig,
-        coefs_orig=fit.coefs_orig[idx],
-        objective_value=fit.objective_value,
-        iterations=fit.iterations,
-        converged=fit.converged,
-        kkt_residual=fit.kkt_residual,
-    )
-    controls_map = {
-        name: float(fit.coefs_orig[src.index(name)]) for name in spec.controls
-    }
-    return FittedModel(
-        spec=spec,
-        fit=reduced,
-        feature_names=names,
-        control_coefs=controls_map,
-    )
+    reduced = replace(fit, coefs_std=fit.coefs_std[idx], coefs_orig=fit.coefs_orig[idx])
+    return FittedModel(spec=spec, fit=reduced)
 
 
 def forecast_series(model: FittedModel, ds: AlignedDataset) -> ForecastSeries:
@@ -188,7 +164,7 @@ def forecast_series(model: FittedModel, ds: AlignedDataset) -> ForecastSeries:
     included); probability_t = phi(-spread_t). Emitted for the train and
     test rows alike, with the split position attached for plotting.
     """
-    design, _ = _aligned_columns(ds, model.spec)
+    design = _aligned_columns(ds, model.spec)
     b0 = model.fit.intercept_orig
     b = model.fit.coefs_orig
     spread = b0 + design @ b

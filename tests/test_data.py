@@ -111,6 +111,17 @@ def test_load_malformed_cell(tmp_path):
         load_yield_panel([path], ["10y"])
 
 
+@pytest.mark.parametrize(
+    "cell",
+    ["1_000", " 4.5", "4.5 ", "1e0", "+4.5", "4.", ".5", "", "inf", "nan", "0x1p0", "\u0663"],
+)
+def test_load_rejects_cells_outside_the_decimal_grammar(tmp_path, cell):
+    path = write(tmp_path, "cells.csv", f"date,10y\n2001-01,-0.25\n2001-02,{cell}\n")
+    with pytest.raises(MalformedRow) as info:
+        load_yield_panel([path], ["10y"])
+    assert f"cells.csv:3: cannot parse 10y={cell!r}" in str(info.value)
+
+
 def test_load_merges_files_on_date_intersection(tmp_path):
     a = write(tmp_path, "a.csv", "date,10y\n2001-01,5.0\n2001-02,5.1\n2001-03,5.2\n")
     b = write(tmp_path, "b.csv", "date,3m\n2001-02,3.0\n2001-03,3.1\n2001-04,3.2\n")

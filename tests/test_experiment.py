@@ -6,8 +6,11 @@ import csv
 import dataclasses
 import filecmp
 import functools
+import importlib
 import json
 import os
+import re
+import runpy
 
 import numpy as np
 import pytest
@@ -24,6 +27,8 @@ from termspread.experiment import (
     run_experiment,
 )
 from termspread.logit import ClassWeights
+
+from conftest import write_market
 
 MATS = ["3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y"]
 
@@ -220,10 +225,12 @@ def test_forced_control_run(data_files):
     result = run_experiment(cfg)
     art = result.artifacts[12]
     for letter in ("A", "B", "C", "D"):
-        assert "lead_idx" in art.models[letter].control_coefs
+        model = art.models[letter]
+        assert model.control_coefs == {"lead_idx": model.fit.coefs_orig[-1]}
     # the control is exempt from the penalty, so it survives selection
-    j = art.selection.feature_names.index("lead_idx")
+    j = art.path.feature_names.index("lead_idx")
     assert not art.path.problem.penalty_mask[j]
+    assert art.models["A"].control_coefs["lead_idx"] == art.selection.fit.coefs_orig[j] != 0.0
 
 
 # --- emitters ----------------------------------------------------------------------
@@ -382,6 +389,27 @@ def test_cli_empty_training_partition_exit_1(tmp_path, data_files, capsys):
     assert "horizon of 3 months" in err and "0 training rows and 707 test rows" in err
 
 
+@pytest.mark.parametrize(
+    "train_end, weighting, partition, rows",
+    [
+        ("1962-06", True, "training", 10),  # no recession among the first targets
+        ("2020-05", False, "test", 2),  # two test months, both of one class
+    ],
+)
+def test_cli_single_class_partition_exit_1(
+    tmp_path, data_files, capsys, train_end, weighting, partition, rows
+):
+    split = {"sample_start": "1961-06", "train_end": train_end, "sample_end": "2020-07"}
+    cfg_path = write_config(
+        tmp_path, data_files, horizons=[3], split=split, weighting=weighting
+    )
+    assert cli_main(["run", "--config", cfg_path, "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [horizon=3] ")
+    assert f"the {partition} partition's {rows} rows" in err
+    assert not (tmp_path / "s").exists()
+
+
 INPUT_ERRORS = {
     "ConfigError", "CoverageError", "DomainError", "EmptyInput", "GapInDates",
     "HorizonTooLong", "MalformedRow", "MissingSeries",
@@ -410,3 +438,32 @@ def test_cli_exit_code_and_prefix_follow_the_error_class(
     else:
         assert code == error.exit_code == 2
         assert capsys.readouterr().err == "computation failed: boom\n"
+
+
+# --- public surface ----------------------------------------------------------------
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_benchmark_trace_targets_resolve():
+    # perfbench's --trace 1 wraps these names and crashes on a missing one
+    operation = runpy.run_path(os.path.join(REPO_ROOT, "perfbench", "operation.py"))
+    spans, counts = operation["_targets"]()
+    targets = [key for key in [*spans, *counts] if key[0].startswith("termspread.")]
+    assert len(targets) > 20
+    for modname, attr in targets:
+        assert callable(getattr(importlib.import_module(modname), attr)), (modname, attr)
+
+
+def test_readme_library_sketch_runs(tmp_path, market, monkeypatch):
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    sketch = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S).group(1)
+    (tmp_path / "data").mkdir()
+    files = write_market(str(tmp_path / "data"), *market)
+    os.rename(files["yields"], tmp_path / "data" / "yields_monthly.csv")
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(sketch, namespace)
+    assert len(namespace["selection"].pair) == 2
+    assert namespace["probs"].shape == (namespace["ds"].n_rows,)

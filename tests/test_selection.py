@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,11 @@ from termspread.logit import (
     Standardizer,
     fit_mle,
     kkt_residual,
+    null_model_lambda_bound,
 )
-from termspread.selection import LambdaGrid, select_pair, sweep_path
+from termspread.selection import K_START, lambda_at, select_pair, sweep_path
+
+NAMES = ("10y", "3m", "5y", "1y")
 
 
 def logistic_draw(rng, X, beta, intercept=0.0):
@@ -39,25 +43,32 @@ def make_instance(seed=0, n=200, p=4):
 # --- grid ----------------------------------------------------------------------
 
 def test_grid_values_increase_and_double_every_ten():
-    grid = LambdaGrid(k_start=-100, k_end=60)
-    vals = grid.values
+    X, y = make_instance(seed=0)
+    path = sweep_path(X, y, NAMES)
+    vals = path.lambdas
+    assert path.k_values[0] == K_START and np.all(np.diff(path.k_values) == 1)
     assert np.all(np.diff(vals) > 0)
     ratio = vals[10:] / vals[:-10]
     assert np.max(np.abs(ratio - 2.0)) <= 2.0 * 1e-12
-    assert grid.lambda_at(-15) == pytest.approx(0.35355339, abs=1e-8)
+    assert lambda_at(-15) == pytest.approx(0.35355339, abs=1e-8)
+    assert [lambda_at(k) for k in path.k_values[:25]] == pytest.approx(vals[:25], rel=1e-15)
 
 
 def test_grid_covering_reaches_past_bound():
-    grid = LambdaGrid.covering(5.0)
-    assert grid.values[-1] > 5.0
-    assert grid.values[-2] <= 5.0 * 2 ** (1 / 10)
+    X, y = make_instance(seed=0)
+    path = sweep_path(X, y, NAMES)
+    st = Standardizer.fit(X)
+    bound = null_model_lambda_bound(st.transform(X), y)
+    assert path.lambdas[-1] > bound
+    assert path.lambdas[-2] <= bound * 2 ** (1 / 10)
 
 
 # --- sweep ----------------------------------------------------------------------
 
 def test_sweep_smallest_lambda_close_to_mle():
     X, y = make_instance(seed=1)
-    path = sweep_path(X, y, grid=LambdaGrid(k_start=-100, k_end=-100))
+    path = sweep_path(X, y, NAMES)
+    assert path.k_values[0] == -100
     st = Standardizer.fit(X)
     mle = fit_mle(LogitProblem(features=st.transform(X), targets=y), st)
     assert np.max(np.abs(path.fits[0].coefs_std - mle.coefs_std)) <= 1e-4
@@ -65,23 +76,24 @@ def test_sweep_smallest_lambda_close_to_mle():
 
 def test_sweep_ends_at_null_model():
     X, y = make_instance(seed=2)
-    path = sweep_path(X, y)
+    path = sweep_path(X, y, NAMES)
     assert path.nonzero_counts[-1] == 0
     assert np.all(path.fits[-1].coefs_std == 0.0)
 
 
 def test_sweep_every_fit_certified():
     X, y = make_instance(seed=3)
-    path = sweep_path(X, y)
+    path = sweep_path(X, y, NAMES)
+    assert path.problem.lam == 0.0
     for lam, fit in zip(path.lambdas, path.fits):
-        prob = path.problem.at_lambda(lam)
+        prob = replace(path.problem, lam=lam)
         assert kkt_residual(prob, fit.intercept_std, fit.coefs_std) <= 1e-7
 
 
 def test_sweep_deterministic():
     X, y = make_instance(seed=4)
-    a = sweep_path(X, y)
-    b = sweep_path(X, y)
+    a = sweep_path(X, y, NAMES)
+    b = sweep_path(X, y, NAMES)
     assert np.array_equal(a.coef_matrix, b.coef_matrix)
     assert np.array_equal(a.nonzero_counts, b.nonzero_counts)
 
@@ -90,7 +102,7 @@ def test_sweep_not_converged_names_lambda_k_iterations_and_kkt(monkeypatch):
     X, y = make_instance(seed=3)
     monkeypatch.setattr(selection, "fit_l1", functools.partial(logit.fit_l1, max_iter=2))
     with pytest.raises(NotConverged) as info:
-        sweep_path(X, y)
+        sweep_path(X, y, NAMES)
     msg = str(info.value)
     assert "lambda=0.000976562 (k=-100)" in msg
     assert "after 2 iterations" in msg and "last KKT residual" in msg
@@ -103,7 +115,7 @@ def test_solver_work_on_the_reference_market_is_pinned(market, split95):
     codes = tuple(m.code for m in panel.maturities)
     ds = align_dataset(panel, recessions, 12, split95, codes)
     train, _ = split_views(ds)
-    path = sweep_path(train.features, train.targets, feature_names=codes)
+    path = sweep_path(train.features, train.targets, codes)
     assert all(f.converged for f in path.fits)
     assert sum(f.iterations for f in path.fits) <= 1000
 
@@ -113,7 +125,10 @@ def test_sweep_shape_and_names():
     path = sweep_path(X, y, feature_names=["10y", "3m", "5y"])
     assert path.coef_matrix.shape == (len(path.lambdas), 3)
     assert path.k_values.shape == path.nonzero_counts.shape == (len(path.fits),)
-    assert path.problem.feature_names == ("10y", "3m", "5y")
+    assert path.feature_names == ("10y", "3m", "5y")
+    assert np.array_equal(path.coef_matrix[7], path.fits[7].coefs_orig)
+    with pytest.raises(ValueError, match="feature_names"):
+        sweep_path(X, y, feature_names=["10y", "3m"])
 
 
 # --- selection -------------------------------------------------------------------
@@ -122,16 +137,16 @@ def test_select_first_hit_rule():
     X, y = make_instance(seed=6, p=4)
     names = ["10y", "3m", "5y", "1y"]
     path = sweep_path(X, y, feature_names=names)
-    target = 2
-    hits = np.flatnonzero(path.nonzero_counts == target)
+    hits = np.flatnonzero(path.nonzero_counts == 2)
     assert hits.size > 0, "instance must pass through a two-feature support"
     first = hits[0]
     # no skip before the first hit for this instance
-    assert np.all(path.nonzero_counts[:first] > target)
-    sel = select_pair(path, target)
+    assert np.all(path.nonzero_counts[:first] > 2)
+    sel = select_pair(path)
     assert sel.lambda_selected == pytest.approx(path.lambdas[first])
-    assert sel.pair is not None
-    assert sel.coefs_orig[0] > 0 > sel.coefs_orig[1]
+    assert sel.fit is path.fits[first]
+    long, short = (names.index(m.code) for m in sel.pair)
+    assert sel.fit.coefs_orig[long] > 0 > sel.fit.coefs_orig[short]
 
 
 def test_select_pair_orders_positive_coefficient_first():
@@ -139,7 +154,7 @@ def test_select_pair_orders_positive_coefficient_first():
     path = sweep_path(X, y, feature_names=["3m", "10y", "5y", "1y"])
     sel = select_pair(path)
     long, short = sel.pair
-    cols = list(sel.feature_names)
+    cols = list(path.feature_names)
     assert sel.fit.coefs_orig[cols.index(long.code)] > 0
     assert sel.fit.coefs_orig[cols.index(short.code)] < 0
 
@@ -158,20 +173,20 @@ def test_duplicate_columns_jump_over_two():
     path = sweep_path(X, y, feature_names=["10y", "20y", "3m"])
     assert 2 not in set(path.nonzero_counts.tolist())
     try:
-        sel = select_pair(path, 2)
+        sel = select_pair(path)
     except CountNeverAttained:
         return
     assert int((np.abs(sel.fit.coefs_std) > 1e-10).sum()) == 2
-    prob = path.problem.at_lambda(sel.lambda_selected)
+    prob = replace(path.problem, lam=sel.lambda_selected)
     assert kkt_residual(prob, sel.fit.intercept_std, sel.fit.coefs_std) <= 1e-7
 
 
-def test_select_single_point_grid_cannot_attain():
+def test_select_one_feature_path_cannot_attain():
     X, y = make_instance(seed=9)
-    path = sweep_path(X, y, grid=LambdaGrid(k_start=60, k_end=60))
-    assert path.nonzero_counts.tolist() == [0]
-    with pytest.raises(CountNeverAttained):
-        select_pair(path, 2)
+    path = sweep_path(X[:, :1], y, feature_names=["10y"])
+    assert path.nonzero_counts[0] == 1 and path.nonzero_counts[-1] == 0
+    with pytest.raises(CountNeverAttained, match="counts ranged 0..1"):
+        select_pair(path)
 
 
 def test_bisection_finds_fractional_k_when_grid_skips():
@@ -192,16 +207,15 @@ def test_bisection_finds_fractional_k_when_grid_skips():
             break
     assert skip_at is not None
 
-    sel = select_pair(path, 2)
+    sel = select_pair(path)
     assert sel.k_selected != int(sel.k_selected)  # fractional refinement
     assert path.lambdas[skip_at - 1] < sel.lambda_selected < path.lambdas[skip_at]
-    assert sel.pair is not None
     assert int((np.abs(sel.fit.coefs_std) > 1e-10).sum()) == 2
 
     # oracle: a cold-started fit at the refined lambda shows the same support
     from termspread.logit import fit_l1
 
-    cold = fit_l1(path.problem.at_lambda(sel.lambda_selected), path.problem.standardizer)
+    cold = fit_l1(replace(path.problem, lam=sel.lambda_selected), path.standardizer)
     assert cold.converged
     assert np.array_equal(
         np.abs(cold.coefs_std) > 1e-10, np.abs(sel.fit.coefs_std) > 1e-10
@@ -215,4 +229,4 @@ def test_bisection_not_converged_names_fractional_k(monkeypatch):
     path = sweep_path(X, y, feature_names=["10y", "3m", "5y"])
     monkeypatch.setattr(selection, "fit_l1", functools.partial(logit.fit_l1, max_iter=0))
     with pytest.raises(NotConverged, match=r"\(k=-?\d+\.5\) after 0 iterations"):
-        select_pair(path, 2)
+        select_pair(path)
