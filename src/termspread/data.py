@@ -3,7 +3,7 @@
 The unit of observation is the calendar month. Input files follow two CSV
 schemas (UTF-8, LF, dot decimals, no thousands separators):
 
-* yields:     ``date,<code1>,<code2>,...`` where codes are maturity labels
+* yields:     ``date,<name1>,<name2>,...`` where names are maturity codes
   (``3m`` ... ``30y``) or named control series; rows ``YYYY-MM,<decimal>,...``
   where a decimal is an optional ``-``, digits, then optionally ``.digits``
 * recessions: ``date,recession`` with rows ``YYYY-MM,0|1``
@@ -16,7 +16,8 @@ from __future__ import annotations
 import datetime as _dt
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,12 +35,7 @@ from .errors import (
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
 _DECIMAL_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
 
-# code <-> month-count mapping is bijective by construction
-CODE_TO_MONTHS = {
-    "3m": 3, "6m": 6, "1y": 12, "2y": 24, "3y": 36,
-    "5y": 60, "7y": 84, "10y": 120, "20y": 240, "30y": 360,
-}
-MONTHS_TO_CODE = {m: c for c, m in CODE_TO_MONTHS.items()}
+MATURITY_CODES = ("3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y", "30y")
 
 
 @dataclass(frozen=True, order=True)
@@ -75,32 +71,6 @@ class Month:
         return f"{self.year:04d}-{self.month:02d}"
 
 
-@dataclass(frozen=True, order=True)
-class MaturityLabel:
-    """A Treasury maturity, identified by its code (``7y``) and month count."""
-
-    months: int
-    code: str
-
-    def __post_init__(self) -> None:
-        if CODE_TO_MONTHS.get(self.code) != self.months:
-            raise ValueError(f"unknown maturity: code={self.code!r} months={self.months}")
-
-    @classmethod
-    def from_code(cls, code: str) -> "MaturityLabel":
-        try:
-            return cls(CODE_TO_MONTHS[code], code)
-        except KeyError:
-            raise ValueError(f"unknown maturity code: {code!r}") from None
-
-    def __str__(self) -> str:
-        return self.code
-
-
-def _as_label(m: "MaturityLabel | str") -> MaturityLabel:
-    return m if isinstance(m, MaturityLabel) else MaturityLabel.from_code(m)
-
-
 def _check_contiguous(dates: Sequence[Month], origin: str) -> None:
     for prev, cur in zip(dates, dates[1:]):
         if cur - prev != 1:
@@ -116,50 +86,34 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class YieldPanel:
-    """Monthly per-maturity yield matrix (percent p.a.), plus control series.
+    """Monthly series by name: maturity yields (percent p.a.) and controls.
 
-    ``values[i, j]`` is the yield of ``maturities[j]`` in month ``dates[i]``.
-    ``extras`` holds named control series aligned row-for-row with ``dates``.
+    ``columns[name][i]`` is the series' value in month ``dates[i]``. The
+    mapping is read-only and every series is finite, one entry per date.
     """
 
     dates: tuple[Month, ...]
-    maturities: tuple[MaturityLabel, ...]
-    values: np.ndarray
-    extras: Mapping[str, np.ndarray] = field(default_factory=dict)
+    columns: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "maturities", tuple(self.maturities))
         _check_contiguous(self.dates, "yield panel")
-        vals = _readonly(np.atleast_2d(self.values))
-        if vals.shape != (len(self.dates), len(self.maturities)):
-            raise ValueError(
-                f"values shape {vals.shape} != ({len(self.dates)}, {len(self.maturities)})"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise MalformedRow("yield panel contains non-finite cells")
-        object.__setattr__(self, "values", vals)
-        extras = {}
-        for name, series in dict(self.extras).items():
+        columns = {}
+        for name, series in dict(self.columns).items():
             s = _readonly(np.asarray(series))
             if s.shape != (len(self.dates),):
-                raise ValueError(f"extra series {name!r} has shape {s.shape}")
+                raise ValueError(f"series {name!r} has shape {s.shape}")
             if not np.all(np.isfinite(s)):
-                raise MalformedRow(f"extra series {name!r} contains non-finite cells")
-            extras[name] = s
-        object.__setattr__(self, "extras", extras)
-
-    @property
-    def codes(self) -> tuple[str, ...]:
-        return tuple(m.code for m in self.maturities)
+                raise MalformedRow(f"series {name!r} contains non-finite cells")
+            columns[name] = s
+        object.__setattr__(self, "columns", MappingProxyType(columns))
 
     def series(self, name: str) -> np.ndarray:
         """Column by maturity code or control name."""
-        if name in self.codes:
-            return self.values[:, self.codes.index(name)]
-        if name in self.extras:
-            return self.extras[name]
-        raise MissingSeries(f"no series named {name!r} in panel")
+        try:
+            return self.columns[name]
+        except KeyError:
+            raise MissingSeries(f"no series named {name!r} in panel") from None
 
 
 @dataclass(frozen=True)
@@ -206,12 +160,11 @@ class AlignedDataset:
     """(predictor, target) rows for one forecasting horizon.
 
     Row ``i`` pairs the feature vector observed at ``predictor_dates[i]``
-    with the recession indicator ``horizon_months`` later. Rows are ordered
+    with the recession indicator one horizon later. Rows are ordered
     chronologically; the first ``split_index`` rows have target dates inside
     the training period.
     """
 
-    horizon_months: int
     predictor_dates: tuple[Month, ...]
     features: np.ndarray
     targets: np.ndarray
@@ -219,8 +172,6 @@ class AlignedDataset:
     feature_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.horizon_months < 1:
-            raise ValueError("horizon_months must be >= 1")
         object.__setattr__(self, "predictor_dates", tuple(self.predictor_dates))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         feats = _readonly(np.atleast_2d(self.features))
@@ -244,16 +195,18 @@ class AlignedDataset:
 
 @dataclass(frozen=True)
 class SplitView:
-    """One side of a train/test partition; shares the parent's invariants."""
+    """One side of a train/test partition: its rows of the parent dataset."""
 
-    predictor_dates: tuple[Month, ...]
     features: np.ndarray
     targets: np.ndarray
-    feature_names: tuple[str, ...]
 
 
-def _parse_csv(path: str) -> tuple[list[str], list[Month], list[list[float]]]:
-    """Parse one schema CSV; returns (column names, months, row values)."""
+def _parse_csv(path: str) -> tuple[list[str], list[Month], np.ndarray]:
+    """Parse one schema CSV into (column names, months, values).
+
+    The months come back sorted and contiguous; ``values[i, j]`` is column
+    ``j`` in month ``months[i]``.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
     lines = [ln for ln in lines if ln.strip()]
@@ -289,63 +242,54 @@ def _parse_csv(path: str) -> tuple[list[str], list[Month], list[list[float]]]:
         raise MalformedRow(f"{path}: no data rows")
     order = sorted(range(len(months)), key=lambda i: months[i])
     months = [months[i] for i in order]
-    rows = [rows[i] for i in order]
     if len(set(months)) != len(months):
         raise MalformedRow(f"{path}: duplicate month rows")
     _check_contiguous(months, path)
-    return cols, months, rows
+    values = np.array(rows, dtype=float).reshape(len(rows), len(cols))[order]
+    return cols, months, values
 
 
-def load_yield_panel(
-    paths: Sequence[str],
-    maturities: Sequence["MaturityLabel | str"],
-) -> YieldPanel:
+def load_yield_panel(paths: Sequence[str], maturities: Sequence[str]) -> YieldPanel:
     """Load and merge yield CSV files into a panel of the requested maturities.
 
-    Columns whose names are maturity codes supply the panel matrix; any other
-    columns become named control series. When several files are given, the
+    The panel holds the requested maturities, in the order asked for, then
+    every column whose name is not a maturity code (the control series);
+    unrequested maturities are dropped. When several files are given, the
     panel covers the intersection of their date ranges and a column appearing
     in more than one file takes its values from the last file listed.
     """
     if not paths:
         raise EmptyInput("no input files")
-    labels = tuple(_as_label(m) for m in maturities)
-    if not labels:
+    if not maturities:
         raise MissingSeries("no maturities requested")
+    for code in maturities:
+        if code not in MATURITY_CODES:
+            raise ValueError(f"unknown maturity code: {code!r}")
 
-    columns: dict[str, dict[Month, float]] = {}
-    starts, ends = [], []
-    for path in paths:
-        cols, months, rows = _parse_csv(path)
-        starts.append(months[0])
-        ends.append(months[-1])
-        for j, name in enumerate(cols):
-            columns[name] = {m: row[j] for m, row in zip(months, rows)}
-
-    lo, hi = max(starts), min(ends)
+    files = [_parse_csv(path) for path in paths]
+    lo = max(months[0] for _, months, _ in files)
+    hi = min(months[-1] for _, months, _ in files)
     if hi < lo:
         raise CoverageError("input files have no overlapping months")
-    dates = tuple(lo + i for i in range(hi - lo + 1))
 
-    for lab in labels:
-        if lab.code not in columns:
-            raise MissingSeries(f"maturity {lab.code!r} not found in {list(paths)}")
-    values = np.array([[columns[lab.code][d] for lab in labels] for d in dates])
-
-    extras = {
-        name: np.array([col[d] for d in dates])
-        for name, col in columns.items()
-        if name not in CODE_TO_MONTHS
-    }
-    return YieldPanel(dates=dates, maturities=labels, values=values, extras=extras)
+    found: dict[str, np.ndarray] = {}
+    for cols, months, values in files:
+        span = values[lo - months[0] : hi - months[0] + 1]
+        found.update(zip(cols, span.T))
+    for code in maturities:
+        if code not in found:
+            raise MissingSeries(f"maturity {code!r} not found in {list(paths)}")
+    columns = {code: found[code] for code in maturities}
+    columns.update((name, s) for name, s in found.items() if name not in MATURITY_CODES)
+    return YieldPanel(dates=tuple(lo + i for i in range(hi - lo + 1)), columns=columns)
 
 
 def load_recession_series(path: str) -> RecessionSeries:
     """Load a ``date,recession`` CSV into a RecessionSeries."""
-    cols, months, rows = _parse_csv(path)
+    cols, months, values = _parse_csv(path)
     if cols != ["recession"]:
         raise MalformedRow(f"{path}: expected header 'date,recession', got columns {cols}")
-    ind = np.array([r[0] for r in rows])
+    ind = values[:, 0]
     if not np.all(np.isin(ind, (0.0, 1.0))):
         raise MalformedRow(f"{path}: recession values must be 0 or 1")
     return RecessionSeries(dates=tuple(months), indicator=ind)
@@ -358,16 +302,12 @@ def _format_cell(v: float) -> str:
 
 
 def write_yield_panel(panel: YieldPanel, path: str) -> None:
-    """Write a panel back to the yield CSV schema (maturities, then extras)."""
-    extra_names = sorted(panel.extras)
-    header = ["date", *panel.codes, *extra_names]
+    """Write a panel back to the yield CSV schema, columns in stored order."""
+    values = np.column_stack(list(panel.columns.values()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, d in enumerate(panel.dates):
-            cells = [str(d)]
-            cells += [_format_cell(v) for v in panel.values[i]]
-            cells += [_format_cell(panel.extras[name][i]) for name in extra_names]
-            fh.write(",".join(cells) + "\n")
+        fh.write(",".join(["date", *panel.columns]) + "\n")
+        for d, row in zip(panel.dates, values):
+            fh.write(",".join([str(d), *map(_format_cell, row)]) + "\n")
 
 
 def monthly_average(
@@ -413,10 +353,11 @@ def align_dataset(
     recessions: RecessionSeries,
     horizon_months: int,
     split: SplitConfig,
-    feature_names: Iterable[str] | None = None,
+    feature_names: Iterable[str],
 ) -> AlignedDataset:
     """Pair month-t features with the recession indicator at t + horizon.
 
+    ``feature_names`` name the panel series of the feature columns, in order.
     A predictor month t is included iff t >= sample_start and
     t + horizon <= sample_end; the train partition holds the rows whose
     target date is <= train_end (so its predictor dates end ``horizon``
@@ -425,7 +366,7 @@ def align_dataset(
     """
     if horizon_months < 1:
         raise ValueError("horizon_months must be >= 1")
-    names = tuple(feature_names) if feature_names is not None else panel.codes
+    names = tuple(feature_names)
     cols = [panel.series(name) for name in names]
 
     if recessions.dates[-1] < split.sample_end:
@@ -453,7 +394,6 @@ def align_dataset(
             f"{split_index} training rows and {len(dates) - split_index} test rows"
         )
     return AlignedDataset(
-        horizon_months=horizon_months,
         predictor_dates=dates,
         features=features,
         targets=targets,
@@ -465,6 +405,4 @@ def align_dataset(
 def split_views(ds: AlignedDataset) -> tuple[SplitView, SplitView]:
     """Disjoint, exhaustive (train, test) row partitions at ``split_index``."""
     k = ds.split_index
-    train = SplitView(ds.predictor_dates[:k], ds.features[:k], ds.targets[:k], ds.feature_names)
-    test = SplitView(ds.predictor_dates[k:], ds.features[k:], ds.targets[k:], ds.feature_names)
-    return train, test
+    return SplitView(ds.features[:k], ds.targets[:k]), SplitView(ds.features[k:], ds.targets[k:])

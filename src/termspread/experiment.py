@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .data import (
+    MATURITY_CODES,
     AlignedDataset,
     Month,
     RecessionSeries,
@@ -42,6 +43,7 @@ from .evaluation import (
 )
 from .logit import ClassWeights
 from .models import (
+    CONVENTIONAL_PAIR,
     FittedModel,
     ForecastSeries,
     ModelKind,
@@ -96,14 +98,28 @@ class ExperimentConfig:
             raise ConfigError(f"weighting must be true or false, got {self.weighting!r}")
         if not self.yield_files:
             raise ConfigError("yield_files must not be empty")
-        if not self.maturities:
-            raise ConfigError("maturity universe must not be empty")
+        for m in self.maturities:
+            if m not in MATURITY_CODES:
+                raise ConfigError(f"unknown maturity code {m!r} in maturities")
+        for name in ("maturities", "forced_controls"):
+            names = getattr(self, name)
+            if len(set(names)) != len(names):
+                raise ConfigError(f"{name} names a series twice: {list(names)}")
+        for c in self.forced_controls:
+            if c in MATURITY_CODES:
+                raise ConfigError(f"forced control {c!r} is a maturity code, not a control series")
+        long, short = CONVENTIONAL_PAIR
+        if long not in self.maturities or short not in self.maturities:
+            raise ConfigError(
+                f"maturities must include {long!r} and {short!r}, the conventional pair "
+                "of panels C and D"
+            )
         if not self.horizons:
             raise ConfigError("horizons must not be empty")
         if any(h < 1 for h in self.horizons):
             raise ConfigError("horizons must be positive month counts")
-        if list(self.horizons) != sorted(self.horizons):
-            raise ConfigError("horizons must be sorted ascending")
+        if list(self.horizons) != sorted(set(self.horizons)):
+            raise ConfigError("horizons must be sorted ascending, each listed once")
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -294,7 +310,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     panel = load_yield_panel(config.yield_files, config.maturities)
     for name in config.forced_controls:
-        if name not in panel.extras:
+        if name not in panel.columns:
             raise MissingSeries(f"forced control {name!r} not present in the data")
     recessions = load_recession_series(config.recession_file)
     artifacts = {h: run_horizon(panel, recessions, h, config) for h in config.horizons}
@@ -349,7 +365,7 @@ def _table_cells(art: HorizonArtifacts, letter: str, controls: Sequence[str]) ->
     model, report = art.models[letter], art.reports[letter]
     long, short = model.spec.pair
     b_long, b_short = model.display_coefficients
-    cells = [str(report.horizon_months), f"({long.code}, {short.code})"]
+    cells = [str(report.horizon_months), f"({long}, {short})"]
     cells.append(f"({b_long:.3f}, {b_short:.3f})")
     cells += [_fmt3(model.control_coefs[name]) for name in controls]
     if letter == "A":
@@ -401,13 +417,16 @@ def emit_coefficient_path(path_obj: CoefficientPath, out_path: str) -> str:
 
 
 def emit_spread_series(
-    forecast: ForecastSeries, recessions: RecessionSeries, out_path: str
+    forecast: ForecastSeries,
+    dataset: AlignedDataset,
+    recessions: RecessionSeries,
+    out_path: str,
 ) -> str:
-    """CSV of date, spread, probability, is_recession, is_test per row.
+    """CSV of date, spread, probability, is_recession, is_test per dataset row.
 
     ``is_recession`` flags the recession indicator at the row's own date
-    (for shading); ``is_test`` marks rows past the train/test split, which
-    sits ``horizon`` months before the target-date split.
+    (for shading); ``is_test`` marks rows past the dataset's train/test
+    split, which sits ``horizon`` months before the target-date split.
     """
     header = ["date", "spread", "probability", "is_recession", "is_test"]
     rows = (
@@ -416,9 +435,9 @@ def emit_spread_series(
             _fmt_g(forecast.spread[i]),
             _fmt_g(forecast.probabilities[i]),
             str(int(recessions.at(date))),
-            str(int(i >= forecast.split_index)),
+            str(int(i >= dataset.split_index)),
         ]
-        for i, date in enumerate(forecast.dates)
+        for i, date in enumerate(dataset.predictor_dates)
     )
     return _write_rows(out_path, chain([header], rows))
 
@@ -426,12 +445,12 @@ def emit_spread_series(
 def emit_roc(
     targets: np.ndarray,
     scores: np.ndarray,
+    area: float,
     out_path: str,
     label: str = "",
 ) -> str:
-    """CSV of (fpr, tpr) pairs with the AUC on a leading metadata line."""
+    """CSV of (fpr, tpr) pairs with ``area``, their AUC, on a leading metadata line."""
     points = roc_curve(targets, scores)
-    area = auc(targets, scores)
     preamble = f"# {label + ' ' if label else ''}auc={area:.6f}\n"
     rows = [["fpr", "tpr"]] + [[_fmt_g(fpr), _fmt_g(tpr)] for fpr, tpr in points]
     return _write_rows(out_path, rows, preamble=preamble)
@@ -461,7 +480,10 @@ def emit_all(result: ExperimentResult, out_dir: str, fmt: str = "csv") -> list[s
         written.append(emit_coefficient_path(art.path, out(f"coefficient_path_h{horizon}.csv")))
         written.append(
             emit_spread_series(
-                art.forecasts["A"], result.recessions, out(f"spread_series_h{horizon}.csv")
+                art.forecasts["A"],
+                art.dataset,
+                result.recessions,
+                out(f"spread_series_h{horizon}.csv"),
             )
         )
         split = art.dataset.split_index
@@ -470,6 +492,7 @@ def emit_all(result: ExperimentResult, out_dir: str, fmt: str = "csv") -> list[s
                 emit_roc(
                     art.dataset.targets[split:],
                     art.forecasts[letter].probabilities[split:],
+                    art.reports[letter].auc_test,
                     out(f"roc_h{horizon}_{letter}.csv"),
                     label=f"horizon={horizon} panel={letter}",
                 )

@@ -37,6 +37,8 @@ KKT_TOL = 1e-7
 DESCENT_SLACK = 1e-13
 MAX_HALVINGS = 40
 MAX_ITER_L1 = 100_000
+MLE_GRAD_TOL = 1e-9
+MAX_ITER_MLE = 200
 SEPARATION_NORM = 1e4
 NONZERO_TOL = 1e-10
 
@@ -78,9 +80,6 @@ class Standardizer:
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=float) - self.means) / self.stds
-
-    def inverse_transform(self, Z: np.ndarray) -> np.ndarray:
-        return np.asarray(Z, dtype=float) * self.stds + self.means
 
 
 @dataclass(frozen=True)
@@ -435,13 +434,11 @@ def fit_l1(
     return _make_fit(pt, iterations, pt.kkt <= KKT_TOL, standardizer)
 
 
-def fit_mle(
-    problem: LogitProblem,
-    standardizer: Standardizer | None = None,
-    grad_tol: float = 1e-9,
-    max_iter: int = 200,
-) -> LogitFit:
+def fit_mle(problem: LogitProblem, standardizer: Standardizer | None = None) -> LogitFit:
     """Unpenalized MLE by Newton-Raphson with step halving.
+
+    Converged means the largest gradient entry is at most MLE_GRAD_TOL within
+    MAX_ITER_MLE iterations.
 
     Raises Separation when the iterates diverge (logistic MLE has no finite
     optimum under quasi-separation): either the coefficient norm passes 1e4
@@ -456,7 +453,7 @@ def fit_mle(
     no_orthant = np.zeros(problem.n_features + 1)
     pt = objective.at(np.zeros(problem.n_features + 1))
     iterations = 0
-    while pt.kkt > grad_tol and iterations < max_iter:
+    while pt.kkt > MLE_GRAD_TOL and iterations < MAX_ITER_MLE:
         try:
             step = np.linalg.solve(objective.hessian(pt, everything), pt.grad)
         except np.linalg.LinAlgError:
@@ -472,7 +469,7 @@ def fit_mle(
             raise Separation(
                 "coefficient norm exceeded 1e4; data appears linearly separable"
             )
-    converged = pt.kkt <= grad_tol
+    converged = pt.kkt <= MLE_GRAD_TOL
     if converged and float(np.max(np.abs(problem.targets - pt.prob))) < 1e-8:
         raise Separation(
             "fit saturated to a perfect classification; data appears linearly separable"
@@ -480,23 +477,14 @@ def fit_mle(
     return _make_fit(pt, iterations, converged, standardizer)
 
 
-def null_model_lambda_bound(
-    features_std: np.ndarray,
-    targets: np.ndarray,
-    weights: np.ndarray | None = None,
-    penalty_mask: np.ndarray | None = None,
-) -> float:
+def null_model_lambda_bound(problem: LogitProblem) -> float:
     """Smallest lambda at which every penalized coefficient can sit at zero.
 
     The "null model" fits the intercept and any unpenalized features freely;
     the KKT condition for a zero penalized coefficient there is
     |g_j| <= lambda, so the bound is the largest penalized |g_j|.
     """
-    X = np.atleast_2d(np.asarray(features_std, dtype=float))
-    y = np.asarray(targets, dtype=float)
-    n, p = X.shape
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    mask = np.ones(p, dtype=bool) if penalty_mask is None else np.asarray(penalty_mask, bool)
+    X, y, w, mask = problem.features, problem.targets, problem.weights, problem.penalty_mask
     if not mask.any():
         return 0.0
     if mask.all():
@@ -508,9 +496,8 @@ def null_model_lambda_bound(
         g = X.T @ (w * (y - p_bar))
         return float(np.max(np.abs(g[mask])))
     free = np.flatnonzero(~mask)
-    sub = LogitProblem(features=X[:, free], targets=y, weights=w)
-    base = fit_mle(sub)
-    full = np.zeros(p)
+    base = fit_mle(LogitProblem(features=X[:, free], targets=y, weights=w))
+    full = np.zeros(problem.n_features)
     full[free] = base.coefs_std
-    _, g = nll_gradient(LogitProblem(features=X, targets=y, weights=w), base.intercept_std, full)
+    _, g = nll_gradient(problem, base.intercept_std, full)
     return float(np.max(np.abs(g[mask])))

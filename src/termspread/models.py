@@ -15,12 +15,12 @@ from enum import Enum
 
 import numpy as np
 
-from .data import AlignedDataset, MaturityLabel, Month
+from .data import AlignedDataset
 from .errors import MissingSeries
 from .logit import LogitFit, LogitProblem, Standardizer, fit_mle, predict_proba
 from .selection import CoefficientPath, SelectionResult
 
-CONVENTIONAL_PAIR = (MaturityLabel.from_code("10y"), MaturityLabel.from_code("3m"))
+CONVENTIONAL_PAIR = ("10y", "3m")
 
 
 class ModelKind(Enum):
@@ -43,7 +43,7 @@ class ModelSpec:
     """One of the four nested specifications, plus optional forced controls."""
 
     kind: ModelKind
-    ml_pair: tuple[MaturityLabel, MaturityLabel] | None = None
+    ml_pair: tuple[str, str] | None = None
     controls: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -52,7 +52,7 @@ class ModelSpec:
             raise ValueError(f"{self.kind.value} requires an ml_pair")
 
     @property
-    def pair(self) -> tuple[MaturityLabel, MaturityLabel]:
+    def pair(self) -> tuple[str, str]:
         if self.kind.is_ml:
             assert self.ml_pair is not None
             return self.ml_pair
@@ -62,8 +62,8 @@ class ModelSpec:
     def yield_feature_names(self) -> tuple[str, ...]:
         long, short = self.pair
         if self.kind.is_simple:
-            return (f"{long.code}-{short.code}",)
-        return (long.code, short.code)
+            return (f"{long}-{short}",)
+        return (long, short)
 
 
 @dataclass(frozen=True)
@@ -94,18 +94,16 @@ class FittedModel:
 
 @dataclass(frozen=True)
 class ForecastSeries:
-    """Generalized spread and implied probability for every dataset row."""
+    """Generalized spread and implied probability, one per dataset row."""
 
-    dates: tuple[Month, ...]
     spread: np.ndarray
     probabilities: np.ndarray
-    split_index: int
 
 
 def _aligned_columns(ds: AlignedDataset, spec: ModelSpec) -> np.ndarray:
     """The spec's design columns: yield pair or spread, then controls."""
     columns = dict(zip(ds.feature_names, ds.features.T))
-    series = spec.pair[0].code, spec.pair[1].code, *spec.controls
+    series = *spec.pair, *spec.controls
     missing = [name for name in series if name not in columns]
     if missing:
         raise MissingSeries(f"dataset does not carry the series {missing[0]!r}")
@@ -161,17 +159,10 @@ def forecast_series(model: FittedModel, ds: AlignedDataset) -> ForecastSeries:
     """Generalized spread and recession probability for all rows.
 
     spread_t = b0 + sum_j b_j x_{j,t} in the original scale (controls
-    included); probability_t = phi(-spread_t). Emitted for the train and
-    test rows alike, with the split position attached for plotting.
+    included); probability_t = phi(-spread_t). Computed for the train and
+    test rows alike; the dates and the split are the dataset's.
     """
     design = _aligned_columns(ds, model.spec)
     b0 = model.fit.intercept_orig
     b = model.fit.coefs_orig
-    spread = b0 + design @ b
-    probs = predict_proba(b0, b, design)
-    return ForecastSeries(
-        dates=ds.predictor_dates,
-        spread=spread,
-        probabilities=probs,
-        split_index=ds.split_index,
-    )
+    return ForecastSeries(spread=b0 + design @ b, probabilities=predict_proba(b0, b, design))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import MaturityLabel
+from .data import MATURITY_CODES
 from .errors import CountNeverAttained, NotConverged
 from .logit import (
     KKT_TOL,
@@ -73,7 +73,7 @@ class SelectionResult:
 
     lambda_selected: float
     k_selected: float
-    pair: tuple[MaturityLabel, MaturityLabel]
+    pair: tuple[str, str]
     fit: LogitFit
 
 
@@ -104,7 +104,8 @@ def sweep_path(
 
     ``features`` are original-scale training rows; they are z-scored here
     and the per-lambda coefficients are reported back in the original scale.
-    ``feature_names`` are maturity codes for the penalized columns. The grid
+    ``feature_names`` name the columns; each penalized one must be a maturity
+    code, else ValueError names it. The grid
     runs over integer k from K_START to one step past the null-model bound,
     so the path always ends with every penalized coefficient at zero.
     Raises NotConverged (naming lambda, k, the iterations used and the last
@@ -121,9 +122,10 @@ def sweep_path(
         weights=weights,
         penalty_mask=penalty_mask,
     )
-    bound = null_model_lambda_bound(
-        problem.features, problem.targets, problem.weights, problem.penalty_mask
-    )
+    for name, penalized in zip(names, problem.penalty_mask):
+        if penalized and name not in MATURITY_CODES:
+            raise ValueError(f"penalized column {name!r} is not a maturity code")
+    bound = null_model_lambda_bound(problem)
     k_end = K_START
     if bound > 0.0:
         k_end = max(int(np.ceil(10.0 * np.log2(bound))) + 1, K_START)
@@ -154,7 +156,7 @@ def _result_from_fit(
 ) -> SelectionResult:
     support = _support(fit, path.problem.penalty_mask)
     long, short = (
-        MaturityLabel.from_code(path.feature_names[j])
+        path.feature_names[j]
         for j in sorted(support, key=lambda j: -fit.coefs_orig[j])  # positive first
     )
     return SelectionResult(lambda_selected=lam, k_selected=k, pair=(long, short), fit=fit)

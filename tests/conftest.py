@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from termspread.data import (
-    MaturityLabel,
     Month,
     RecessionSeries,
     SplitConfig,
@@ -58,10 +57,7 @@ def make_market(
 
     dates = tuple(start + i for i in range(n_months))
     panel = YieldPanel(
-        dates=dates,
-        maturities=tuple(MaturityLabel.from_code(c) for c in MATURITY_CODES),
-        values=X,
-        extras={"lead_idx": control},
+        dates=dates, columns={**dict(zip(MATURITY_CODES, X.T)), "lead_idx": control}
     )
     recessions = RecessionSeries(
         dates=tuple(start + i for i in range(n_months + 24)), indicator=indicator

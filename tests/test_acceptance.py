@@ -298,15 +298,10 @@ def golden_config(train_end, weighting=False):
     )
 
 
-def pair_codes(model):
-    long, short = model.spec.pair
-    return (long.code, short.code)
-
-
 def check_pairs(result, published, label):
     mismatches = []
     for horizon, art in result.artifacts.items():
-        got, want = pair_codes(art.models["A"]), published[horizon]
+        got, want = art.models["A"].spec.pair, published[horizon]
         if got != want:
             mismatches.append((horizon, got, want))
     for h, got, want in mismatches:
@@ -323,7 +318,7 @@ def test_acceptance_5_published_baseline_reproduction():
     mismatches = check_pairs(result, PAIRS_1995, "split-1995")
     mismatched_horizons = {h for h, _, _ in mismatches}
 
-    assert pair_codes(result.artifacts[12].models["A"]) == ("7y", "3m")
+    assert result.artifacts[12].models["A"].spec.pair == ("7y", "3m")
     # lambda within one grid step of 0.354 = 2^(-15/10)
     k12 = result.artifacts[12].selection.k_selected
     assert abs(k12 - (-15.0)) <= 1.0

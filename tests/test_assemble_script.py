@@ -143,4 +143,4 @@ def test_extended_file_with_optional_columns(raw_dir, tmp_path):
     assert core.dates[0] == START  # full core range kept
     ext = load_yield_panel([str(out / "yields_monthly_extended.csv")], MATS + ["30y"])
     assert ext.dates[0] == START + 4
-    assert "lead_idx" in ext.extras
+    assert "lead_idx" in ext.columns

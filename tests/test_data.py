@@ -6,10 +6,12 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termspread.data import (
+    MATURITY_CODES,
     AlignedDataset,
-    MaturityLabel,
     Month,
     RecessionSeries,
     SplitConfig,
@@ -32,8 +34,10 @@ from termspread.errors import (
     MissingSeries,
 )
 
+from conftest import MATURITY_CODES as MATS
 
-# --- Month / MaturityLabel ---------------------------------------------------
+
+# --- Month / maturity codes ---------------------------------------------------
 
 def test_month_arithmetic_and_order():
     m = Month.parse("1994-12")
@@ -50,20 +54,12 @@ def test_month_rejects_bad_tokens():
         Month(2000, 13)
 
 
-def test_maturity_code_month_bijection():
-    codes = ["3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y", "30y"]
-    months = [3, 6, 12, 24, 36, 60, 84, 120, 240, 360]
-    seen = set()
-    for code, m in zip(codes, months):
-        lab = MaturityLabel.from_code(code)
-        assert lab.months == m
-        assert lab.code == code
-        seen.add(lab.months)
-    assert len(seen) == len(codes)
-    with pytest.raises(ValueError):
-        MaturityLabel.from_code("4y")
-    with pytest.raises(ValueError):
-        MaturityLabel(months=6, code="3m")
+def test_load_rejects_unknown_maturity_codes(tmp_path):
+    assert MATURITY_CODES == ("3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y", "30y")
+    path = write(tmp_path, "codes.csv", "date,10y,4y,lead_idx\n2001-01,5.0,4.0,1.0\n")
+    for name in ("4y", "lead_idx"):
+        with pytest.raises(ValueError, match=f"unknown maturity code: '{name}'"):
+            load_yield_panel([path], ["10y", name])
 
 
 # --- loading -----------------------------------------------------------------
@@ -77,18 +73,18 @@ def write(tmp_path, name, text):
 def test_load_single_maturity_identity(tmp_path):
     path = write(tmp_path, "one.csv", "date,10y\n2001-01,5.25\n2001-02,5.5\n2001-03,5\n")
     panel = load_yield_panel([path], ["10y"])
-    assert panel.codes == ("10y",)
-    assert panel.values[:, 0].tolist() == [5.25, 5.5, 5.0]
+    assert list(panel.columns) == ["10y"]
+    assert panel.series("10y").tolist() == [5.25, 5.5, 5.0]
     assert [str(d) for d in panel.dates] == ["2001-01", "2001-02", "2001-03"]
 
 
 def test_load_full_width(tmp_path, market, data_files):
     panel, _ = market
-    loaded = load_yield_panel([data_files["yields"]], panel.codes)
-    assert loaded.values.shape == (710, 9)
+    loaded = load_yield_panel([data_files["yields"]], MATS)
+    assert list(loaded.columns) == [*MATS, "lead_idx"]
+    assert all(s.shape == (710,) for s in loaded.columns.values())
     assert loaded.dates[0] == Month(1961, 6)
     assert loaded.dates[-1] == Month(2020, 7)
-    assert "lead_idx" in loaded.extras
 
 
 def test_load_missing_month_names_the_gap(tmp_path):
@@ -127,16 +123,19 @@ def test_load_merges_files_on_date_intersection(tmp_path):
     b = write(tmp_path, "b.csv", "date,3m\n2001-02,3.0\n2001-03,3.1\n2001-04,3.2\n")
     panel = load_yield_panel([a, b], ["10y", "3m"])
     assert [str(d) for d in panel.dates] == ["2001-02", "2001-03"]
-    assert panel.values.tolist() == [[5.1, 3.0], [5.2, 3.1]]
+    assert {k: v.tolist() for k, v in panel.columns.items()} == {
+        "10y": [5.1, 5.2], "3m": [3.0, 3.1],
+    }
 
 
 def test_panel_round_trip_is_bit_exact(tmp_path, market):
     panel, _ = market
     out = tmp_path / "rt.csv"
     write_yield_panel(panel, str(out))
-    reloaded = load_yield_panel([str(out)], panel.codes)
-    assert np.array_equal(reloaded.values, panel.values)
-    assert np.array_equal(reloaded.extras["lead_idx"], panel.extras["lead_idx"])
+    reloaded = load_yield_panel([str(out)], MATS)
+    assert list(reloaded.columns) == list(panel.columns)
+    for name, series in panel.columns.items():
+        assert np.array_equal(reloaded.series(name), series)
     assert reloaded.dates == panel.dates
 
 
@@ -216,7 +215,7 @@ def test_bond_equivalent_monotone_and_dominating():
 
 def test_align_paper_style_split(market, split95):
     panel, recessions = market
-    ds = align_dataset(panel, recessions, 12, split95)
+    ds = align_dataset(panel, recessions, 12, split95, MATS)
     # train targets end 1995-12, so train predictors end 1994-12
     assert str(ds.predictor_dates[ds.split_index - 1]) == "1994-12"
     assert str(ds.predictor_dates[ds.split_index]) == "1995-01"
@@ -227,28 +226,53 @@ def test_align_paper_style_split(market, split95):
 
 def test_align_rows_match_brute_force(market, split95):
     panel, recessions = market
-    ds = align_dataset(panel, recessions, 12, split95)
+    ds = align_dataset(panel, recessions, 12, split95, MATS)
     start = panel.dates[0]
     for i in range(0, ds.n_rows, 37):
         t = ds.predictor_dates[i]
-        assert np.array_equal(ds.features[i], panel.values[t - start])
+        assert ds.features[i].tolist() == [panel.series(m)[t - start] for m in MATS]
         assert ds.targets[i] == recessions.at(t + 12)
     for t, date in enumerate(ds.predictor_dates):
         assert (date + 12 <= split95.train_end) == (t < ds.split_index)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    horizon=st.integers(1, 60),
+    # month offsets from the panel's first month of sample_start < train_end <
+    # sample_end; the recession series runs 24 months past the panel
+    offsets=st.sets(st.integers(0, 733), min_size=3, max_size=3).map(sorted),
+    names=st.lists(st.sampled_from([*MATS, "lead_idx"]), min_size=1, max_size=4, unique=True),
+)
+def test_align_split_boundary_property(market, horizon, offsets, names):
+    panel, recessions = market
+    start = panel.dates[0]
+    split = SplitConfig(*(start + k for k in (offsets[1], offsets[0], offsets[2])))
+    usable = [
+        t for t in panel.dates if t >= split.sample_start and t + horizon <= split.sample_end
+    ]
+    n_train = sum(1 for t in usable if t + horizon <= split.train_end)
+    if not 0 < n_train < len(usable):
+        with pytest.raises(HorizonTooLong):
+            align_dataset(panel, recessions, horizon, split, names)
+        return
+    ds = align_dataset(panel, recessions, horizon, split, names)
+    assert ds.predictor_dates == tuple(usable)
+    assert ds.split_index == n_train
+    for i, t in enumerate(ds.predictor_dates):
+        assert (i < ds.split_index) == (t + horizon <= split.train_end)
+        assert ds.features[i].tolist() == [panel.series(name)[t - start] for name in names]
+        assert ds.targets[i] == recessions.at(t + horizon)
+
+
 def test_align_one_month_horizon_minimal():
     dates = (Month(2001, 1), Month(2001, 2), Month(2001, 3))
-    panel = YieldPanel(
-        dates=dates,
-        maturities=(MaturityLabel.from_code("10y"),),
-        values=np.array([[5.0], [5.1], [5.2]]),
-    )
+    panel = YieldPanel(dates=dates, columns={"10y": np.array([5.0, 5.1, 5.2])})
     recs = RecessionSeries(dates=dates, indicator=np.array([0.0, 1.0, 0.0]))
     split = SplitConfig(
         train_end=Month(2001, 2), sample_start=Month(2001, 1), sample_end=Month(2001, 3)
     )
-    ds = align_dataset(panel, recs, 1, split)
+    ds = align_dataset(panel, recs, 1, split, ["10y"])
     assert ds.n_rows == 2  # Jan->Feb, Feb->Mar
     assert ds.targets.tolist() == [1.0, 0.0]
     assert ds.split_index == 1
@@ -257,7 +281,7 @@ def test_align_one_month_horizon_minimal():
 def test_align_horizon_too_long(market, split95):
     panel, recessions = market
     with pytest.raises(HorizonTooLong):
-        align_dataset(panel, recessions, 2000, split95)
+        align_dataset(panel, recessions, 2000, split95, MATS)
 
 
 def test_align_coverage_error(market):
@@ -271,17 +295,17 @@ def test_align_coverage_error(market):
         sample_end=Month(2020, 7),
     )
     with pytest.raises(CoverageError):
-        align_dataset(panel, short, 12, split)
+        align_dataset(panel, short, 12, split, MATS)
 
 
 def test_split_views_partition(market, split95):
     panel, recessions = market
-    ds = align_dataset(panel, recessions, 12, split95)
+    ds = align_dataset(panel, recessions, 12, split95, MATS)
     train, test = split_views(ds)
-    assert len(train.predictor_dates) + len(test.predictor_dates) == ds.n_rows
-    assert set(train.predictor_dates).isdisjoint(test.predictor_dates)
-    joined = np.vstack([train.features, test.features])
-    assert np.array_equal(joined, ds.features)
+    assert len(train.targets) == ds.split_index
+    assert len(train.targets) + len(test.targets) == ds.n_rows
+    assert np.array_equal(np.vstack([train.features, test.features]), ds.features)
+    assert np.array_equal(np.concatenate([train.targets, test.targets]), ds.targets)
 
 
 def test_split_views_arithmetic_matches_stated_counts():
@@ -289,7 +313,6 @@ def test_split_views_arithmetic_matches_stated_counts():
     dates = tuple(Month(1961, 6) + i for i in range(710))
     values = np.linspace(1.0, 2.0, 710)[:, None]
     ds = AlignedDataset(
-        horizon_months=1,
         predictor_dates=dates,
         features=values,
         targets=np.array([1.0] + [0.0] * 709),
@@ -297,14 +320,13 @@ def test_split_views_arithmetic_matches_stated_counts():
         feature_names=("10y",),
     )
     train, test = split_views(ds)
-    assert len(train.predictor_dates) == 414
-    assert len(test.predictor_dates) == 296
+    assert len(train.targets) == train.features.shape[0] == 414
+    assert len(test.targets) == test.features.shape[0] == 296
 
 
 def test_split_views_single_row_test_boundary():
     dates = tuple(Month(2000, 1) + i for i in range(5))
     ds = AlignedDataset(
-        horizon_months=1,
         predictor_dates=dates,
         features=np.arange(5.0)[:, None],
         targets=np.array([0.0, 1.0, 0.0, 0.0, 1.0]),
@@ -312,14 +334,13 @@ def test_split_views_single_row_test_boundary():
         feature_names=("10y",),
     )
     _, test = split_views(ds)
-    assert len(test.predictor_dates) == 1
+    assert len(test.targets) == 1
 
 
 def test_dataset_rejects_empty_partitions():
     dates = tuple(Month(2000, 1) + i for i in range(3))
     with pytest.raises(ValueError):
         AlignedDataset(
-            horizon_months=1,
             predictor_dates=dates,
             features=np.zeros((3, 1)),
             targets=np.array([0.0, 1.0, 0.0]),

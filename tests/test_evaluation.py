@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termspread.errors import LengthMismatch, SingleClass, ZeroBenchmark
 from termspread.evaluation import (
@@ -166,6 +168,19 @@ def test_auc_matches_brute_force_and_trapezoid_with_ties():
         a = auc(y, s)
         assert a == pytest.approx(brute_force_auc(y, s), abs=1e-12)
         assert a == pytest.approx(trapezoid_auc(roc_curve(y, s)), abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.booleans(), st.integers(0, 4)), min_size=2, max_size=40).filter(
+        lambda rows: len({label for label, _ in rows}) == 2
+    )
+)
+def test_auc_is_the_trapezoid_under_the_roc_curve_with_ties(rows):
+    # five score levels over up to 40 rows: most thresholds are shared by ties
+    y = np.array([float(label) for label, _ in rows])
+    s = np.array([0.1 * level for _, level in rows])
+    assert auc(y, s) == pytest.approx(trapezoid_auc(roc_curve(y, s)), abs=1e-12)
 
 
 def test_auc_invariant_under_monotone_transform():

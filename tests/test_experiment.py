@@ -100,6 +100,8 @@ def test_config_validates_horizons(tmp_path, data_files):
         )
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json(write_config(tmp_path, data_files, horizons=[0]))
+    with pytest.raises(ConfigError, match="each listed once"):
+        ExperimentConfig.from_json(write_config(tmp_path, data_files, horizons=[3, 3]))
 
 
 @pytest.mark.parametrize(
@@ -127,6 +129,34 @@ def test_config_target_nonzero_checked_before_any_input_is_read(tmp_path, capsys
     assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "target_nonzero must be 2" in err and "absent.csv" not in err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"maturities": [*MATS, "4y"]}, "unknown maturity code '4y' in maturities"),
+        ({"maturities": [*MATS, "lead_idx"]}, "unknown maturity code 'lead_idx' in maturities"),
+        ({"maturities": ["3m", "3m", "10y", "5y"]}, "maturities names a series twice"),
+        ({"forced_controls": ["lead_idx", "lead_idx"]}, "forced_controls names a series twice"),
+        ({"forced_controls": ["10y"]}, "forced control '10y' is a maturity code"),
+        ({"maturities": ["3m", "5y", "20y"]}, "must include '10y' and '3m'"),
+        ({"maturities": ["1y", "10y"]}, "must include '10y' and '3m'"),
+    ],
+    ids=["unknown-code", "control-as-maturity", "duplicate-maturity", "duplicate-control",
+         "maturity-as-control", "no-10y", "no-3m"],
+)
+def test_cli_rejects_series_names_before_any_input_is_read(
+    tmp_path, data_files, capsys, overrides, message
+):
+    # the config alone decides: ConfigError comes from parsing, which reads no input
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentConfig.from_mapping(base_config_dict(data_files, **overrides))
+    cfg_path = write_config(tmp_path, data_files, **overrides)
+    out = tmp_path / "o"
+    assert cli_main(["run", "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 def test_config_validates_split_ordering(tmp_path, data_files):
@@ -171,8 +201,7 @@ def test_panel_b_reuses_selected_pair(small_run):
 def test_panels_cd_use_conventional_pair(small_run):
     for art in small_run.artifacts.values():
         for letter in ("C", "D"):
-            long, short = art.models[letter].spec.pair
-            assert (long.code, short.code) == ("10y", "3m")
+            assert art.models[letter].spec.pair == ("10y", "3m")
 
 
 def test_simple_panels_constrain_coefficients(small_run):

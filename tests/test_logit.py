@@ -155,7 +155,8 @@ def test_standardizer_round_trip_and_population_variance():
     st = Standardizer.fit(X)
     assert np.allclose(st.stds, X.std(axis=0, ddof=0))
     Z = st.transform(X)
-    back = st.inverse_transform(Z)
+    assert np.allclose(Z.mean(axis=0), 0.0) and np.allclose(Z.std(axis=0), 1.0)
+    back = Z * st.stds + st.means
     assert np.max(np.abs(back - X) / np.maximum(np.abs(X), 1.0)) < 1e-12
 
 
@@ -179,6 +180,18 @@ def test_destandardize_hand_case_and_probability_equivalence():
         p_std = predict_proba(0.0, np.array([1.0]), st.transform(x))
         p_orig = predict_proba(i, c, x)
         assert abs(p_std - p_orig) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 8))
+def test_destandardize_preserves_every_probability(seed, n, p):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(rng.uniform(-20.0, 20.0, p), rng.uniform(0.1, 10.0, p), size=(n, p))
+    std = Standardizer.fit(X)
+    b0, b = float(rng.normal()), rng.normal(scale=2.0, size=p)
+    b0_orig, b_orig = destandardize(b0, b, std)
+    expected = predict_proba(b0, b, std.transform(X))
+    assert np.allclose(predict_proba(b0_orig, b_orig, X), expected, rtol=1e-9, atol=1e-12)
 
 
 def test_fit_prediction_equivalence_across_scales():
@@ -268,7 +281,7 @@ def test_l1_null_model_at_high_lambda():
     prob_raw = random_problem(rng, 80, 4)
     st = Standardizer.fit(prob_raw.features)
     Z = st.transform(prob_raw.features)
-    bound = null_model_lambda_bound(Z, prob_raw.targets)
+    bound = null_model_lambda_bound(LogitProblem(features=Z, targets=prob_raw.targets))
     prob = LogitProblem(features=Z, targets=prob_raw.targets, lam=bound * 1.01)
     fit = fit_l1(prob, st)
     assert np.all(fit.coefs_std == 0.0)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from termspread.data import (
     AlignedDataset,
-    MaturityLabel,
     Month,
     RecessionSeries,
     SplitConfig,
@@ -32,24 +33,15 @@ from termspread.selection import select_pair, sweep_path
 ALL = ("3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y")
 
 
-def lab(code: str) -> MaturityLabel:
-    return MaturityLabel.from_code(code)
-
-
 def tiny_panel(values: dict[str, list[float]]) -> YieldPanel:
     n = len(next(iter(values.values())))
-    return YieldPanel(
-        dates=tuple(Month(2000, 1) + i for i in range(n)),
-        maturities=tuple(lab(c) for c in values),
-        values=np.column_stack([np.asarray(v, float) for v in values.values()]),
-    )
+    return YieldPanel(dates=tuple(Month(2000, 1) + i for i in range(n)), columns=values)
 
 
 def tiny_dataset(values: dict[str, list[float]]) -> AlignedDataset:
     """A dataset carrying the given columns, one training row, the rest test."""
     n = len(next(iter(values.values())))
     return AlignedDataset(
-        horizon_months=1,
         predictor_dates=tuple(Month(2000, 1) + i for i in range(n)),
         features=np.column_stack([np.asarray(v, float) for v in values.values()]),
         targets=np.arange(n) % 2.0,
@@ -71,7 +63,7 @@ def test_conventional_kinds_pin_the_pair():
 def test_ml_kinds_require_pair():
     with pytest.raises(ValueError):
         ModelSpec(kind=ModelKind.SIMPLE_ML)
-    spec = ModelSpec(kind=ModelKind.GENERALIZED_ML, ml_pair=(lab("7y"), lab("3m")))
+    spec = ModelSpec(kind=ModelKind.GENERALIZED_ML, ml_pair=("7y", "3m"))
     assert spec.yield_feature_names == ("7y", "3m")
 
 
@@ -83,7 +75,7 @@ def test_build_features_simple_difference():
 
 def test_build_features_generalized_projection():
     ds = tiny_dataset({"3m": [4.1, 4.0], "5y": [4.9, 4.8], "7y": [5.2, 5.0]})
-    spec = ModelSpec(kind=ModelKind.GENERALIZED_ML, ml_pair=(lab("7y"), lab("3m")))
+    spec = ModelSpec(kind=ModelKind.GENERALIZED_ML, ml_pair=("7y", "3m"))
     m = _aligned_columns(ds, spec)
     assert m.tolist() == [[5.2, 4.1], [5.0, 4.0]]
 
@@ -154,7 +146,7 @@ def test_nesting_generalized_at_least_simple(ds12):
     gen_c = fit_spec(ds12, ModelSpec(kind=ModelKind.GENERALIZED_CONVENTIONAL))
     sim_c = fit_spec(ds12, ModelSpec(kind=ModelKind.SIMPLE_CONVENTIONAL))
     assert train_avg_ll(gen_c) >= train_avg_ll(sim_c) - 1e-8
-    pair = (lab("7y"), lab("3m"))
+    pair = ("7y", "3m")
     gen_m = fit_spec(ds12, ModelSpec(kind=ModelKind.GENERALIZED_ML, ml_pair=pair))
     sim_m = fit_spec(ds12, ModelSpec(kind=ModelKind.SIMPLE_ML, ml_pair=pair))
     assert train_avg_ll(gen_m) >= train_avg_ll(sim_m) - 1e-8
@@ -221,9 +213,10 @@ def test_forecast_probability_decreasing_in_spread(ds12):
 def test_forecast_covers_all_rows_with_split(ds12):
     model = fit_spec(ds12, ModelSpec(kind=ModelKind.SIMPLE_CONVENTIONAL))
     fc = forecast_series(model, ds12)
-    assert len(fc.dates) == ds12.n_rows
-    assert fc.split_index == ds12.split_index
+    # one value per dataset row; the dates and the split stay the dataset's
+    assert [f.name for f in dataclasses.fields(fc)] == ["spread", "probabilities"]
     assert fc.spread.shape == fc.probabilities.shape == (ds12.n_rows,)
+    assert fc.probabilities[: ds12.split_index].shape == (ds12.split_index,)
 
 
 def test_selection_model_reduction_preserves_probabilities(ds12):

@@ -20,6 +20,8 @@ from termspread.logit import (
 )
 from termspread.selection import K_START, lambda_at, select_pair, sweep_path
 
+from conftest import MATURITY_CODES
+
 NAMES = ("10y", "3m", "5y", "1y")
 
 
@@ -58,7 +60,7 @@ def test_grid_covering_reaches_past_bound():
     X, y = make_instance(seed=0)
     path = sweep_path(X, y, NAMES)
     st = Standardizer.fit(X)
-    bound = null_model_lambda_bound(st.transform(X), y)
+    bound = null_model_lambda_bound(LogitProblem(features=st.transform(X), targets=y))
     assert path.lambdas[-1] > bound
     assert path.lambdas[-2] <= bound * 2 ** (1 / 10)
 
@@ -112,10 +114,9 @@ def test_solver_work_on_the_reference_market_is_pinned(market, split95):
     # h=12 on make_market(42): the proximal-gradient solver this replaced
     # needed about 3,400 iterations over the grid
     panel, recessions = market
-    codes = tuple(m.code for m in panel.maturities)
-    ds = align_dataset(panel, recessions, 12, split95, codes)
+    ds = align_dataset(panel, recessions, 12, split95, MATURITY_CODES)
     train, _ = split_views(ds)
-    path = sweep_path(train.features, train.targets, codes)
+    path = sweep_path(train.features, train.targets, MATURITY_CODES)
     assert all(f.converged for f in path.fits)
     assert sum(f.iterations for f in path.fits) <= 1000
 
@@ -129,6 +130,16 @@ def test_sweep_shape_and_names():
     assert np.array_equal(path.coef_matrix[7], path.fits[7].coefs_orig)
     with pytest.raises(ValueError, match="feature_names"):
         sweep_path(X, y, feature_names=["10y", "3m"])
+
+
+def test_sweep_rejects_a_penalized_name_that_is_not_a_maturity_code():
+    X, y = make_instance(seed=0)
+    with pytest.raises(ValueError, match="penalized column 'a' is not a maturity code"):
+        sweep_path(X, y, ["a", "b", "c", "d"])
+    # an unpenalized column (a forced control) may carry any name
+    mask = np.array([True, True, True, False])
+    path = sweep_path(X, y, ["10y", "3m", "5y", "lead_idx"], penalty_mask=mask)
+    assert path.feature_names[-1] == "lead_idx"
 
 
 # --- selection -------------------------------------------------------------------
@@ -145,7 +156,7 @@ def test_select_first_hit_rule():
     sel = select_pair(path)
     assert sel.lambda_selected == pytest.approx(path.lambdas[first])
     assert sel.fit is path.fits[first]
-    long, short = (names.index(m.code) for m in sel.pair)
+    long, short = (names.index(m) for m in sel.pair)
     assert sel.fit.coefs_orig[long] > 0 > sel.fit.coefs_orig[short]
 
 
@@ -155,8 +166,8 @@ def test_select_pair_orders_positive_coefficient_first():
     sel = select_pair(path)
     long, short = sel.pair
     cols = list(path.feature_names)
-    assert sel.fit.coefs_orig[cols.index(long.code)] > 0
-    assert sel.fit.coefs_orig[cols.index(short.code)] < 0
+    assert sel.fit.coefs_orig[cols.index(long)] > 0
+    assert sel.fit.coefs_orig[cols.index(short)] < 0
 
 
 def test_duplicate_columns_jump_over_two():
