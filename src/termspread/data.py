@@ -30,6 +30,7 @@ from .errors import (
     HorizonTooLong,
     MalformedRow,
     MissingSeries,
+    UnreadableInput,
 )
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
@@ -207,8 +208,13 @@ def _parse_csv(path: str) -> tuple[list[str], list[Month], np.ndarray]:
     The months come back sorted and contiguous; ``values[i, j]`` is column
     ``j`` in month ``months[i]``.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
+    except OSError as exc:
+        raise UnreadableInput(f"{path}: cannot read input file: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UnreadableInput(f"{path}: input file is not UTF-8 text: {exc.reason}") from None
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
         raise MalformedRow(f"{path}: empty file")

@@ -28,6 +28,12 @@ class GapInDates(TermSpreadError):
     exit_code = 1
 
 
+class UnreadableInput(TermSpreadError):
+    """An input file could not be opened or decoded."""
+
+    exit_code = 1
+
+
 class MalformedRow(TermSpreadError):
     """A CSV cell could not be parsed (or is non-finite)."""
 

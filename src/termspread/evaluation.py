@@ -62,15 +62,29 @@ def avg_log_likelihood(
 
 
 def ebf(log_ppl_alt: float, log_ppl_benchmark: float) -> float:
-    """exp of the difference of per-observation average log PPLs."""
+    """exp of the difference of per-observation average log PPLs.
+
+    Rounds to 0 when the alternative trails by more than about 745 nats;
+    ``posterior_weight`` takes the difference itself and stays exact there.
+    """
     return float(np.exp(log_ppl_alt - log_ppl_benchmark))
 
 
+def posterior_weight(log_ebf: float) -> float:
+    """Posterior weight EBF/(1+EBF) on the alternative under equal priors,
+    as the logistic function of log EBF, so that it neither divides an
+    underflowed EBF nor overflows an exponential."""
+    if log_ebf >= 0.0:
+        return 1.0 / (1.0 + math.exp(-log_ebf))
+    e = math.exp(log_ebf)
+    return e / (1.0 + e)
+
+
 def model_avg_weight(ebf_value: float) -> float:
-    """Posterior weight EBF/(1+EBF) on the alternative under equal priors."""
+    """``posterior_weight`` of a positive EBF."""
     if ebf_value <= 0.0:
         raise ValueError("EBF must be positive")
-    return float(ebf_value / (1.0 + ebf_value))
+    return posterior_weight(math.log(ebf_value))
 
 
 def exceeds_jeffreys(ebf_value: float) -> bool:

@@ -37,7 +37,7 @@ from .evaluation import (
     auc,
     avg_log_likelihood,
     ebf,
-    model_avg_weight,
+    posterior_weight,
     relative_mse,
     roc_curve,
 )
@@ -278,17 +278,16 @@ def run_horizon(
     }
     reports: dict[str, EvalReport] = {}
     for letter in PANELS:
-        e = ebf(log_ppl[letter], log_ppl["D"])
         reports[letter] = EvalReport(
             horizon_months=horizon,
             kind=models[letter].spec.kind.value,
             log_l_train=avg_log_likelihood(train.targets, probs[letter][:split], w_train),
             log_ppl_test=log_ppl[letter],
-            ebf=e,
+            ebf=ebf(log_ppl[letter], log_ppl["D"]),
             auc_train=auc(train.targets, probs[letter][:split]),
             auc_test=auc(test.targets, probs[letter][split:]),
             rm=relative_mse(test.targets, probs[letter][split:], probs["D"][split:]),
-            avg_weight=model_avg_weight(e),
+            avg_weight=posterior_weight(log_ppl[letter] - log_ppl["D"]),
         )
     return HorizonArtifacts(
         dataset=ds,

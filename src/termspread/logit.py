@@ -13,16 +13,21 @@ where NLL is the weighted negative log likelihood SUMMED over rows (not
 averaged), the intercept is never penalized, and the penalty mask can
 exempt individual features. ``fit_l1`` minimizes J by active-orthant
 Newton (after OWL-QN, Andrew & Gao 2007): every iteration makes one fused
-evaluation of J, its gradient and the curvature weights w*p*(1-p), which
-give the KKT residual, the Newton system on the active orthant and the
-certificate stored in ``LogitFit``; coefficients that cross zero are
-clipped to exactly zero, and a proximal-gradient step is taken only when
-the Newton step fails to descend. ``fit_mle`` solves the unpenalized
-problem by Newton-Raphson with step halving on the same evaluation.
+evaluation of J, its gradient and the curvature weights w*p*(1-p), all from
+one product [1 | X] b, which give the KKT residual, the Newton system on
+the active orthant and the certificate stored in ``LogitFit``;
+coefficients that cross zero are clipped to exactly zero, a clipped step
+that fails is retried at the first zero crossing before it halves, and a
+proximal-gradient step is taken only when the Newton step fails to
+descend. Along a path, a ``PathStart`` carries each optimum into the fit
+at the next lambda, re-priced without a new evaluation. ``fit_mle`` solves
+the unpenalized problem by Newton-Raphson with step halving on the same
+evaluation.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -145,6 +150,15 @@ class LogitProblem:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "penalty_mask", mask)
 
+    def with_lambda(self, lam: float) -> "LogitProblem":
+        """This problem at penalty ``lam``; the validated data is shared, not
+        checked again."""
+        if lam < 0.0:
+            raise ValueError("lambda must be non-negative")
+        other = copy.copy(self)
+        object.__setattr__(other, "lam", lam)
+        return other
+
     @property
     def n_rows(self) -> int:
         return self.features.shape[0]
@@ -156,7 +170,12 @@ class LogitProblem:
 
 @dataclass(frozen=True)
 class LogitFit:
-    """A fitted logistic model in standardized and original scales."""
+    """A fitted logistic model in standardized and original scales.
+
+    ``evaluations`` counts the fused evaluations of J the fit made: every
+    line-search and proximal trial, and the start point unless it was
+    carried from the previous fit of a path.
+    """
 
     intercept_std: float
     coefs_std: np.ndarray
@@ -164,12 +183,19 @@ class LogitFit:
     coefs_orig: np.ndarray
     objective_value: float
     iterations: int
+    evaluations: int
     converged: bool
     kkt_residual: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefs_std", np.asarray(self.coefs_std, dtype=float))
         object.__setattr__(self, "coefs_orig", np.asarray(self.coefs_orig, dtype=float))
+
+
+def _logistic(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """phi(a) from e = exp(-|a|), clamped to [1e-300, 1 - 1e-16]: 1/(1 + e)
+    where a >= 0 and e/(1 + e) elsewhere, so nothing overflows."""
+    return np.clip(np.where(a >= 0.0, 1.0, e) / (1.0 + e), PROB_FLOOR, PROB_CEIL)
 
 
 def predict_proba(intercept: float, coefs: np.ndarray, x: np.ndarray) -> "float | np.ndarray":
@@ -183,20 +209,22 @@ def predict_proba(intercept: float, coefs: np.ndarray, x: np.ndarray) -> "float 
     single = x.ndim == 1
     X = np.atleast_2d(x)
     a = -(intercept + X @ np.asarray(coefs, dtype=float))
-    out = np.empty_like(a)
-    pos = a >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    out = np.clip(out, PROB_FLOOR, PROB_CEIL)
+    out = _logistic(a, np.exp(-np.abs(a)))
     return float(out[0]) if single else out
 
 
 def weighted_nll(problem: LogitProblem, intercept: float, coefs: np.ndarray) -> float:
-    """-sum_i w_i [y_i ln p_i + (1-y_i) ln(1-p_i)], finite by clamping."""
-    p = predict_proba(intercept, coefs, problem.features)
-    y, w = problem.targets, problem.weights
-    return float(-np.sum(w * (y * np.log(p) + (1.0 - y) * np.log1p(-p))))
+    """-sum_i w_i [y_i ln p_i + (1-y_i) ln(1-p_i)], exact for any coefficients.
+
+    With eta_i = b0 + x_i.b, -ln p_i = softplus(eta_i) and -ln(1-p_i) =
+    softplus(-eta_i), so each row costs softplus(m_i) with the margin
+    m_i = (2y_i - 1) eta_i, summed as logaddexp(0, m) without clamping any
+    probability. Written apart from the solver's own evaluation, so that
+    tests can check its objective against this one.
+    """
+    eta = intercept + problem.features @ np.asarray(coefs, dtype=float)
+    m = (2.0 * problem.targets - 1.0) * eta
+    return float(np.sum(problem.weights * np.logaddexp(0.0, m)))
 
 
 def nll_gradient(
@@ -265,43 +293,79 @@ def destandardize(
 
 
 class _Point(NamedTuple):
-    """J, its gradient, its pseudo-gradient and the KKT residual (the
-    largest pseudo-gradient entry) at beta = (intercept, coefs)."""
+    """The NLL, J, the NLL gradient, the pseudo-gradient and the KKT residual
+    (the largest pseudo-gradient entry) at beta = (intercept, coefs)."""
 
     beta: np.ndarray
     prob: np.ndarray
+    nll: float
     objective: float
     grad: np.ndarray
     pseudo_grad: np.ndarray
     kkt: float
 
 
-class _FusedObjective:
-    """J on one problem, evaluated in one fused pass per point.
+def _first_crossing(
+    b: np.ndarray, step: np.ndarray, orthant: np.ndarray, idx: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The t < 1 at which the first signed entry of b - t*step reaches zero,
+    and the entries of ``idx`` that reach it there; (1/2, none) when no
+    entry crosses before the full step."""
+    crossing = (orthant != 0.0) & (b * step > 0.0) & (np.abs(b) < np.abs(step))
+    if not crossing.any():
+        return 0.5, idx[:0]
+    ratio = b[crossing] / step[crossing]
+    t = float(ratio.min())
+    return t, idx[crossing][ratio == t]
 
-    The design matrix ``[1 | X]`` is built once. The NLL is summed from the
-    margins, softplus((2y - 1)(b0 + x.b)), so its rounding stays far below
-    the decrease of a Newton step near the optimum; summing log(1 - p) from
-    the clamped p loses 1e-10 and more once some p rounds near 1, and the
-    line search then cannot tell a Newton step from noise.
+
+def _design(problem: LogitProblem) -> np.ndarray:
+    """The design matrix [1 | X]: beta = (intercept, coefs) acts on it."""
+    return np.column_stack([np.ones(problem.n_rows), problem.features])
+
+
+class _FusedObjective:
+    """J on one problem at one lambda, evaluated in one fused pass per point.
+
+    Each evaluation makes one product eta = [1 | X] beta and derives both the
+    probabilities and the NLL from it. The NLL is summed from the margins,
+    softplus((2y - 1) eta), so its rounding stays far below the decrease of
+    a Newton step near the optimum; summing log(1 - p) from the clamped p
+    loses 1e-10 and more once some p rounds near 1, and the line search then
+    cannot tell a Newton step from noise. ``evaluations`` counts them.
     """
 
-    def __init__(self, problem: LogitProblem, lam: float) -> None:
+    def __init__(self, problem: LogitProblem, lam: float, design: np.ndarray | None = None) -> None:
         self.problem = problem
         self.lam = lam
-        self.design = np.column_stack([np.ones(problem.n_rows), problem.features])
+        self.design = _design(problem) if design is None else design
         self.pen = np.concatenate([[False], problem.penalty_mask]) & (lam > 0.0)
         self._prox_step = 1.0
+        self.evaluations = 0
 
     def at(self, beta: np.ndarray) -> _Point:
+        self.evaluations += 1
         prob = self.problem
-        p = predict_proba(beta[0], beta[1:], prob.features)
-        margins = (2.0 * prob.targets - 1.0) * (self.design @ beta)
-        objective = float(np.sum(prob.weights * np.logaddexp(0.0, margins)))
-        objective += self.lam * float(np.abs(beta[self.pen]).sum())
+        eta = self.design @ beta
+        e = np.exp(-np.abs(eta))
+        p = _logistic(-eta, e)
+        softplus = np.maximum((2.0 * prob.targets - 1.0) * eta, 0.0) + np.log1p(e)
+        nll = float((prob.weights * softplus).sum())
         g = self.design.T @ (prob.weights * (prob.targets - p))
+        return self._priced(beta, p, nll, g)
+
+    def carried(self, pt: _Point) -> _Point:
+        """``pt``, found at another lambda, priced at this one.
+
+        Only the penalty depends on lambda, so the probabilities, the NLL and
+        its gradient carry over and no matrix product is needed.
+        """
+        return self._priced(pt.beta, pt.prob, pt.nll, pt.grad)
+
+    def _priced(self, beta: np.ndarray, p: np.ndarray, nll: float, g: np.ndarray) -> _Point:
+        objective = nll + self.lam * float(np.abs(beta[self.pen]).sum())
         pg = _pseudo_gradient(g, beta, self.pen, self.lam)
-        return _Point(beta, p, objective, g, pg, float(np.max(np.abs(pg))))
+        return _Point(beta, p, nll, objective, g, pg, float(np.abs(pg).max()))
 
     def hessian(self, pt: _Point, idx: np.ndarray) -> np.ndarray:
         """NLL Hessian over the entries ``idx`` of beta."""
@@ -312,22 +376,30 @@ class _FusedObjective:
     def line_search(
         self, pt: _Point, idx: np.ndarray, step: np.ndarray, orthant: np.ndarray
     ) -> _Point | None:
-        """First of beta - t*step (t = 1, 1/2, ...) that does not raise J.
+        """First of beta - t*step that does not raise J.
 
-        Entries that leave ``orthant`` are clipped to exactly zero. J may rise
-        by DESCENT_SLACK relative: near the optimum the true decrease is
-        below J's rounding, and a strict test would halve for nothing.
+        Entries that leave ``orthant`` are clipped to exactly zero. When the
+        full step (t = 1) clips an entry and fails, the next trial is the t
+        at which the first entry reaches zero, with that entry set to exactly
+        zero; halving then goes on from there (from t = 1/2 when nothing is
+        clipped). J may rise by DESCENT_SLACK relative: near the optimum the
+        true decrease is below J's rounding, and a strict test would halve
+        for nothing.
         """
         limit = pt.objective + DESCENT_SLACK * abs(pt.objective)
-        t = 1.0
-        for _ in range(MAX_HALVINGS):
+        t, first_zeros = 1.0, idx[:0]
+        for trial in range(MAX_HALVINGS):
             beta = pt.beta.copy()
             beta[idx] -= t * step
             beta[orthant * beta < 0.0] = 0.0
+            beta[first_zeros] = 0.0
             new = self.at(beta)
             if new.objective <= limit:
                 return new
-            t *= 0.5
+            if trial == 0:
+                t, first_zeros = _first_crossing(pt.beta[idx], step, orthant[idx], idx)
+            else:
+                t, first_zeros = 0.5 * t, idx[:0]
         return None
 
     def newton_step(self, pt: _Point) -> _Point | None:
@@ -362,8 +434,9 @@ class _FusedObjective:
         """Proximal-gradient step that backtracks on the quadratic majorization
         of the NLL, so J cannot rise; None once the step no longer moves.
 
-        The step length carries over between calls and grows by 1.25 after
-        each, so flat (near-separable) regions are crossed in long steps.
+        The step length carries over between the calls of one fit and grows
+        by 1.25 after each, so flat (near-separable) regions are crossed in
+        long steps; each fit starts again at 1.
         """
         b, g, pen, lam = pt.beta, pt.grad, self.pen, self.lam
         t = self._prox_step
@@ -384,7 +457,8 @@ class _FusedObjective:
 
 
 def _make_fit(
-    pt: _Point, iterations: int, converged: bool, standardizer: Standardizer | None
+    pt: _Point, objective: _FusedObjective, iterations: int, converged: bool,
+    standardizer: Standardizer | None,
 ) -> LogitFit:
     b0, b = float(pt.beta[0]), pt.beta[1:].copy()
     std = standardizer if standardizer is not None else Standardizer.identity(len(b))
@@ -396,32 +470,72 @@ def _make_fit(
         coefs_orig=c_orig,
         objective_value=pt.objective,
         iterations=iterations,
+        evaluations=objective.evaluations,
         converged=converged,
         kkt_residual=pt.kkt,
     )
 
 
+class PathStart:
+    """Carries each optimum along one L1 path into the next fit.
+
+    Pass it as ``fit_l1``'s ``start`` for every lambda of one path, in
+    order, with problems made by ``problem.with_lambda``. Between grid
+    points only the penalty changes, so the probabilities, the NLL and its
+    gradient at the last optimum stay valid: each fit re-prices them at its
+    own lambda instead of evaluating them again, and the design ``[1 | X]``
+    is built once per path. The first fit starts at zero. Nothing of this
+    state goes into the returned fits.
+    """
+
+    def __init__(self, problem: LogitProblem) -> None:
+        self.problem = problem
+        self.design = _design(problem)
+        self.point: _Point | None = None
+
+    def follows(self, problem: LogitProblem) -> bool:
+        """True when ``problem`` is this path's problem at some lambda."""
+        base = self.problem
+        return (
+            problem.features is base.features
+            and problem.targets is base.targets
+            and problem.weights is base.weights
+            and problem.penalty_mask is base.penalty_mask
+        )
+
+
 def fit_l1(
     problem: LogitProblem,
     standardizer: Standardizer | None = None,
-    start: tuple[float, np.ndarray] | None = None,
+    start: "tuple[float, np.ndarray] | PathStart | None" = None,
     max_iter: int = MAX_ITER_L1,
 ) -> LogitFit:
     """Minimize NLL + lambda * ||penalized coefs||_1 by active-orthant Newton.
 
-    Each iteration reuses the one evaluation of J, its gradient and the KKT
-    residual made at the point the last step accepted, then takes a projected
-    Newton step on the active orthant with a descent-only line search; when
-    that fails, it takes a proximal-gradient step instead.
+    ``start`` is (intercept, coefs), a ``PathStart`` whose last optimum the
+    fit continues from, or None for zero. Each iteration reuses the one
+    evaluation of J, its gradient and the KKT residual made at the point the
+    last step accepted, then takes a projected Newton step on the active
+    orthant with a descent-only line search; when that fails, it takes a
+    proximal-gradient step instead.
     Crossings are clipped to exact zeros. Convergence is the certificate
     ``kkt_residual <= KKT_TOL``; at the iteration cap, or when no step can
     move, the fit is returned with ``converged=False``.
     """
-    objective = _FusedObjective(problem, problem.lam)
-    beta = np.zeros(problem.n_features + 1)
-    if start is not None:
-        beta[0], beta[1:] = start[0], start[1]
-    pt = objective.at(beta)
+    if isinstance(start, PathStart):
+        if not start.follows(problem):
+            raise ValueError("start follows the path of another problem")
+        objective = _FusedObjective(problem, problem.lam, start.design)
+        if start.point is None:
+            pt = objective.at(np.zeros(problem.n_features + 1))
+        else:
+            pt = objective.carried(start.point)
+    else:
+        objective = _FusedObjective(problem, problem.lam)
+        beta = np.zeros(problem.n_features + 1)
+        if start is not None:
+            beta[0], beta[1:] = start[0], start[1]
+        pt = objective.at(beta)
     iterations = 0
     while pt.kkt > KKT_TOL and iterations < max_iter:
         nxt = objective.newton_step(pt)
@@ -431,7 +545,9 @@ def fit_l1(
                 break
         pt = nxt
         iterations += 1
-    return _make_fit(pt, iterations, pt.kkt <= KKT_TOL, standardizer)
+    if isinstance(start, PathStart):
+        start.point = pt
+    return _make_fit(pt, objective, iterations, pt.kkt <= KKT_TOL, standardizer)
 
 
 def fit_mle(problem: LogitProblem, standardizer: Standardizer | None = None) -> LogitFit:
@@ -474,7 +590,7 @@ def fit_mle(problem: LogitProblem, standardizer: Standardizer | None = None) -> 
         raise Separation(
             "fit saturated to a perfect classification; data appears linearly separable"
         )
-    return _make_fit(pt, iterations, converged, standardizer)
+    return _make_fit(pt, objective, iterations, converged, standardizer)
 
 
 def null_model_lambda_bound(problem: LogitProblem) -> float:

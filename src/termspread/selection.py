@@ -10,7 +10,7 @@ refined by bisection in k (fractional k allowed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ from .logit import (
     NONZERO_TOL,
     LogitFit,
     LogitProblem,
+    PathStart,
     Standardizer,
     fit_l1,
     null_model_lambda_bound,
@@ -134,12 +135,11 @@ def sweep_path(
     # one by an ulp at some k, which would move the solver's iterates
     lambdas = 2.0 ** (k_values / 10.0)
 
-    fits: list[LogitFit] = []
-    start: tuple[float, np.ndarray] | None = None
-    for k, lam in zip(k_values, lambdas):
-        fit = _certified(fit_l1(replace(problem, lam=lam), standardizer, start=start), k)
-        fits.append(fit)
-        start = (fit.intercept_std, fit.coefs_std)
+    carry = PathStart(problem)
+    fits = [
+        _certified(fit_l1(problem.with_lambda(lam), standardizer, start=carry), k)
+        for k, lam in zip(k_values, lambdas)
+    ]
 
     return CoefficientPath(
         k_values=k_values,
@@ -192,7 +192,7 @@ def _bisect(path: CoefficientPath, lo_idx: int, hi_idx: int) -> SelectionResult:
         lam = lambda_at(k_mid)
         fit = _certified(
             fit_l1(
-                replace(path.problem, lam=lam),
+                path.problem.with_lambda(lam),
                 path.standardizer,
                 start=(fit_lo.intercept_std, fit_lo.coefs_std),
             ),

@@ -15,6 +15,7 @@ from termspread.evaluation import (
     ebf,
     exceeds_jeffreys,
     model_avg_weight,
+    posterior_weight,
     relative_mse,
     roc_curve,
     trapezoid_auc,
@@ -92,6 +93,17 @@ def test_model_avg_weight_values():
     assert model_avg_weight(1e-12) == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValueError):
         model_avg_weight(0.0)
+
+
+def test_posterior_weight_survives_an_underflowing_ebf():
+    # a class-weighted test period can put an alternative 1,355 nats behind
+    # the benchmark: the EBF rounds to 0, the weight still follows log EBF
+    assert ebf(-1355.8, -0.8) == 0.0
+    assert posterior_weight(-1355.0) == 0.0
+    assert posterior_weight(-30.0) == pytest.approx(np.exp(-30.0), rel=1e-12)
+    assert posterior_weight(1355.0) == 1.0
+    assert posterior_weight(0.0) == 0.5
+    assert posterior_weight(np.log(1.114)) == pytest.approx(1.114 / 2.114, rel=1e-15)
 
 
 def test_jeffreys_flag():

@@ -28,7 +28,7 @@ from termspread.experiment import (
 )
 from termspread.logit import ClassWeights
 
-from conftest import write_market
+from conftest import make_market, write_market
 
 MATS = ["3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y"]
 
@@ -439,9 +439,39 @@ def test_cli_single_class_partition_exit_1(
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("key", ["yield_files", "recession_file"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_cli_unreadable_input_exit_1(tmp_path, data_files, capsys, key, kind):
+    bad = str(tmp_path / "absent.csv") if kind == "missing" else str(tmp_path)
+    cfg_path = write_config(
+        tmp_path, data_files, **{key: [bad] if key == "yield_files" else bad}
+    )
+    out = tmp_path / "u"
+    assert cli_main(["run", "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: cannot read input file: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_weighted_reseed_13_has_no_uncaught_error(tmp_path, capsys):
+    # make_market(13) has one training recession month at h=3, so w_pos is
+    # about 210 and some test log PPLs reach -1,355: the EBF underflows to 0
+    files = write_market(str(tmp_path), *make_market(13))
+    cfg_path = write_config(tmp_path, files, weighting=True, horizons=list(DEFAULT_HORIZONS))
+    code = cli_main(["run", "--config", cfg_path, "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 0 or (code == 1 and err.startswith("error: [horizon="))
+    if code == 0:
+        with open(tmp_path / "r" / "eval_reports.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert any(r["ebf"] == "0.000" for r in rows)
+        assert all(0.0 <= float(r["avg_weight"]) <= 1.0 for r in rows)
+
+
 INPUT_ERRORS = {
     "ConfigError", "CoverageError", "DomainError", "EmptyInput", "GapInDates",
-    "HorizonTooLong", "MalformedRow", "MissingSeries",
+    "HorizonTooLong", "MalformedRow", "MissingSeries", "UnreadableInput",
 }
 ERROR_CLASSES = sorted(
     (c for c in vars(errors).values()

@@ -472,6 +472,37 @@ def test_l1_at_zero_lambda_is_the_mle(seed, n, p, rho, weighted):
     assert np.max(np.abs(f_l1.coefs_std - f_mle.coefs_std)) <= 1e-6
 
 
+def test_weighted_nll_matches_the_solver_objective_on_a_steep_fit():
+    # a nearly separable problem on which a reference that clamped p and
+    # summed log1p(-p) was off by 9e-9
+    prob = overlapping_problem(0, 22, 8, 0.0, False, 0.031, 0.3, flip_weight=0.0078)
+    fit = fit_l1(prob)
+    assert fit.converged
+    penalty = prob.lam * np.abs(fit.coefs_std[prob.penalty_mask]).sum()
+    reference = weighted_nll(prob, fit.intercept_std, fit.coefs_std) + penalty
+    assert abs(fit.objective_value - reference) <= 1e-9
+
+
+def test_fits_count_their_evaluations():
+    rng = np.random.default_rng(47)
+    prob = random_problem(rng, 60, 3, lam=0.5)
+    l1, mle = fit_l1(prob), fit_mle(prob)
+    # every iteration accepts one evaluation; the cold start adds one more
+    assert l1.evaluations >= l1.iterations + 1
+    assert mle.evaluations >= mle.iterations + 1
+    assert fit_l1(prob, max_iter=0).evaluations == 1
+
+
+def test_with_lambda_shares_the_validated_data():
+    rng = np.random.default_rng(53)
+    prob = random_problem(rng, 30, 2, weighted=True)
+    other = prob.with_lambda(2.5)
+    assert other.lam == 2.5 and prob.lam == 0.0
+    assert other.features is prob.features and other.weights is prob.weights
+    with pytest.raises(ValueError, match="non-negative"):
+        prob.with_lambda(-1.0)
+
+
 def test_l1_numerically_singular_newton_system_falls_back_quickly():
     # 12 distinct rows for 10 parameters, nearly separable: the active-set
     # Hessian becomes singular to rounding and 17 Newton steps give no descent

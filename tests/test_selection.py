@@ -121,6 +121,47 @@ def test_solver_work_on_the_reference_market_is_pinned(market, split95):
     assert sum(f.iterations for f in path.fits) <= 1000
 
 
+def test_sweep_evaluations_on_the_reference_market(market, split95):
+    # all eight horizons of make_market(42), unweighted: re-evaluating each
+    # warm start and halving past clipped coefficients took 4,449 evaluations
+    panel, recessions = market
+    fits = []
+    for h in (3, 6, 9, 12, 15, 18, 21, 24):
+        train, _ = split_views(align_dataset(panel, recessions, h, split95, MATURITY_CODES))
+        fits += sweep_path(train.features, train.targets, MATURITY_CODES).fits
+    assert len(fits) == 1129
+    iterations = sum(f.iterations for f in fits)
+    evaluations = sum(f.evaluations for f in fits)
+    assert iterations <= evaluations <= 2900
+    # a fit that makes no step spends no evaluation on its carried start
+    assert all(f.iterations >= 1 or f.evaluations == 0 for f in fits)
+
+
+def test_carried_start_matches_a_warm_start_from_the_previous_fit():
+    X, y = make_instance(seed=6)
+    path = sweep_path(X, y, NAMES)
+    for lam, prev, fit in zip(path.lambdas[1:], path.fits, path.fits[1:]):
+        warm = logit.fit_l1(
+            replace(path.problem, lam=lam),
+            path.standardizer,
+            start=(prev.intercept_std, prev.coefs_std),
+        )
+        assert np.array_equal(warm.coefs_std, fit.coefs_std)
+        assert warm.intercept_std == fit.intercept_std
+        assert warm.iterations == fit.iterations
+        assert warm.evaluations == fit.evaluations + 1  # its start is evaluated
+
+
+def test_path_start_rejects_another_problem():
+    X, y = make_instance(seed=7)
+    problem = LogitProblem(features=X, targets=y)
+    carry = logit.PathStart(problem)
+    logit.fit_l1(problem.with_lambda(1.0), start=carry)
+    other = LogitProblem(features=X.copy(), targets=y, lam=1.0)
+    with pytest.raises(ValueError, match="another problem"):
+        logit.fit_l1(other, start=carry)
+
+
 def test_sweep_shape_and_names():
     X, y = make_instance(seed=5, p=3)
     path = sweep_path(X, y, feature_names=["10y", "3m", "5y"])
