@@ -33,7 +33,7 @@ from .errors import (
     UnreadableInput,
 )
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 _DECIMAL_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
 
 MATURITY_CODES = ("3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y", "30y")
@@ -52,7 +52,8 @@ class Month:
 
     @classmethod
     def parse(cls, token: str) -> "Month":
-        m = _MONTH_RE.match(token.strip())
+        """The month of a ``YYYY-MM`` string: ASCII digits, no padding."""
+        m = _MONTH_RE.fullmatch(token) if isinstance(token, str) else None
         if m is None:
             raise ValueError(f"not a YYYY-MM token: {token!r}")
         return cls(int(m.group(1)), int(m.group(2)))

@@ -80,13 +80,6 @@ def posterior_weight(log_ebf: float) -> float:
     return e / (1.0 + e)
 
 
-def model_avg_weight(ebf_value: float) -> float:
-    """``posterior_weight`` of a positive EBF."""
-    if ebf_value <= 0.0:
-        raise ValueError("EBF must be positive")
-    return posterior_weight(math.log(ebf_value))
-
-
 def exceeds_jeffreys(ebf_value: float) -> bool:
     """True when the EBF clears sqrt(10), Jeffreys' substantial-evidence bar."""
     return ebf_value >= JEFFREYS_THRESHOLD

@@ -389,7 +389,11 @@ def emit_tables(result: ExperimentResult, fmt: str, out_dir: str) -> list[str]:
         raise ConfigError(f"unknown table format: {fmt!r}")
     if not result.artifacts:
         raise IoError("the result holds no horizons; refusing to write empty panels")
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise IoError(f"cannot create output directory {out_dir!r}: {reason}") from None
     controls = result.config.forced_controls
     ext = "csv" if fmt == "csv" else "md"
     return [

@@ -11,7 +11,8 @@ The L1 objective is
 
 where NLL is the weighted negative log likelihood SUMMED over rows (not
 averaged), the intercept is never penalized, and the penalty mask can
-exempt individual features. ``fit_l1`` minimizes J by active-orthant
+exempt individual features. A ``LogitProblem`` holds the data only;
+lambda is the argument of each fit. ``fit_l1`` minimizes J by active-orthant
 Newton (after OWL-QN, Andrew & Gao 2007): every iteration makes one fused
 evaluation of J, its gradient and the curvature weights w*p*(1-p), all from
 one product [1 | X] b, which give the KKT residual, the Newton system on
@@ -19,15 +20,15 @@ the active orthant and the certificate stored in ``LogitFit``;
 coefficients that cross zero are clipped to exactly zero, a clipped step
 that fails is retried at the first zero crossing before it halves, and a
 proximal-gradient step is taken only when the Newton step fails to
-descend. Along a path, a ``PathStart`` carries each optimum into the fit
-at the next lambda, re-priced without a new evaluation. ``fit_mle`` solves
+descend. Every fit runs from a ``PathStart``, which builds [1 | X] once,
+starts at zero or at a given fit, and carries each optimum into the fit at
+the next lambda, re-priced without a new evaluation. ``fit_mle`` solves
 the unpenalized problem by Newton-Raphson with step halving on the same
 evaluation.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -123,7 +124,6 @@ class LogitProblem:
     targets: np.ndarray
     weights: np.ndarray | None = None
     penalty_mask: np.ndarray | None = None
-    lam: float = 0.0
 
     def __post_init__(self) -> None:
         X = np.atleast_2d(np.asarray(self.features, dtype=float))
@@ -143,21 +143,10 @@ class LogitProblem:
         )
         if mask.shape != (p,):
             raise ValueError("penalty_mask length does not match feature count")
-        if self.lam < 0.0:
-            raise ValueError("lambda must be non-negative")
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "targets", y)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "penalty_mask", mask)
-
-    def with_lambda(self, lam: float) -> "LogitProblem":
-        """This problem at penalty ``lam``; the validated data is shared, not
-        checked again."""
-        if lam < 0.0:
-            raise ValueError("lambda must be non-negative")
-        other = copy.copy(self)
-        object.__setattr__(other, "lam", lam)
-        return other
 
     @property
     def n_rows(self) -> int:
@@ -252,14 +241,16 @@ def _pseudo_gradient(g: np.ndarray, beta: np.ndarray, pen: np.ndarray, lam: floa
     return np.where(pen, np.where(beta != 0.0, g + lam * np.sign(beta), shrunk), g)
 
 
-def kkt_residual(problem: LogitProblem, intercept: float, coefs: np.ndarray) -> float:
-    """Max violation of the first-order optimality conditions of J.
+def kkt_residual(
+    problem: LogitProblem, lam: float, intercept: float, coefs: np.ndarray
+) -> float:
+    """Max violation of the first-order optimality conditions of J at ``lam``.
 
     For penalized j: |g_j| <= lambda when b_j = 0 and g_j = -lambda*sign(b_j)
     otherwise; for the intercept and unpenalized features g must vanish.
     """
     g0, g = nll_gradient(problem, intercept, coefs)
-    lam, mask = problem.lam, problem.penalty_mask
+    mask = problem.penalty_mask
     b = np.asarray(coefs, dtype=float)
     res = abs(g0)
     pen_nz = mask & (b != 0.0)
@@ -319,11 +310,6 @@ def _first_crossing(
     return t, idx[crossing][ratio == t]
 
 
-def _design(problem: LogitProblem) -> np.ndarray:
-    """The design matrix [1 | X]: beta = (intercept, coefs) acts on it."""
-    return np.column_stack([np.ones(problem.n_rows), problem.features])
-
-
 class _FusedObjective:
     """J on one problem at one lambda, evaluated in one fused pass per point.
 
@@ -335,11 +321,11 @@ class _FusedObjective:
     cannot tell a Newton step from noise. ``evaluations`` counts them.
     """
 
-    def __init__(self, problem: LogitProblem, lam: float, design: np.ndarray | None = None) -> None:
-        self.problem = problem
+    def __init__(self, start: PathStart, lam: float) -> None:
+        self.problem = start.problem
         self.lam = lam
-        self.design = _design(problem) if design is None else design
-        self.pen = np.concatenate([[False], problem.penalty_mask]) & (lam > 0.0)
+        self.design = start.design
+        self.pen = np.concatenate([[False], self.problem.penalty_mask]) & (lam > 0.0)
         self._prox_step = 1.0
         self.evaluations = 0
 
@@ -477,43 +463,38 @@ def _make_fit(
 
 
 class PathStart:
-    """Carries each optimum along one L1 path into the next fit.
+    """Where fits of one problem start, carrying each optimum to the next.
 
-    Pass it as ``fit_l1``'s ``start`` for every lambda of one path, in
-    order, with problems made by ``problem.with_lambda``. Between grid
-    points only the penalty changes, so the probabilities, the NLL and its
-    gradient at the last optimum stay valid: each fit re-prices them at its
-    own lambda instead of evaluating them again, and the design ``[1 | X]``
-    is built once per path. The first fit starts at zero. Nothing of this
-    state goes into the returned fits.
+    The first fit starts at ``fit``'s standardized coefficients, or at zero
+    when ``fit`` is None. Pass the same start to ``fit_l1`` for every lambda
+    of one path, in order: between grid points only the penalty changes, so
+    the probabilities, the NLL and its gradient at the last optimum stay
+    valid, and each later fit re-prices them at its own lambda instead of
+    evaluating them again. The design ``[1 | X]`` is built here, once per
+    path. Nothing of this state goes into the returned fits.
     """
 
-    def __init__(self, problem: LogitProblem) -> None:
+    def __init__(self, problem: LogitProblem, fit: LogitFit | None = None) -> None:
         self.problem = problem
-        self.design = _design(problem)
+        self.design = np.column_stack([np.ones(problem.n_rows), problem.features])
+        self.beta = np.zeros(problem.n_features + 1)
+        if fit is not None:
+            self.beta[0], self.beta[1:] = fit.intercept_std, fit.coefs_std
         self.point: _Point | None = None
-
-    def follows(self, problem: LogitProblem) -> bool:
-        """True when ``problem`` is this path's problem at some lambda."""
-        base = self.problem
-        return (
-            problem.features is base.features
-            and problem.targets is base.targets
-            and problem.weights is base.weights
-            and problem.penalty_mask is base.penalty_mask
-        )
 
 
 def fit_l1(
     problem: LogitProblem,
+    lam: float,
     standardizer: Standardizer | None = None,
-    start: "tuple[float, np.ndarray] | PathStart | None" = None,
+    start: PathStart | None = None,
     max_iter: int = MAX_ITER_L1,
 ) -> LogitFit:
-    """Minimize NLL + lambda * ||penalized coefs||_1 by active-orthant Newton.
+    """Minimize NLL + lam * ||penalized coefs||_1 by active-orthant Newton.
 
-    ``start`` is (intercept, coefs), a ``PathStart`` whose last optimum the
-    fit continues from, or None for zero. Each iteration reuses the one
+    ``start`` is a ``PathStart`` of ``problem`` (None means
+    ``PathStart(problem)``, a cold start at zero); the fit continues from
+    its last optimum and leaves its own there. Each iteration reuses the one
     evaluation of J, its gradient and the KKT residual made at the point the
     last step accepted, then takes a projected Newton step on the active
     orthant with a descent-only line search; when that fails, it takes a
@@ -522,20 +503,13 @@ def fit_l1(
     ``kkt_residual <= KKT_TOL``; at the iteration cap, or when no step can
     move, the fit is returned with ``converged=False``.
     """
-    if isinstance(start, PathStart):
-        if not start.follows(problem):
-            raise ValueError("start follows the path of another problem")
-        objective = _FusedObjective(problem, problem.lam, start.design)
-        if start.point is None:
-            pt = objective.at(np.zeros(problem.n_features + 1))
-        else:
-            pt = objective.carried(start.point)
-    else:
-        objective = _FusedObjective(problem, problem.lam)
-        beta = np.zeros(problem.n_features + 1)
-        if start is not None:
-            beta[0], beta[1:] = start[0], start[1]
-        pt = objective.at(beta)
+    if lam < 0.0:
+        raise ValueError("lambda must be non-negative")
+    start = PathStart(problem) if start is None else start
+    if start.problem is not problem:
+        raise ValueError("start belongs to another problem")
+    objective = _FusedObjective(start, lam)
+    pt = objective.at(start.beta) if start.point is None else objective.carried(start.point)
     iterations = 0
     while pt.kkt > KKT_TOL and iterations < max_iter:
         nxt = objective.newton_step(pt)
@@ -545,8 +519,7 @@ def fit_l1(
                 break
         pt = nxt
         iterations += 1
-    if isinstance(start, PathStart):
-        start.point = pt
+    start.point = pt
     return _make_fit(pt, objective, iterations, pt.kkt <= KKT_TOL, standardizer)
 
 
@@ -564,7 +537,7 @@ def fit_mle(problem: LogitProblem, standardizer: Standardizer | None = None) -> 
     """
     if np.unique(problem.targets).size < 2:
         raise SingleClass("logistic MLE needs both classes in the training targets")
-    objective = _FusedObjective(problem, 0.0)
+    objective = _FusedObjective(PathStart(problem), 0.0)
     everything = np.arange(problem.n_features + 1)
     no_orthant = np.zeros(problem.n_features + 1)
     pt = objective.at(np.zeros(problem.n_features + 1))

@@ -42,8 +42,9 @@ def lambda_at(k: float) -> float:
 class CoefficientPath:
     """Certified fits along an ascending lambda grid, one per k.
 
-    ``problem`` is the standardized training problem at lambda = 0; a refit
-    at another lambda replaces only its ``lam``.
+    ``problem`` is the standardized training problem that every fit of the
+    path solved, each at its own lambda; a refit passes it with another
+    lambda.
     """
 
     k_values: np.ndarray
@@ -137,7 +138,7 @@ def sweep_path(
 
     carry = PathStart(problem)
     fits = [
-        _certified(fit_l1(problem.with_lambda(lam), standardizer, start=carry), k)
+        _certified(fit_l1(problem, lam, standardizer, start=carry), k)
         for k, lam in zip(k_values, lambdas)
     ]
 
@@ -187,25 +188,21 @@ def select_pair(path: CoefficientPath) -> SelectionResult:
 def _bisect(path: CoefficientPath, lo_idx: int, hi_idx: int) -> SelectionResult:
     k_lo, k_hi = float(path.k_values[lo_idx]), float(path.k_values[hi_idx])
     fit_lo = path.fits[lo_idx]
+    count_lo, count_hi = path.nonzero_counts[[lo_idx, hi_idx]]
     while k_hi - k_lo >= 1e-6:
         k_mid = 0.5 * (k_lo + k_hi)
         lam = lambda_at(k_mid)
-        fit = _certified(
-            fit_l1(
-                path.problem.with_lambda(lam),
-                path.standardizer,
-                start=(fit_lo.intercept_std, fit_lo.coefs_std),
-            ),
-            k_mid,
-        )
+        start = PathStart(path.problem, fit_lo)
+        fit = _certified(fit_l1(path.problem, lam, path.standardizer, start=start), k_mid)
         count = _support(fit, path.problem.penalty_mask).size
         if count == TARGET_NONZERO:
             return _result_from_fit(path, k_mid, lam, fit)
         if count > TARGET_NONZERO:
-            k_lo, fit_lo = k_mid, fit
+            k_lo, fit_lo, count_lo = k_mid, fit, count
         else:
-            k_hi = k_mid
+            k_hi, count_hi = k_mid, count
     raise CountNeverAttained(
         f"bisection between k={path.k_values[lo_idx]} and k={path.k_values[hi_idx]} "
-        f"never produced exactly {TARGET_NONZERO} nonzero coefficients"
+        f"never produced exactly {TARGET_NONZERO} nonzero coefficients: "
+        f"{count_lo} survive at k={k_lo} and {count_hi} at k={k_hi}"
     )

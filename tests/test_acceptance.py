@@ -25,7 +25,7 @@ from termspread.evaluation import (
     auc,
     ebf,
     exceeds_jeffreys,
-    model_avg_weight,
+    posterior_weight,
     roc_curve,
     trapezoid_auc,
 )
@@ -106,8 +106,8 @@ def test_acceptance_1_solver_oracle_equivalence():
         assert np.max(np.abs(ours - ref)) <= 1e-4
 
         st = Standardizer.fit(X)
-        prob = LogitProblem(features=st.transform(X), targets=y, lam=0.0)
-        l1 = fit_l1(prob, st)
+        prob = LogitProblem(features=st.transform(X), targets=y)
+        l1 = fit_l1(prob, 0.0, st)
         mle = fit_mle(prob, st)
         diff = max(
             abs(l1.intercept_std - mle.intercept_std),
@@ -146,12 +146,10 @@ def test_acceptance_2_kkt_certification():
             mask[0] = True
         st = Standardizer.fit(X)
         lam = float(2.0 ** rng.uniform(-10, 6))
-        prob = LogitProblem(
-            features=st.transform(X), targets=y, penalty_mask=mask, lam=lam
-        )
-        fit = fit_l1(prob, st)
+        prob = LogitProblem(features=st.transform(X), targets=y, penalty_mask=mask)
+        fit = fit_l1(prob, lam, st)
         assert fit.converged
-        res = kkt_residual(prob, fit.intercept_std, fit.coefs_std)
+        res = kkt_residual(prob, lam, fit.intercept_std, fit.coefs_std)
         worst = max(worst, res)
         assert res <= 1e-7
     elapsed = time.time() - start_time
@@ -166,7 +164,7 @@ def test_acceptance_2_kkt_certification():
 
 def test_acceptance_3_metric_identities():
     assert ebf(-0.459, -0.367) == pytest.approx(0.912, abs=5e-4)
-    assert model_avg_weight(1.114) == pytest.approx(0.527, abs=1e-3)
+    assert posterior_weight(np.log(1.114)) == pytest.approx(0.527, abs=1e-3)
 
     rng = np.random.default_rng(303)
     for i in range(200):

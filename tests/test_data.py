@@ -118,6 +118,17 @@ def test_load_rejects_cells_outside_the_decimal_grammar(tmp_path, cell):
     assert f"cells.csv:3: cannot parse 10y={cell!r}" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "date", [" 2001-02", "2001-02 ", "\u0662\u0660\u0660\u0661-02", "2001-\u0660\u0662"]
+)
+def test_load_rejects_date_cells_outside_the_month_grammar(tmp_path, date):
+    # as strict as value cells: ASCII digits only, no padding
+    path = write(tmp_path, "dates.csv", f"date,10y\n2001-01,-0.25\n{date},4.5\n")
+    with pytest.raises(MalformedRow) as info:
+        load_yield_panel([path], ["10y"])
+    assert f"dates.csv:3: not a YYYY-MM token: {date!r}" in str(info.value)
+
+
 def test_load_merges_files_on_date_intersection(tmp_path):
     a = write(tmp_path, "a.csv", "date,10y\n2001-01,5.0\n2001-02,5.1\n2001-03,5.2\n")
     b = write(tmp_path, "b.csv", "date,3m\n2001-02,3.0\n2001-03,3.1\n2001-04,3.2\n")

@@ -14,7 +14,6 @@ from termspread.evaluation import (
     avg_log_likelihood,
     ebf,
     exceeds_jeffreys,
-    model_avg_weight,
     posterior_weight,
     relative_mse,
     roc_curve,
@@ -87,12 +86,11 @@ def test_ebf_reciprocal_identity():
 
 
 def test_model_avg_weight_values():
-    assert model_avg_weight(1.0) == 0.5
-    assert model_avg_weight(1.114) == pytest.approx(0.527, abs=1e-3)
-    assert model_avg_weight(1.114) < 0.53
-    assert model_avg_weight(1e-12) == pytest.approx(0.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        model_avg_weight(0.0)
+    # the weight run_horizon reports, taken from the log of the displayed EBF
+    assert posterior_weight(np.log(1.0)) == 0.5
+    assert posterior_weight(np.log(1.114)) == pytest.approx(0.527, abs=1e-3)
+    assert posterior_weight(np.log(1.114)) < 0.53
+    assert posterior_weight(np.log(1e-12)) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_posterior_weight_survives_an_underflowing_ebf():

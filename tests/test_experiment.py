@@ -174,6 +174,13 @@ def test_config_validates_split_ordering(tmp_path, data_files):
         )
 
 
+@pytest.mark.parametrize("train_end", [" 1995-12", "1995-12 ", 199512])
+def test_config_rejects_split_dates_that_are_not_month_strings(tmp_path, data_files, train_end):
+    split = {"sample_start": "1961-06", "train_end": train_end, "sample_end": "2020-07"}
+    with pytest.raises(ConfigError, match=re.escape(f"not a YYYY-MM token: {train_end!r}")):
+        ExperimentConfig.from_json(write_config(tmp_path, data_files, split=split))
+
+
 # --- running ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -452,6 +459,18 @@ def test_cli_unreadable_input_exit_1(tmp_path, data_files, capsys, key, kind):
     assert err.startswith(f"error: {bad}: cannot read input file: ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["existing-file", "below-a-file", "empty"])
+def test_cli_output_directory_that_cannot_be_made_exit_2(tmp_path, data_files, capsys, kind):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory", "utf-8")
+    out = {"existing-file": str(taken), "below-a-file": str(taken / "sub"), "empty": ""}[kind]
+    cfg_path = write_config(tmp_path, data_files, horizons=[3])
+    assert cli_main(["run", "--config", cfg_path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"computation failed: cannot create output directory {out!r}: ")
+    assert err.count("\n") == 1
 
 
 def test_cli_weighted_reseed_13_has_no_uncaught_error(tmp_path, capsys):

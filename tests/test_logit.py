@@ -23,7 +23,7 @@ from termspread.logit import (
 )
 
 
-def random_problem(rng, n, p, lam=0.0, weighted=False):
+def random_problem(rng, n, p, weighted=False):
     X = rng.normal(size=(n, p))
     beta = rng.normal(scale=1.0, size=p)
     z = X @ beta + rng.normal(scale=0.5)
@@ -31,7 +31,7 @@ def random_problem(rng, n, p, lam=0.0, weighted=False):
     if y.min() == y.max():  # force both classes
         y[0], y[1] = 0.0, 1.0
     w = rng.uniform(0.5, 2.0, size=n) if weighted else None
-    return LogitProblem(features=X, targets=y, weights=w, lam=lam)
+    return LogitProblem(features=X, targets=y, weights=w)
 
 
 # --- predict_proba -------------------------------------------------------------
@@ -200,8 +200,8 @@ def test_fit_prediction_equivalence_across_scales():
     y = (rng.random(60) < 0.3).astype(float)
     y[:2] = [0.0, 1.0]
     st = Standardizer.fit(X)
-    prob = LogitProblem(features=st.transform(X), targets=y, lam=0.5)
-    fit = fit_l1(prob, st)
+    prob = LogitProblem(features=st.transform(X), targets=y)
+    fit = fit_l1(prob, 0.5, st)
     p_std = predict_proba(fit.intercept_std, fit.coefs_std, st.transform(X))
     p_orig = predict_proba(fit.intercept_orig, fit.coefs_orig, X)
     assert np.max(np.abs(p_std - p_orig)) <= 1e-10
@@ -282,8 +282,8 @@ def test_l1_null_model_at_high_lambda():
     st = Standardizer.fit(prob_raw.features)
     Z = st.transform(prob_raw.features)
     bound = null_model_lambda_bound(LogitProblem(features=Z, targets=prob_raw.targets))
-    prob = LogitProblem(features=Z, targets=prob_raw.targets, lam=bound * 1.01)
-    fit = fit_l1(prob, st)
+    prob = LogitProblem(features=Z, targets=prob_raw.targets)
+    fit = fit_l1(prob, bound * 1.01, st)
     assert np.all(fit.coefs_std == 0.0)
     p_bar = prob_raw.targets.mean()
     assert fit.intercept_std == pytest.approx(np.log((1 - p_bar) / p_bar), abs=1e-7)
@@ -298,7 +298,7 @@ def test_l1_at_zero_matches_mle():
         prob = LogitProblem(
             features=st.transform(raw.features), targets=raw.targets, weights=raw.weights
         )
-        f_l1 = fit_l1(prob, st)
+        f_l1 = fit_l1(prob, 0.0, st)
         f_mle = fit_mle(prob, st)
         assert abs(f_l1.intercept_std - f_mle.intercept_std) <= 1e-6
         assert np.max(np.abs(f_l1.coefs_std - f_mle.coefs_std)) <= 1e-6
@@ -320,11 +320,10 @@ def test_l1_kkt_certificate_randomized():
             targets=raw.targets,
             weights=raw.weights,
             penalty_mask=mask,
-            lam=lam,
         )
-        fit = fit_l1(prob, st)
+        fit = fit_l1(prob, lam, st)
         assert fit.converged
-        assert kkt_residual(prob, fit.intercept_std, fit.coefs_std) <= 1e-7
+        assert kkt_residual(prob, lam, fit.intercept_std, fit.coefs_std) <= 1e-7
         # exact zeros, not small values
         small = np.abs(fit.coefs_std[mask]) < 1e-10
         assert np.all(fit.coefs_std[mask][small] == 0.0)
@@ -334,8 +333,8 @@ def test_fit_objective_matches_reference_likelihood():
     rng = np.random.default_rng(43)
     raw = random_problem(rng, 80, 4, weighted=True)
     Z = Standardizer.fit(raw.features).transform(raw.features)
-    prob = LogitProblem(features=Z, targets=raw.targets, weights=raw.weights, lam=0.8)
-    fit = fit_l1(prob)
+    prob = LogitProblem(features=Z, targets=raw.targets, weights=raw.weights)
+    fit = fit_l1(prob, 0.8)
     reference = weighted_nll(prob, fit.intercept_std, fit.coefs_std) + 0.8 * np.abs(
         fit.coefs_std
     ).sum()
@@ -352,14 +351,14 @@ def test_l1_monotone_descent_without_polish():
     raw = random_problem(rng, 50, 3)
     st = Standardizer.fit(raw.features)
     Z = st.transform(raw.features)
-    prob = LogitProblem(features=Z, targets=raw.targets, lam=1.0)
+    prob, lam = LogitProblem(features=Z, targets=raw.targets), 1.0
 
     values = []
     for cap in range(1, 60):
-        fit = fit_l1(prob, st, max_iter=cap)
+        fit = fit_l1(prob, lam, st, max_iter=cap)
         values.append(
             weighted_nll(prob, fit.intercept_std, fit.coefs_std)
-            + prob.lam * np.abs(fit.coefs_std[prob.penalty_mask]).sum()
+            + lam * np.abs(fit.coefs_std[prob.penalty_mask]).sum()
         )
     assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
 
@@ -368,13 +367,13 @@ def test_l1_monotone_descent_with_polish():
     rng = np.random.default_rng(37)
     raw = random_problem(rng, 60, 4)
     st = Standardizer.fit(raw.features)
-    prob = LogitProblem(features=st.transform(raw.features), targets=raw.targets, lam=0.7)
+    prob, lam = LogitProblem(features=st.transform(raw.features), targets=raw.targets), 0.7
     values = []
     for cap in range(1, 60):
-        fit = fit_l1(prob, st, max_iter=cap)
+        fit = fit_l1(prob, lam, st, max_iter=cap)
         values.append(
             weighted_nll(prob, fit.intercept_std, fit.coefs_std)
-            + prob.lam * np.abs(fit.coefs_std[prob.penalty_mask]).sum()
+            + lam * np.abs(fit.coefs_std[prob.penalty_mask]).sum()
         )
     assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
 
@@ -385,8 +384,8 @@ def test_l1_unpenalized_features_kept_free():
     st = Standardizer.fit(raw.features)
     Z = st.transform(raw.features)
     mask = np.array([True, True, False])
-    prob = LogitProblem(features=Z, targets=raw.targets, penalty_mask=mask, lam=50.0)
-    fit = fit_l1(prob, st)
+    prob = LogitProblem(features=Z, targets=raw.targets, penalty_mask=mask)
+    fit = fit_l1(prob, 50.0, st)
     assert fit.coefs_std[0] == 0.0 and fit.coefs_std[1] == 0.0
     # the exempt feature keeps a gradient-zero (not shrunk-to-zero) value
     g0, g = nll_gradient(prob, fit.intercept_std, fit.coefs_std)
@@ -395,7 +394,7 @@ def test_l1_unpenalized_features_kept_free():
 
 # --- fit_l1 properties ---------------------------------------------------------------
 
-def overlapping_problem(seed, n, p, rho, weighted, lam, free_share=0.0, flip_weight=0.5):
+def overlapping_problem(seed, n, p, rho, weighted, free_share=0.0, flip_weight=0.5):
     """Correlated random rows, each present once with its label and once,
     weighted by ``flip_weight``, with the other: no hyperplane separates the
     classes, so every optimum is finite. A small ``flip_weight`` gives steep
@@ -413,7 +412,6 @@ def overlapping_problem(seed, n, p, rho, weighted, lam, free_share=0.0, flip_wei
         targets=np.concatenate([y, 1.0 - y]),
         weights=np.concatenate([w, flip_weight * w]),
         penalty_mask=mask,
-        lam=lam,
     )
 
 
@@ -438,10 +436,10 @@ lambdas = st.floats(1e-3, 20.0)
 def test_l1_objective_never_rises_with_more_iterations(seed, n, p, rho, weighted, lam, flip):
     # steep, nearly separable problems: about one in six has a full Newton
     # step that raises J, so the line search must act
-    prob = overlapping_problem(seed, n, p, rho, weighted, lam, 0.3, flip_weight=flip)
-    values = [fit_l1(prob, max_iter=cap).objective_value for cap in range(25)]
+    prob = overlapping_problem(seed, n, p, rho, weighted, 0.3, flip_weight=flip)
+    values = [fit_l1(prob, lam, max_iter=cap).objective_value for cap in range(25)]
     assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
-    final = fit_l1(prob)
+    final = fit_l1(prob, lam)
     assert final.objective_value <= values[-1] + 1e-12 * max(1.0, abs(values[-1]))
 
 
@@ -451,10 +449,10 @@ def test_l1_objective_never_rises_with_more_iterations(seed, n, p, rho, weighted
     st.floats(1e-3, 1.0),
 )
 def test_l1_certificate_and_exact_zeros(seed, n, p, rho, weighted, lam, free_share, flip):
-    prob = overlapping_problem(seed, n, p, rho, weighted, lam, free_share, flip)
-    fit = fit_l1(prob)
+    prob = overlapping_problem(seed, n, p, rho, weighted, free_share, flip)
+    fit = fit_l1(prob, lam)
     assert fit.converged
-    reference = kkt_residual(prob, fit.intercept_std, fit.coefs_std)
+    reference = kkt_residual(prob, lam, fit.intercept_std, fit.coefs_std)
     assert reference <= 1e-7
     assert abs(fit.kkt_residual - reference) <= 1e-9
     mask = prob.penalty_mask
@@ -465,8 +463,8 @@ def test_l1_certificate_and_exact_zeros(seed, n, p, rho, weighted, lam, free_sha
 @PROPERTY
 @given(seeds, rows, widths, correlations, st.booleans())
 def test_l1_at_zero_lambda_is_the_mle(seed, n, p, rho, weighted):
-    prob = overlapping_problem(seed, n, p, rho, weighted, lam=0.0, free_share=0.3)
-    f_l1, f_mle = fit_l1(prob), fit_mle(prob)
+    prob = overlapping_problem(seed, n, p, rho, weighted, free_share=0.3)
+    f_l1, f_mle = fit_l1(prob, 0.0), fit_mle(prob)
     assert f_l1.converged and f_mle.converged
     assert abs(f_l1.intercept_std - f_mle.intercept_std) <= 1e-6
     assert np.max(np.abs(f_l1.coefs_std - f_mle.coefs_std)) <= 1e-6
@@ -475,32 +473,29 @@ def test_l1_at_zero_lambda_is_the_mle(seed, n, p, rho, weighted):
 def test_weighted_nll_matches_the_solver_objective_on_a_steep_fit():
     # a nearly separable problem on which a reference that clamped p and
     # summed log1p(-p) was off by 9e-9
-    prob = overlapping_problem(0, 22, 8, 0.0, False, 0.031, 0.3, flip_weight=0.0078)
-    fit = fit_l1(prob)
+    prob = overlapping_problem(0, 22, 8, 0.0, False, 0.3, flip_weight=0.0078)
+    fit = fit_l1(prob, 0.031)
     assert fit.converged
-    penalty = prob.lam * np.abs(fit.coefs_std[prob.penalty_mask]).sum()
+    penalty = 0.031 * np.abs(fit.coefs_std[prob.penalty_mask]).sum()
     reference = weighted_nll(prob, fit.intercept_std, fit.coefs_std) + penalty
     assert abs(fit.objective_value - reference) <= 1e-9
 
 
 def test_fits_count_their_evaluations():
     rng = np.random.default_rng(47)
-    prob = random_problem(rng, 60, 3, lam=0.5)
-    l1, mle = fit_l1(prob), fit_mle(prob)
+    prob = random_problem(rng, 60, 3)
+    l1, mle = fit_l1(prob, 0.5), fit_mle(prob)
     # every iteration accepts one evaluation; the cold start adds one more
     assert l1.evaluations >= l1.iterations + 1
     assert mle.evaluations >= mle.iterations + 1
-    assert fit_l1(prob, max_iter=0).evaluations == 1
+    assert fit_l1(prob, 0.5, max_iter=0).evaluations == 1
 
 
-def test_with_lambda_shares_the_validated_data():
+def test_fit_l1_rejects_a_negative_lambda():
     rng = np.random.default_rng(53)
     prob = random_problem(rng, 30, 2, weighted=True)
-    other = prob.with_lambda(2.5)
-    assert other.lam == 2.5 and prob.lam == 0.0
-    assert other.features is prob.features and other.weights is prob.weights
     with pytest.raises(ValueError, match="non-negative"):
-        prob.with_lambda(-1.0)
+        fit_l1(prob, -1.0)
 
 
 def test_l1_numerically_singular_newton_system_falls_back_quickly():
@@ -509,10 +504,10 @@ def test_l1_numerically_singular_newton_system_falls_back_quickly():
     # direction, so the proximal fallback carries the fit. Its step length
     # adapts; at a constant 1/L it took 5,318 iterations, and proximal
     # gradient with a Newton polish took 270.
+    lam = 0.0019808514343538767
     prob = overlapping_problem(
-        2235105666, 12, 9, 0.727324043682471, False, 0.0019808514343538767,
-        0.3656495314739199, 1.6261225853290896e-05,
+        2235105666, 12, 9, 0.727324043682471, False, 0.3656495314739199, 1.6261225853290896e-05,
     )
-    fit = fit_l1(prob)
+    fit = fit_l1(prob, lam)
     assert fit.converged and fit.iterations <= 100
-    assert kkt_residual(prob, fit.intercept_std, fit.coefs_std) <= 1e-7
+    assert kkt_residual(prob, lam, fit.intercept_std, fit.coefs_std) <= 1e-7

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -86,10 +87,8 @@ def test_sweep_ends_at_null_model():
 def test_sweep_every_fit_certified():
     X, y = make_instance(seed=3)
     path = sweep_path(X, y, NAMES)
-    assert path.problem.lam == 0.0
     for lam, fit in zip(path.lambdas, path.fits):
-        prob = replace(path.problem, lam=lam)
-        assert kkt_residual(prob, fit.intercept_std, fit.coefs_std) <= 1e-7
+        assert kkt_residual(path.problem, lam, fit.intercept_std, fit.coefs_std) <= 1e-7
 
 
 def test_sweep_deterministic():
@@ -142,9 +141,7 @@ def test_carried_start_matches_a_warm_start_from_the_previous_fit():
     path = sweep_path(X, y, NAMES)
     for lam, prev, fit in zip(path.lambdas[1:], path.fits, path.fits[1:]):
         warm = logit.fit_l1(
-            replace(path.problem, lam=lam),
-            path.standardizer,
-            start=(prev.intercept_std, prev.coefs_std),
+            path.problem, lam, path.standardizer, start=logit.PathStart(path.problem, prev)
         )
         assert np.array_equal(warm.coefs_std, fit.coefs_std)
         assert warm.intercept_std == fit.intercept_std
@@ -156,10 +153,10 @@ def test_path_start_rejects_another_problem():
     X, y = make_instance(seed=7)
     problem = LogitProblem(features=X, targets=y)
     carry = logit.PathStart(problem)
-    logit.fit_l1(problem.with_lambda(1.0), start=carry)
-    other = LogitProblem(features=X.copy(), targets=y, lam=1.0)
+    logit.fit_l1(problem, 1.0, start=carry)
+    other = LogitProblem(features=X, targets=y)
     with pytest.raises(ValueError, match="another problem"):
-        logit.fit_l1(other, start=carry)
+        logit.fit_l1(other, 1.0, start=carry)
 
 
 def test_sweep_shape_and_names():
@@ -229,8 +226,8 @@ def test_duplicate_columns_jump_over_two():
     except CountNeverAttained:
         return
     assert int((np.abs(sel.fit.coefs_std) > 1e-10).sum()) == 2
-    prob = replace(path.problem, lam=sel.lambda_selected)
-    assert kkt_residual(prob, sel.fit.intercept_std, sel.fit.coefs_std) <= 1e-7
+    lam, fit = sel.lambda_selected, sel.fit
+    assert kkt_residual(path.problem, lam, fit.intercept_std, fit.coefs_std) <= 1e-7
 
 
 def test_select_one_feature_path_cannot_attain():
@@ -267,11 +264,35 @@ def test_bisection_finds_fractional_k_when_grid_skips():
     # oracle: a cold-started fit at the refined lambda shows the same support
     from termspread.logit import fit_l1
 
-    cold = fit_l1(replace(path.problem, lam=sel.lambda_selected), path.standardizer)
+    cold = fit_l1(path.problem, sel.lambda_selected, path.standardizer)
     assert cold.converged
     assert np.array_equal(
         np.abs(cold.coefs_std) > 1e-10, np.abs(sel.fit.coefs_std) > 1e-10
     )
+
+
+def test_bisection_that_never_attains_two_names_the_counts_at_both_ends(monkeypatch):
+    rng = np.random.default_rng(1013)
+    X = rng.normal(size=(150, 3)) + 4.0
+    y = logistic_draw(rng, X, np.array([0.7, -0.65, 0.6]))
+    path = sweep_path(X, y, feature_names=["10y", "3m", "5y"])
+
+    def never_two(*args, **kwargs):
+        fit = logit.fit_l1(*args, **kwargs)
+        if (np.abs(fit.coefs_std) > 1e-10).sum() == 2:
+            return replace(fit, coefs_std=np.zeros_like(fit.coefs_std))
+        return fit
+
+    monkeypatch.setattr(selection, "fit_l1", never_two)
+    with pytest.raises(CountNeverAttained) as info:
+        select_pair(path)
+    msg = str(info.value)
+    m = re.search(r"(\d+) survive at k=(\S+) and (\d+) at k=(\S+)$", msg)
+    assert m is not None, msg
+    count_lo, k_lo, count_hi, k_hi = int(m[1]), float(m[2]), int(m[3]), float(m[4])
+    assert count_lo > 2 > count_hi
+    assert 0.0 < k_hi - k_lo < 1e-6
+    assert msg.startswith("bisection between k=")
 
 
 def test_bisection_not_converged_names_fractional_k(monkeypatch):
