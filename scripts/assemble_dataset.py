@@ -75,29 +75,31 @@ def read_fred_monthly(path: str) -> dict[Month, float]:
     return out
 
 
-def read_gsw_monthly(path: str, column: str) -> dict[Month, float]:
-    """Monthly averages of one column of the daily GSW zero-curve file."""
-    dates: list[dt.date] = []
-    values: list[float] = []
+def read_gsw_monthly(path: str, columns: tuple[str, ...]) -> dict[str, dict[Month, float]]:
+    """Monthly averages of some columns of the daily GSW zero-curve file,
+    read in one pass; a missing cell drops that day from its own column only."""
+    daily: dict[str, tuple[list[dt.date], list[float]]] = {c: ([], []) for c in columns}
     with open(path, encoding="utf-8") as fh:
         col_idx = None
         for line in fh:
             cells = [c.strip().strip('"') for c in line.strip().split(",")]
             if col_idx is None:
-                if cells and cells[0].lower() == "date" and column in cells:
-                    col_idx = cells.index(column)
+                if cells and cells[0].lower() == "date" and set(columns) <= set(cells):
+                    col_idx = [cells.index(c) for c in columns]
                 continue
             if not cells or not cells[0]:
                 continue
-            raw = cells[col_idx] if col_idx < len(cells) else ""
-            if raw in ("", "NA", "."):
-                continue
-            dates.append(dt.date.fromisoformat(cells[0]))
-            values.append(float(raw))
+            day = None
+            for (dates, values), j in zip(daily.values(), col_idx):
+                raw = cells[j] if j < len(cells) else ""
+                if raw in ("", "NA", "."):
+                    continue
+                day = day or dt.date.fromisoformat(cells[0])
+                dates.append(day)
+                values.append(float(raw))
     if col_idx is None:
-        raise SystemExit(f"{path}: no header row carrying {column!r}")
-    months, means = monthly_average(dates, values)
-    return dict(zip(months, means))
+        raise SystemExit(f"{path}: no header row carrying {list(columns)!r}")
+    return {c: dict(zip(*monthly_average(dates, values))) for c, (dates, values) in daily.items()}
 
 
 def splice(
@@ -130,10 +132,9 @@ def build_columns(raw: str) -> dict[str, dict[Month, float]]:
         columns[code] = splice(converted, fred(cmt), BILLS_UNTIL + 1)
 
     gsw_path = os.path.join(raw, "feds200628.csv")
-    gsw02 = read_gsw_monthly(gsw_path, "SVENY02") if os.path.exists(gsw_path) else {}
-    gsw07 = read_gsw_monthly(gsw_path, "SVENY07") if os.path.exists(gsw_path) else {}
-    columns["2y"] = splice(gsw02, fred("GS2"), GS2_FROM)
-    columns["7y"] = splice(gsw07, fred("GS7"), GS7_FROM)
+    gsw = read_gsw_monthly(gsw_path, ("SVENY02", "SVENY07")) if os.path.exists(gsw_path) else {}
+    columns["2y"] = splice(gsw.get("SVENY02", {}), fred("GS2"), GS2_FROM)
+    columns["7y"] = splice(gsw.get("SVENY07", {}), fred("GS7"), GS7_FROM)
 
     for code, name in (("1y", "GS1"), ("3y", "GS3"), ("5y", "GS5"), ("10y", "GS10")):
         columns[code] = fred(name)

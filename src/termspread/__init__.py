@@ -11,7 +11,7 @@ from .data import (
 from .evaluation import auc, avg_log_likelihood, ebf
 from .experiment import ExperimentConfig, ExperimentResult, emit_all, run_experiment
 from .logit import ClassWeights
-from .models import ModelKind, ModelSpec, fit_spec, forecast_series
+from .models import ModelSpec, fit_spec, forecast_series
 from .selection import select_pair, sweep_path
 
 __version__ = "0.1.0"

@@ -4,17 +4,20 @@
 
 Exit codes: 0 success, otherwise the failing error's ``exit_code``: 1 for a
 configuration or input-data error, 2 for a computation error (solver,
-selection or scoring failure) or an output file that cannot be written.
+selection or scoring failure) or an output directory or file that cannot be
+written. The output directory is made before the computation starts, and a
+directory made for a run that then fails is removed again.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
-from .errors import TermSpreadError
-from .experiment import ExperimentConfig, emit_all, run_experiment
+from .errors import IoError, TermSpreadError
+from .experiment import ExperimentConfig, emit_all, make_output_dir, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,10 +45,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = ExperimentConfig.from_json(args.config)
         out_dir = args.out if args.out is not None else config.output_dir
-        result = run_experiment(config)
+        made = make_output_dir(out_dir)
+        try:
+            result = run_experiment(config)
+        except BaseException:
+            if made:
+                os.rmdir(out_dir)
+            raise
         written = emit_all(result, out_dir, fmt=args.format)
     except TermSpreadError as exc:
-        prefix = "error" if exc.exit_code == 1 else "computation failed"
+        failed = exc.exit_code == 2 and not isinstance(exc, IoError)
+        prefix = "computation failed" if failed else "error"
         print(f"{prefix}: {exc}", file=sys.stderr)
         return exc.exit_code
     for path in written:

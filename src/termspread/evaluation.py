@@ -21,15 +21,12 @@ import numpy as np
 from .errors import LengthMismatch, SingleClass, ZeroBenchmark
 from .logit import PROB_CEIL, PROB_FLOOR
 
-JEFFREYS_THRESHOLD = math.sqrt(10.0)
-
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-model, per-horizon forecast metrics."""
+    """One model's forecast metrics at one horizon; the horizon and the panel
+    letter are the keys it is stored under (``HorizonArtifacts.reports``)."""
 
-    horizon_months: int
-    kind: str
     log_l_train: float
     log_ppl_test: float
     ebf: float
@@ -78,11 +75,6 @@ def posterior_weight(log_ebf: float) -> float:
         return 1.0 / (1.0 + math.exp(-log_ebf))
     e = math.exp(log_ebf)
     return e / (1.0 + e)
-
-
-def exceeds_jeffreys(ebf_value: float) -> bool:
-    """True when the EBF clears sqrt(10), Jeffreys' substantial-evidence bar."""
-    return ebf_value >= JEFFREYS_THRESHOLD
 
 
 def _check_two_classes(y: np.ndarray) -> tuple[int, int]:
@@ -150,13 +142,6 @@ def auc(targets: np.ndarray, scores: np.ndarray) -> float:
     rank_sum_pos = float(np.sum(ranks[y == 1.0]))
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
-
-
-def trapezoid_auc(points: np.ndarray) -> float:
-    """Trapezoidal area under an ordered ROC curve (cross-check for auc)."""
-    pts = np.asarray(points, dtype=float)
-    x, y = pts[:, 0], pts[:, 1]
-    return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
 
 
 def relative_mse(

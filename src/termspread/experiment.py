@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
@@ -46,7 +46,6 @@ from .models import (
     CONVENTIONAL_PAIR,
     FittedModel,
     ForecastSeries,
-    ModelKind,
     ModelSpec,
     fit_spec,
     fitted_model_from_selection,
@@ -60,12 +59,12 @@ from .selection import (
     sweep_path,
 )
 
-PANELS = ("A", "B", "C", "D")
-PANEL_KINDS = {
-    "A": ModelKind.GENERALIZED_ML,
-    "B": ModelKind.SIMPLE_ML,
-    "C": ModelKind.GENERALIZED_CONVENTIONAL,
-    "D": ModelKind.SIMPLE_CONVENTIONAL,
+# panel letter -> the model's kind in eval_reports.csv, in table order
+PANELS = {
+    "A": "generalized_ml",
+    "B": "simple_ml",
+    "C": "generalized_conventional",
+    "D": "simple_conventional",
 }
 DEFAULT_HORIZONS = (3, 6, 9, 12, 15, 18, 21, 24)
 
@@ -204,11 +203,6 @@ class ExperimentResult:
     artifacts: Mapping[int, HorizonArtifacts]
     recessions: RecessionSeries
 
-    @property
-    def reports(self) -> tuple[EvalReport, ...]:
-        """Every model's report, by horizon, then panel."""
-        return tuple(art.reports[p] for art in self.artifacts.values() for p in PANELS)
-
 
 def _annotate(exc: TermSpreadError, horizon: int, where: str) -> TermSpreadError:
     note = f"[horizon={horizon} {where}] "
@@ -261,8 +255,8 @@ def run_horizon(
     models = {"A": fitted_model_from_selection(path, selection)}
     for letter in ("B", "C", "D"):
         spec = ModelSpec(
-            kind=PANEL_KINDS[letter],
-            ml_pair=selection.pair if PANEL_KINDS[letter].is_ml else None,
+            selection.pair if letter == "B" else CONVENTIONAL_PAIR,
+            simple=letter != "C",
             controls=config.forced_controls,
         )
         try:
@@ -279,8 +273,6 @@ def run_horizon(
     reports: dict[str, EvalReport] = {}
     for letter in PANELS:
         reports[letter] = EvalReport(
-            horizon_months=horizon,
-            kind=models[letter].spec.kind.value,
             log_l_train=avg_log_likelihood(train.targets, probs[letter][:split], w_train),
             log_ppl_test=log_ppl[letter],
             ebf=ebf(log_ppl[letter], log_ppl["D"]),
@@ -326,6 +318,19 @@ def _fmt_g(v: float) -> str:
     return f"{v:.10g}"
 
 
+def make_output_dir(out_dir: str) -> bool:
+    """Make ``out_dir`` and its parents unless it is a directory already;
+    True when this call made it. A path that cannot be made is an IoError."""
+    if os.path.isdir(out_dir):
+        return False
+    try:
+        os.makedirs(out_dir)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise IoError(f"cannot create output directory {out_dir!r}: {reason}") from None
+    return True
+
+
 def _write_rows(
     path: str, rows: Iterable[Sequence[str]], preamble: str = "", fmt: str = "csv"
 ) -> str:
@@ -361,10 +366,11 @@ def _table_header(controls: Sequence[str], with_lambda: bool) -> list[str]:
 
 
 def _table_cells(art: HorizonArtifacts, letter: str, controls: Sequence[str]) -> list[str]:
+    """One panel row after its horizon cell."""
     model, report = art.models[letter], art.reports[letter]
     long, short = model.spec.pair
     b_long, b_short = model.display_coefficients
-    cells = [str(report.horizon_months), f"({long}, {short})"]
+    cells = [f"({long}, {short})"]
     cells.append(f"({b_long:.3f}, {b_short:.3f})")
     cells += [_fmt3(model.control_coefs[name]) for name in controls]
     if letter == "A":
@@ -389,18 +395,15 @@ def emit_tables(result: ExperimentResult, fmt: str, out_dir: str) -> list[str]:
         raise ConfigError(f"unknown table format: {fmt!r}")
     if not result.artifacts:
         raise IoError("the result holds no horizons; refusing to write empty panels")
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        reason = exc.strerror or exc
-        raise IoError(f"cannot create output directory {out_dir!r}: {reason}") from None
+    make_output_dir(out_dir)
     controls = result.config.forced_controls
     ext = "csv" if fmt == "csv" else "md"
     return [
         _write_rows(
             os.path.join(out_dir, f"panel_{letter}.{ext}"),
             [_table_header(controls, letter == "A")]
-            + [_table_cells(art, letter, controls) for art in result.artifacts.values()],
+            + [[str(h)] + _table_cells(art, letter, controls)
+               for h, art in result.artifacts.items()],
             fmt=fmt,
         )
         for letter in PANELS
@@ -459,15 +462,14 @@ def emit_roc(
     return _write_rows(out_path, rows, preamble=preamble)
 
 
-def emit_eval_reports(reports: Sequence[EvalReport], out_path: str) -> str:
-    """CSV of every EvalReport (includes RM and the model-averaging weight)."""
-    rows = [["horizon", "kind", "log_l_train", "log_ppl_test", "ebf",
-             "auc_train", "auc_test", "rm", "avg_weight"]]
+def emit_eval_reports(artifacts: Mapping[int, HorizonArtifacts], out_path: str) -> str:
+    """CSV of every EvalReport by horizon, then panel: one column per metric
+    (includes RM and the model-averaging weight)."""
+    rows = [["horizon", "kind"] + [f.name for f in fields(EvalReport)]]
     rows += [
-        [str(r.horizon_months), r.kind, _fmt3(r.log_l_train), _fmt3(r.log_ppl_test),
-         _fmt3(r.ebf), _fmt3(r.auc_train), _fmt3(r.auc_test), _fmt3(r.rm),
-         _fmt3(r.avg_weight)]
-        for r in reports
+        [str(h), kind] + [_fmt3(v) for v in astuple(art.reports[letter])]
+        for h, art in artifacts.items()
+        for letter, kind in PANELS.items()
     ]
     return _write_rows(out_path, rows)
 
@@ -478,7 +480,7 @@ def emit_all(result: ExperimentResult, out_dir: str, fmt: str = "csv") -> list[s
         return os.path.join(out_dir, name)
 
     written = emit_tables(result, fmt, out_dir)
-    written.append(emit_eval_reports(result.reports, out("eval_reports.csv")))
+    written.append(emit_eval_reports(result.artifacts, out("eval_reports.csv")))
     for horizon, art in result.artifacts.items():
         written.append(emit_coefficient_path(art.path, out(f"coefficient_path_h{horizon}.csv")))
         written.append(

@@ -187,19 +187,15 @@ def _logistic(a: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.clip(np.where(a >= 0.0, 1.0, e) / (1.0 + e), PROB_FLOOR, PROB_CEIL)
 
 
-def predict_proba(intercept: float, coefs: np.ndarray, x: np.ndarray) -> "float | np.ndarray":
-    """phi(-intercept - coefs.x), clamped to [1e-300, 1 - 1e-16].
+def predict_proba(intercept: float, coefs: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """phi(-intercept - coefs.x) for each row x of the matrix ``X``, clamped
+    to [1e-300, 1 - 1e-16].
 
-    ``x`` may be one feature vector (returns a float) or a matrix with one
-    row per observation (returns a vector). Stable for arguments up to
-    |700| and beyond: saturated values hit the clamp instead of overflowing.
+    Stable for arguments up to |700| and beyond: saturated values hit the
+    clamp instead of overflowing.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    a = -(intercept + X @ np.asarray(coefs, dtype=float))
-    out = _logistic(a, np.exp(-np.abs(a)))
-    return float(out[0]) if single else out
+    a = -(intercept + np.asarray(X, dtype=float) @ np.asarray(coefs, dtype=float))
+    return _logistic(a, np.exp(-np.abs(a)))
 
 
 def weighted_nll(problem: LogitProblem, intercept: float, coefs: np.ndarray) -> float:
@@ -488,7 +484,6 @@ def fit_l1(
     lam: float,
     standardizer: Standardizer | None = None,
     start: PathStart | None = None,
-    max_iter: int = MAX_ITER_L1,
 ) -> LogitFit:
     """Minimize NLL + lam * ||penalized coefs||_1 by active-orthant Newton.
 
@@ -500,8 +495,8 @@ def fit_l1(
     orthant with a descent-only line search; when that fails, it takes a
     proximal-gradient step instead.
     Crossings are clipped to exact zeros. Convergence is the certificate
-    ``kkt_residual <= KKT_TOL``; at the iteration cap, or when no step can
-    move, the fit is returned with ``converged=False``.
+    ``kkt_residual <= KKT_TOL``; after MAX_ITER_L1 iterations, or when no
+    step can move, the fit is returned with ``converged=False``.
     """
     if lam < 0.0:
         raise ValueError("lambda must be non-negative")
@@ -511,7 +506,7 @@ def fit_l1(
     objective = _FusedObjective(start, lam)
     pt = objective.at(start.beta) if start.point is None else objective.carried(start.point)
     iterations = 0
-    while pt.kkt > KKT_TOL and iterations < max_iter:
+    while pt.kkt > KKT_TOL and iterations < MAX_ITER_L1:
         nxt = objective.newton_step(pt)
         if nxt is None:
             nxt = objective.proximal_step(pt)

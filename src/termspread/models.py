@@ -1,17 +1,17 @@
 """The four nested spread specifications and their fitted forms.
 
-Generalized kinds put separate coefficients on the long and short yields;
-Simple kinds constrain them to equal magnitude with opposite signs by
-regressing on the difference. ML kinds use the maturity pair chosen on the
-regularization path; Conventional kinds always use (10y, 3m). Optional
-control series (e.g. a leading indicator) are appended to any kind and are
-exempt from the L1 penalty.
+A specification is a maturity pair (long leg first) and a form: the
+generalized form puts separate coefficients on the long and short yields;
+the simple form constrains them to equal magnitude with opposite signs by
+regressing on the difference. The paper's panels use the pair chosen on the
+regularization path (A, B) or the conventional (10y, 3m) pair (C, D).
+Optional control series (e.g. a leading indicator) are appended to any
+specification and are exempt from the L1 penalty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -23,45 +23,21 @@ from .selection import CoefficientPath, SelectionResult
 CONVENTIONAL_PAIR = ("10y", "3m")
 
 
-class ModelKind(Enum):
-    GENERALIZED_ML = "generalized_ml"
-    SIMPLE_ML = "simple_ml"
-    GENERALIZED_CONVENTIONAL = "generalized_conventional"
-    SIMPLE_CONVENTIONAL = "simple_conventional"
-
-    @property
-    def is_simple(self) -> bool:
-        return self in (ModelKind.SIMPLE_ML, ModelKind.SIMPLE_CONVENTIONAL)
-
-    @property
-    def is_ml(self) -> bool:
-        return self in (ModelKind.GENERALIZED_ML, ModelKind.SIMPLE_ML)
-
-
 @dataclass(frozen=True)
 class ModelSpec:
-    """One of the four nested specifications, plus optional forced controls."""
+    """A maturity pair, its form, and optional forced controls."""
 
-    kind: ModelKind
-    ml_pair: tuple[str, str] | None = None
+    pair: tuple[str, str]
+    simple: bool
     controls: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "controls", tuple(self.controls))
-        if self.kind.is_ml and self.ml_pair is None:
-            raise ValueError(f"{self.kind.value} requires an ml_pair")
-
-    @property
-    def pair(self) -> tuple[str, str]:
-        if self.kind.is_ml:
-            assert self.ml_pair is not None
-            return self.ml_pair
-        return CONVENTIONAL_PAIR
 
     @property
     def yield_feature_names(self) -> tuple[str, ...]:
         long, short = self.pair
-        if self.kind.is_simple:
+        if self.simple:
             return (f"{long}-{short}",)
         return (long, short)
 
@@ -86,7 +62,7 @@ class FittedModel:
     @property
     def display_coefficients(self) -> tuple[float, float]:
         """(long, short) coefficients; a simple spread shows (b, -b)."""
-        if self.spec.kind.is_simple:
+        if self.spec.simple:
             b = float(self.fit.coefs_orig[0])
             return (b, -b)
         return (float(self.fit.coefs_orig[0]), float(self.fit.coefs_orig[1]))
@@ -108,7 +84,7 @@ def _aligned_columns(ds: AlignedDataset, spec: ModelSpec) -> np.ndarray:
     if missing:
         raise MissingSeries(f"dataset does not carry the series {missing[0]!r}")
     cols = [columns[name] for name in series]
-    if spec.kind.is_simple:
+    if spec.simple:
         cols[:2] = [cols[0] - cols[1]]
     return np.column_stack(cols)
 
@@ -136,7 +112,7 @@ def fit_spec(
 def fitted_model_from_selection(
     path: CoefficientPath, selection: SelectionResult
 ) -> FittedModel:
-    """Panel A: the selection fit as a generalized-ML FittedModel.
+    """Panel A: the selection fit as the generalized model of the selected pair.
 
     The selection fit carries one coefficient per path column, almost all
     exactly zero; this reduces it to the surviving pair plus the path's
@@ -148,7 +124,7 @@ def fitted_model_from_selection(
         for name, penalized in zip(path.feature_names, path.problem.penalty_mask)
         if not penalized
     )
-    spec = ModelSpec(kind=ModelKind.GENERALIZED_ML, ml_pair=selection.pair, controls=controls)
+    spec = ModelSpec(selection.pair, simple=False, controls=controls)
     idx = [path.feature_names.index(name) for name in spec.yield_feature_names + controls]
     fit = selection.fit
     reduced = replace(fit, coefs_std=fit.coefs_std[idx], coefs_orig=fit.coefs_orig[idx])

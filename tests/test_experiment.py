@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import filecmp
-import functools
 import importlib
 import json
 import os
@@ -15,12 +14,13 @@ import runpy
 import numpy as np
 import pytest
 
-from termspread import cli, errors, logit, selection
+from termspread import cli, errors, logit
 from termspread.cli import main as cli_main
 from termspread.errors import ConfigError, IoError
-from termspread.evaluation import avg_log_likelihood
+from termspread.evaluation import EvalReport, avg_log_likelihood
 from termspread.experiment import (
     DEFAULT_HORIZONS,
+    PANELS,
     ExperimentConfig,
     emit_all,
     emit_tables,
@@ -193,7 +193,10 @@ def test_run_produces_four_panels_per_horizon(small_run):
     assert list(small_run.artifacts) == [3, 12]
     for art in small_run.artifacts.values():
         assert list(art.models) == list(art.forecasts) == list(art.reports) == list("ABCD")
-    assert [r.horizon_months for r in small_run.reports] == [3] * 4 + [12] * 4
+    # a report holds metrics only: its horizon and panel are the keys above
+    assert [f.name for f in dataclasses.fields(EvalReport)] == [
+        "log_l_train", "log_ppl_test", "ebf", "auc_train", "auc_test", "rm", "avg_weight",
+    ]
 
 
 def test_benchmark_ebf_exactly_one(small_run):
@@ -227,13 +230,14 @@ def test_panel_b_equals_d_when_pair_is_conventional(small_run):
 
 
 def test_reports_carry_rm_and_weight(small_run):
-    for r in small_run.reports:
-        assert r.rm > 0
-        assert 0.0 <= r.avg_weight <= 1.0
-        assert abs(r.avg_weight - r.ebf / (1 + r.ebf)) < 1e-12
-        bench = small_run.artifacts[r.horizon_months].reports["D"]
-        assert bench.kind == "simple_conventional"
-        assert r.ebf == pytest.approx(np.exp(r.log_ppl_test - bench.log_ppl_test), rel=1e-12)
+    assert PANELS["D"] == "simple_conventional"
+    for art in small_run.artifacts.values():
+        bench = art.reports["D"]
+        for r in art.reports.values():
+            assert r.rm > 0
+            assert 0.0 <= r.avg_weight <= 1.0
+            assert abs(r.avg_weight - r.ebf / (1 + r.ebf)) < 1e-12
+            assert r.ebf == pytest.approx(np.exp(r.log_ppl_test - bench.log_ppl_test), rel=1e-12)
 
 
 def test_weighted_run_differs_and_uses_training_ratio(data_files):
@@ -393,7 +397,7 @@ def test_cli_missing_data_exit_1(tmp_path, data_files, capsys):
 
 def test_cli_computation_error_exit_2(tmp_path, data_files, capsys, monkeypatch):
     # a solver capped at one iteration cannot certify the first grid point
-    monkeypatch.setattr(selection, "fit_l1", functools.partial(logit.fit_l1, max_iter=1))
+    monkeypatch.setattr(logit, "MAX_ITER_L1", 1)
     cfg_path = write_config(tmp_path, data_files, horizons=[3])
     assert cli_main(["run", "--config", cfg_path, "--out", str(tmp_path / "y")]) == 2
     err = capsys.readouterr().err
@@ -462,14 +466,22 @@ def test_cli_unreadable_input_exit_1(tmp_path, data_files, capsys, key, kind):
 
 
 @pytest.mark.parametrize("kind", ["existing-file", "below-a-file", "empty"])
-def test_cli_output_directory_that_cannot_be_made_exit_2(tmp_path, data_files, capsys, kind):
+def test_cli_output_directory_that_cannot_be_made_exit_2(
+    tmp_path, data_files, capsys, monkeypatch, kind
+):
     taken = tmp_path / "taken"
     taken.write_text("a file, not a directory", "utf-8")
     out = {"existing-file": str(taken), "below-a-file": str(taken / "sub"), "empty": ""}[kind]
     cfg_path = write_config(tmp_path, data_files, horizons=[3])
+
+    def run_experiment_not_expected(config):
+        pytest.fail("the output directory must be made before the computation starts")
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment_not_expected)
     assert cli_main(["run", "--config", cfg_path, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"computation failed: cannot create output directory {out!r}: ")
+    # nothing was computed, so the message is not a computation failure
+    assert err.startswith(f"error: cannot create output directory {out!r}: ")
     assert err.count("\n") == 1
 
 
@@ -513,9 +525,13 @@ def test_cli_exit_code_and_prefix_follow_the_error_class(
     if error.__name__ in INPUT_ERRORS:
         assert code == error.exit_code == 1
         assert capsys.readouterr().err == "error: boom\n"
+    elif error is IoError:
+        assert code == error.exit_code == 2
+        assert capsys.readouterr().err == "error: boom\n"
     else:
         assert code == error.exit_code == 2
         assert capsys.readouterr().err == "computation failed: boom\n"
+    assert not (tmp_path / "x").exists()
 
 
 # --- public surface ----------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from termspread import logit
 from termspread.errors import Separation, SingleClass, Singular
 from termspread.logit import (
     ClassWeights,
@@ -37,22 +38,23 @@ def random_problem(rng, n, p, weighted=False):
 # --- predict_proba -------------------------------------------------------------
 
 def test_predict_proba_zero_params_is_half():
-    assert predict_proba(0.0, np.zeros(3), np.array([4.0, -1.0, 7.0])) == 0.5
+    assert predict_proba(0.0, np.zeros(3), np.array([[4.0, -1.0, 7.0]])).tolist() == [0.5]
 
 
 def test_predict_proba_sign_convention_limits():
     # positive generalized spread drives the probability to zero
-    low = predict_proba(0.0, np.array([1.0]), np.array([50.0]))
+    (low,) = predict_proba(0.0, np.array([1.0]), np.array([[50.0]]))
     assert low == pytest.approx(1.93e-22, rel=1e-2)
-    high = predict_proba(0.0, np.array([-1.0]), np.array([50.0]))
+    (high,) = predict_proba(0.0, np.array([-1.0]), np.array([[50.0]]))
     assert high == pytest.approx(1.0 - 1.93e-22, abs=1e-12)
 
 
 def test_predict_proba_stable_and_clamped():
-    assert predict_proba(700.0, np.zeros(1), np.zeros(1)) >= 1e-300
-    assert predict_proba(-700.0, np.zeros(1), np.zeros(1)) <= 1.0 - 1e-16
-    assert predict_proba(5000.0, np.zeros(1), np.zeros(1)) == 1e-300
-    assert predict_proba(-5000.0, np.zeros(1), np.zeros(1)) == 1.0 - 1e-16
+    row = np.zeros((1, 1))
+    assert predict_proba(700.0, np.zeros(1), row)[0] >= 1e-300
+    assert predict_proba(-700.0, np.zeros(1), row)[0] <= 1.0 - 1e-16
+    assert predict_proba(5000.0, np.zeros(1), row)[0] == 1e-300
+    assert predict_proba(-5000.0, np.zeros(1), row)[0] == 1.0 - 1e-16
 
 
 def test_predict_proba_logistic_symmetry():
@@ -60,9 +62,9 @@ def test_predict_proba_logistic_symmetry():
     for _ in range(50):
         b0 = rng.normal(scale=3)
         b = rng.normal(scale=2, size=4)
-        x = rng.normal(scale=3, size=4)
-        total = predict_proba(b0, b, x) + predict_proba(-b0, -b, x)
-        assert total == pytest.approx(1.0, abs=1e-12)
+        X = rng.normal(scale=3, size=(3, 4))
+        total = predict_proba(b0, b, X) + predict_proba(-b0, -b, X)
+        assert np.allclose(total, 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_predict_proba_matrix_form():
@@ -176,10 +178,10 @@ def test_destandardize_hand_case_and_probability_equivalence():
     st = Standardizer(means=np.array([5.0]), stds=np.array([2.0]))
     i, c = destandardize(0.0, np.array([1.0]), st)
     assert i == pytest.approx(-2.5) and c[0] == pytest.approx(0.5)
-    for x in (np.array([1.0]), np.array([5.0]), np.array([-3.2])):
-        p_std = predict_proba(0.0, np.array([1.0]), st.transform(x))
-        p_orig = predict_proba(i, c, x)
-        assert abs(p_std - p_orig) < 1e-12
+    X = np.array([[1.0], [5.0], [-3.2]])
+    p_std = predict_proba(0.0, np.array([1.0]), st.transform(X))
+    p_orig = predict_proba(i, c, X)
+    assert np.max(np.abs(p_std - p_orig)) < 1e-12
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -238,7 +240,7 @@ def test_class_weights_single_class():
 def test_mle_intercept_only_matches_base_rate():
     y = np.array([1, 0, 0, 0, 1, 0, 0, 0, 0, 0], dtype=float)
     fit = fit_mle(LogitProblem(features=np.empty((10, 0)), targets=y))
-    p = predict_proba(fit.intercept_std, fit.coefs_std, np.empty(0))
+    (p,) = predict_proba(fit.intercept_std, fit.coefs_std, np.empty((1, 0)))
     assert p == pytest.approx(0.2, abs=1e-9)
     assert fit.intercept_std == pytest.approx(np.log(0.8 / 0.2), abs=1e-8)
 
@@ -345,7 +347,7 @@ def test_fit_objective_matches_reference_likelihood():
     )
 
 
-def test_l1_monotone_descent_without_polish():
+def test_l1_monotone_descent_without_polish(monkeypatch):
     # trace the objective across iteration caps on a small unweighted problem
     rng = np.random.default_rng(31)
     raw = random_problem(rng, 50, 3)
@@ -355,7 +357,8 @@ def test_l1_monotone_descent_without_polish():
 
     values = []
     for cap in range(1, 60):
-        fit = fit_l1(prob, lam, st, max_iter=cap)
+        monkeypatch.setattr(logit, "MAX_ITER_L1", cap)
+        fit = fit_l1(prob, lam, st)
         values.append(
             weighted_nll(prob, fit.intercept_std, fit.coefs_std)
             + lam * np.abs(fit.coefs_std[prob.penalty_mask]).sum()
@@ -363,14 +366,15 @@ def test_l1_monotone_descent_without_polish():
     assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
 
 
-def test_l1_monotone_descent_with_polish():
+def test_l1_monotone_descent_with_polish(monkeypatch):
     rng = np.random.default_rng(37)
     raw = random_problem(rng, 60, 4)
     st = Standardizer.fit(raw.features)
     prob, lam = LogitProblem(features=st.transform(raw.features), targets=raw.targets), 0.7
     values = []
     for cap in range(1, 60):
-        fit = fit_l1(prob, lam, st, max_iter=cap)
+        monkeypatch.setattr(logit, "MAX_ITER_L1", cap)
+        fit = fit_l1(prob, lam, st)
         values.append(
             weighted_nll(prob, fit.intercept_std, fit.coefs_std)
             + lam * np.abs(fit.coefs_std[prob.penalty_mask]).sum()
@@ -437,7 +441,11 @@ def test_l1_objective_never_rises_with_more_iterations(seed, n, p, rho, weighted
     # steep, nearly separable problems: about one in six has a full Newton
     # step that raises J, so the line search must act
     prob = overlapping_problem(seed, n, p, rho, weighted, 0.3, flip_weight=flip)
-    values = [fit_l1(prob, lam, max_iter=cap).objective_value for cap in range(25)]
+    values = []
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis reruns the body: no fixture
+        for cap in range(25):
+            mp.setattr(logit, "MAX_ITER_L1", cap)
+            values.append(fit_l1(prob, lam).objective_value)
     assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
     final = fit_l1(prob, lam)
     assert final.objective_value <= values[-1] + 1e-12 * max(1.0, abs(values[-1]))
@@ -481,14 +489,15 @@ def test_weighted_nll_matches_the_solver_objective_on_a_steep_fit():
     assert abs(fit.objective_value - reference) <= 1e-9
 
 
-def test_fits_count_their_evaluations():
+def test_fits_count_their_evaluations(monkeypatch):
     rng = np.random.default_rng(47)
     prob = random_problem(rng, 60, 3)
     l1, mle = fit_l1(prob, 0.5), fit_mle(prob)
     # every iteration accepts one evaluation; the cold start adds one more
     assert l1.evaluations >= l1.iterations + 1
     assert mle.evaluations >= mle.iterations + 1
-    assert fit_l1(prob, 0.5, max_iter=0).evaluations == 1
+    monkeypatch.setattr(logit, "MAX_ITER_L1", 0)
+    assert fit_l1(prob, 0.5).evaluations == 1
 
 
 def test_fit_l1_rejects_a_negative_lambda():

@@ -21,7 +21,6 @@ from termspread.logit import ClassWeights, predict_proba
 from termspread.models import (
     CONVENTIONAL_PAIR,
     FittedModel,
-    ModelKind,
     ModelSpec,
     _aligned_columns,
     fit_spec,
@@ -53,29 +52,23 @@ def tiny_dataset(values: dict[str, list[float]]) -> AlignedDataset:
 # --- specs and design columns -----------------------------------------------------
 
 def test_conventional_kinds_pin_the_pair():
-    spec = ModelSpec(kind=ModelKind.SIMPLE_CONVENTIONAL)
-    assert spec.pair == CONVENTIONAL_PAIR
+    assert CONVENTIONAL_PAIR == ("10y", "3m")
+    spec = ModelSpec(CONVENTIONAL_PAIR, simple=True)
     assert spec.yield_feature_names == ("10y-3m",)
-    gen = ModelSpec(kind=ModelKind.GENERALIZED_CONVENTIONAL)
+    gen = ModelSpec(CONVENTIONAL_PAIR, simple=False)
     assert gen.yield_feature_names == ("10y", "3m")
-
-
-def test_ml_kinds_require_pair():
-    with pytest.raises(ValueError):
-        ModelSpec(kind=ModelKind.SIMPLE_ML)
-    spec = ModelSpec(kind=ModelKind.GENERALIZED_ML, ml_pair=("7y", "3m"))
-    assert spec.yield_feature_names == ("7y", "3m")
+    assert ModelSpec(("7y", "3m"), simple=False).yield_feature_names == ("7y", "3m")
 
 
 def test_build_features_simple_difference():
     ds = tiny_dataset({"3m": [4.5, 4.0], "10y": [6.0, 5.0]})
-    m = _aligned_columns(ds, ModelSpec(kind=ModelKind.SIMPLE_CONVENTIONAL))
+    m = _aligned_columns(ds, ModelSpec(CONVENTIONAL_PAIR, simple=True))
     assert m.tolist() == [[1.5], [1.0]]
 
 
 def test_build_features_generalized_projection():
     ds = tiny_dataset({"3m": [4.1, 4.0], "5y": [4.9, 4.8], "7y": [5.2, 5.0]})
-    spec = ModelSpec(kind=ModelKind.GENERALIZED_ML, ml_pair=("7y", "3m"))
+    spec = ModelSpec(("7y", "3m"), simple=False)
     m = _aligned_columns(ds, spec)
     assert m.tolist() == [[5.2, 4.1], [5.0, 4.0]]
 
@@ -83,7 +76,7 @@ def test_build_features_generalized_projection():
 def test_build_features_appends_penalty_exempt_control():
     # the control comes last whatever the dataset's column order
     ds = tiny_dataset({"lead_idx": [1.25, -0.5], "3m": [4.5, 4.6], "10y": [6.0, 5.9]})
-    spec = ModelSpec(kind=ModelKind.SIMPLE_CONVENTIONAL, controls=("lead_idx",))
+    spec = ModelSpec(CONVENTIONAL_PAIR, simple=True, controls=("lead_idx",))
     m = _aligned_columns(ds, spec)
     assert m.shape == (2, 2)
     assert m[:, 1].tolist() == [1.25, -0.5]
@@ -92,8 +85,8 @@ def test_build_features_appends_penalty_exempt_control():
 def test_build_features_missing_series():
     ds = tiny_dataset({"10y": [6.0, 5.0]})
     with pytest.raises(MissingSeries, match="3m"):
-        _aligned_columns(ds, ModelSpec(kind=ModelKind.SIMPLE_CONVENTIONAL))
-    spec = ModelSpec(kind=ModelKind.SIMPLE_CONVENTIONAL, controls=("lead_idx",))
+        _aligned_columns(ds, ModelSpec(CONVENTIONAL_PAIR, simple=True))
+    spec = ModelSpec(CONVENTIONAL_PAIR, simple=True, controls=("lead_idx",))
     with pytest.raises(MissingSeries, match="lead_idx"):
         _aligned_columns(tiny_dataset({"10y": [6.0, 5.0], "3m": [4.5, 4.0]}), spec)
 
@@ -107,8 +100,10 @@ def ds12(market, split95) -> AlignedDataset:
 
 
 def test_simple_ml_with_conventional_pair_collapses_to_benchmark(ds12):
-    ml = fit_spec(ds12, ModelSpec(kind=ModelKind.SIMPLE_ML, ml_pair=CONVENTIONAL_PAIR))
-    conv = fit_spec(ds12, ModelSpec(kind=ModelKind.SIMPLE_CONVENTIONAL))
+    # a selected (10y, 3m) pair makes panel B's spec equal to panel D's
+    ml = fit_spec(ds12, ModelSpec(("10y", "3m"), simple=True))
+    conv = fit_spec(ds12, ModelSpec(CONVENTIONAL_PAIR, simple=True))
+    assert ml.spec == conv.spec
     assert ml.fit.intercept_orig == conv.fit.intercept_orig
     assert np.array_equal(ml.fit.coefs_orig, conv.fit.coefs_orig)
 
@@ -127,7 +122,7 @@ def test_weighting_identity_on_balanced_targets(market, split95):
     assert train_targets.mean() == 0.5
     weights = ClassWeights.from_targets(train_targets).per_row(train_targets)
     assert np.all(weights == 1.0)
-    spec = ModelSpec(kind=ModelKind.GENERALIZED_CONVENTIONAL)
+    spec = ModelSpec(CONVENTIONAL_PAIR, simple=False)
     on = fit_spec(ds, spec, weights=weights)
     off = fit_spec(ds, spec)
     assert on.fit.intercept_std == off.fit.intercept_std
@@ -143,17 +138,17 @@ def test_nesting_generalized_at_least_simple(ds12):
         y = train.targets
         return float(np.mean(y * np.log(probs) + (1 - y) * np.log1p(-probs)))
 
-    gen_c = fit_spec(ds12, ModelSpec(kind=ModelKind.GENERALIZED_CONVENTIONAL))
-    sim_c = fit_spec(ds12, ModelSpec(kind=ModelKind.SIMPLE_CONVENTIONAL))
+    gen_c = fit_spec(ds12, ModelSpec(CONVENTIONAL_PAIR, simple=False))
+    sim_c = fit_spec(ds12, ModelSpec(CONVENTIONAL_PAIR, simple=True))
     assert train_avg_ll(gen_c) >= train_avg_ll(sim_c) - 1e-8
     pair = ("7y", "3m")
-    gen_m = fit_spec(ds12, ModelSpec(kind=ModelKind.GENERALIZED_ML, ml_pair=pair))
-    sim_m = fit_spec(ds12, ModelSpec(kind=ModelKind.SIMPLE_ML, ml_pair=pair))
+    gen_m = fit_spec(ds12, ModelSpec(pair, simple=False))
+    sim_m = fit_spec(ds12, ModelSpec(pair, simple=True))
     assert train_avg_ll(gen_m) >= train_avg_ll(sim_m) - 1e-8
 
 
 def test_sign_pattern_on_informative_market(ds12):
-    gen = fit_spec(ds12, ModelSpec(kind=ModelKind.GENERALIZED_CONVENTIONAL))
+    gen = fit_spec(ds12, ModelSpec(CONVENTIONAL_PAIR, simple=False))
     long_coef, short_coef = gen.display_coefficients
     assert long_coef > 0 > short_coef
 
@@ -180,7 +175,7 @@ def test_translation_property_bitwise():
             sample_end=Month(2000, 1) + (n + 1),
         )
         ds = align_dataset(panel, recs, 1, split, ("10y", "3m"))
-        model = fit_spec(ds, ModelSpec(kind=ModelKind.SIMPLE_CONVENTIONAL))
+        model = fit_spec(ds, ModelSpec(CONVENTIONAL_PAIR, simple=True))
         fc = forecast_series(model, ds)
         return ds, model, fc
 
@@ -197,13 +192,12 @@ def test_translation_property_bitwise():
 # --- forecasting -----------------------------------------------------------------
 
 def test_forecast_flat_curve_gives_half():
-    spec = ModelSpec(kind=ModelKind.GENERALIZED_CONVENTIONAL)
-    x = np.array([5.0, 5.0])
-    assert predict_proba(0.0, np.array([1.0, -1.0]), x) == 0.5
+    x = np.array([[5.0, 5.0]])
+    assert predict_proba(0.0, np.array([1.0, -1.0]), x).tolist() == [0.5]
 
 
 def test_forecast_probability_decreasing_in_spread(ds12):
-    model = fit_spec(ds12, ModelSpec(kind=ModelKind.SIMPLE_CONVENTIONAL))
+    model = fit_spec(ds12, ModelSpec(CONVENTIONAL_PAIR, simple=True))
     fc = forecast_series(model, ds12)
     order = np.argsort(fc.spread)
     probs_by_spread = fc.probabilities[order]
@@ -211,7 +205,7 @@ def test_forecast_probability_decreasing_in_spread(ds12):
 
 
 def test_forecast_covers_all_rows_with_split(ds12):
-    model = fit_spec(ds12, ModelSpec(kind=ModelKind.SIMPLE_CONVENTIONAL))
+    model = fit_spec(ds12, ModelSpec(CONVENTIONAL_PAIR, simple=True))
     fc = forecast_series(model, ds12)
     # one value per dataset row; the dates and the split stay the dataset's
     assert [f.name for f in dataclasses.fields(fc)] == ["spread", "probabilities"]
@@ -228,5 +222,5 @@ def test_selection_model_reduction_preserves_probabilities(ds12):
     # the dropped exact zeros cannot change the linear combination
     full_spread = sel.fit.intercept_orig + ds12.features @ sel.fit.coefs_orig
     assert np.max(np.abs(fc.spread - full_spread)) < 1e-12
-    assert model.spec.kind is ModelKind.GENERALIZED_ML
+    assert model.spec.pair == sel.pair and not model.spec.simple
     assert model.display_coefficients[0] > 0 > model.display_coefficients[1]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import replace
 
@@ -101,7 +100,7 @@ def test_sweep_deterministic():
 
 def test_sweep_not_converged_names_lambda_k_iterations_and_kkt(monkeypatch):
     X, y = make_instance(seed=3)
-    monkeypatch.setattr(selection, "fit_l1", functools.partial(logit.fit_l1, max_iter=2))
+    monkeypatch.setattr(logit, "MAX_ITER_L1", 2)
     with pytest.raises(NotConverged) as info:
         sweep_path(X, y, NAMES)
     msg = str(info.value)
@@ -300,6 +299,6 @@ def test_bisection_not_converged_names_fractional_k(monkeypatch):
     X = rng.normal(size=(150, 3)) + 4.0
     y = logistic_draw(rng, X, np.array([0.7, -0.65, 0.6]))
     path = sweep_path(X, y, feature_names=["10y", "3m", "5y"])
-    monkeypatch.setattr(selection, "fit_l1", functools.partial(logit.fit_l1, max_iter=0))
+    monkeypatch.setattr(logit, "MAX_ITER_L1", 0)
     with pytest.raises(NotConverged, match=r"\(k=-?\d+\.5\) after 0 iterations"):
         select_pair(path)
