@@ -5,14 +5,14 @@
 Exit codes: 0 success, otherwise the failing error's ``exit_code``: 1 for a
 configuration or input-data error, 2 for a computation error (solver,
 selection or scoring failure) or an output directory or file that cannot be
-written. The output directory is made before the computation starts, and a
-directory made for a run that then fails is removed again.
+written. The output directory is made before the computation starts, and
+every directory made for a run that then fails is removed again.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import shutil
 import sys
 from typing import Sequence
 
@@ -49,8 +49,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             result = run_experiment(config)
         except BaseException:
-            if made:
-                os.rmdir(out_dir)
+            if made is not None:
+                shutil.rmtree(made)
             raise
         written = emit_all(result, out_dir, fmt=args.format)
     except TermSpreadError as exc:

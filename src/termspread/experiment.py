@@ -13,9 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import astuple, dataclass, fields
+from dataclasses import MISSING, astuple, dataclass, fields
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -133,49 +133,35 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, raw: Mapping) -> "ExperimentConfig":
+        """The config from a JSON object whose keys are the fields, those
+        without a default required, plus an optional ``target_nonzero``."""
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        known = {
-            "yield_files", "recession_file", "maturities", "split", "horizons",
-            "weighting", "forced_controls", "target_nonzero", "output_dir",
-        }
-        unknown = set(raw) - known
+        values = dict(raw)
+        # accepted for the README's config, but the panels need a pair
+        target = values.pop("target_nonzero", TARGET_NONZERO)
+        unknown = set(values) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"yield_files", "recession_file", "maturities", "split"} - set(raw)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(values)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
-        # accepted for the README's config, but the panels need a pair
-        target = raw.get("target_nonzero", TARGET_NONZERO)
         if type(target) is not int or target != TARGET_NONZERO:
             raise ConfigError(
                 "panel construction needs a two-maturity selection: "
                 f"target_nonzero must be {TARGET_NONZERO}, got {target!r}"
             )
-        split_raw = raw["split"]
+        split_raw = values["split"]
         if not isinstance(split_raw, dict):
             raise ConfigError("split must be an object")
-        split_keys = {"train_end", "sample_start", "sample_end"}
-        if set(split_raw) != split_keys:
+        split_keys = [f.name for f in fields(SplitConfig)]
+        if set(split_raw) != set(split_keys):
             raise ConfigError(f"split must have exactly the keys {sorted(split_keys)}")
         try:
-            split = SplitConfig(
-                train_end=Month.parse(split_raw["train_end"]),
-                sample_start=Month.parse(split_raw["sample_start"]),
-                sample_end=Month.parse(split_raw["sample_end"]),
-            )
+            values["split"] = SplitConfig(**{k: Month.parse(split_raw[k]) for k in split_keys})
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        return cls(
-            yield_files=raw["yield_files"],
-            recession_file=raw["recession_file"],
-            maturities=raw["maturities"],
-            split=split,
-            horizons=raw.get("horizons", DEFAULT_HORIZONS),
-            weighting=raw.get("weighting", False),
-            forced_controls=raw.get("forced_controls", ()),
-            output_dir=raw.get("output_dir", "out"),
-        )
+        return cls(**values)
 
 
 def _string_tuple(name: str, value: object) -> tuple[str, ...]:
@@ -318,188 +304,108 @@ def _fmt_g(v: float) -> str:
     return f"{v:.10g}"
 
 
-def make_output_dir(out_dir: str) -> bool:
-    """Make ``out_dir`` and its parents unless it is a directory already;
-    True when this call made it. A path that cannot be made is an IoError."""
+def make_output_dir(out_dir: str) -> str | None:
+    """Make ``out_dir`` and its missing parents, unless it is a directory
+    already. Returns the outermost directory this call made, or None. A
+    path that cannot be made is an IoError."""
     if os.path.isdir(out_dir):
-        return False
+        return None
+    top, parent = out_dir, os.path.dirname(out_dir)
+    while parent and not os.path.isdir(parent):
+        top, parent = parent, os.path.dirname(parent)
     try:
         os.makedirs(out_dir)
     except OSError as exc:
         reason = exc.strerror or exc
         raise IoError(f"cannot create output directory {out_dir!r}: {reason}") from None
-    return True
+    return top
 
 
-def _write_rows(
-    path: str, rows: Iterable[Sequence[str]], preamble: str = "", fmt: str = "csv"
-) -> str:
-    """Write ``preamble`` verbatim, then the rows: a header row, then data.
-
-    ``fmt`` is "csv" or "markdown" (a pipe table). Returns the path; any
-    OSError becomes IoError naming the file.
-    """
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(preamble)
-            if fmt == "csv":
-                csv.writer(fh, lineterminator="\n").writerows(rows)
-            else:
-                rows = iter(rows)
-                header = next(rows)
-                fh.write("| " + " | ".join(header) + " |\n")
-                fh.write("|" + "|".join("---" for _ in header) + "|\n")
-                for row in rows:
-                    fh.write("| " + " | ".join(row) + " |\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from None
-    return path
+def _panel_rows(result: ExperimentResult, letter: str) -> Iterator[list[str]]:
+    """One table panel: a header, then one row per horizon; 3 decimals."""
+    controls, with_lambda = result.config.forced_controls, letter == "A"
+    yield ["horizon", "pair", "beta", *(f"beta_{name}" for name in controls),
+           *(["lambda"] if with_lambda else []),
+           "auc_train", "auc_test", "log_l", "log_ppl", "ebf"]
+    for h, art in result.artifacts.items():
+        model, report = art.models[letter], art.reports[letter]
+        numbers = [*(model.control_coefs[name] for name in controls),
+                   *([art.selection.lambda_selected] if with_lambda else []),
+                   report.auc_train, report.auc_test, report.log_l_train,
+                   report.log_ppl_test, report.ebf]
+        yield [str(h), "({}, {})".format(*model.spec.pair),
+               "({:.3f}, {:.3f})".format(*model.display_coefficients), *map(_fmt3, numbers)]
 
 
-def _table_header(controls: Sequence[str], with_lambda: bool) -> list[str]:
-    head = ["horizon", "pair", "beta"]
-    head += [f"beta_{name}" for name in controls]
-    if with_lambda:
-        head.append("lambda")
-    head += ["auc_train", "auc_test", "log_l", "log_ppl", "ebf"]
-    return head
+def _outputs(result: ExperimentResult, ext: str) -> Iterator[tuple[str, str, Iterator[list[str]]]]:
+    """Every output file in order as (name, preamble, rows), the first row
+    the header. The rows are generated as the file is written."""
+    for letter in PANELS:
+        yield f"panel_{letter}.{ext}", "", _panel_rows(result, letter)
+    # every EvalReport by horizon, then panel, one column per metric
+    yield "eval_reports.csv", "", chain(
+        [["horizon", "kind", *(f.name for f in fields(EvalReport))]],
+        ([str(h), kind, *map(_fmt3, astuple(art.reports[letter]))]
+         for h, art in result.artifacts.items() for letter, kind in PANELS.items()),
+    )
+    for h, art in result.artifacts.items():
+        # the original-scale path: lambda, then one column per maturity
+        path, ds = art.path, art.dataset
+        keep = np.flatnonzero(path.problem.penalty_mask)
+        yield f"coefficient_path_h{h}.csv", "", chain(
+            [["lambda", *(path.feature_names[j] for j in keep)]],
+            ([_fmt_g(lam), *map(_fmt_g, coefs)]
+             for lam, coefs in zip(path.lambdas, path.coef_matrix[:, keep])),
+        )
+        # panel A's spread and probability per row; is_recession flags the
+        # row's own date (for shading), is_test the rows past the split
+        forecast = art.forecasts["A"]
+        is_test = np.arange(ds.n_rows) >= ds.split_index
+        yield f"spread_series_h{h}.csv", "", chain(
+            [["date", "spread", "probability", "is_recession", "is_test"]],
+            ([str(date), _fmt_g(spread), _fmt_g(prob),
+              str(int(result.recessions.at(date))), str(int(test))]
+             for date, spread, prob, test in zip(
+                 ds.predictor_dates, forecast.spread, forecast.probabilities, is_test)),
+        )
+        # test-period ROC points, the AUC on a metadata line
+        for letter in PANELS:
+            points = roc_curve(ds.targets[ds.split_index:],
+                               art.forecasts[letter].probabilities[ds.split_index:])
+            yield (
+                f"roc_h{h}_{letter}.csv",
+                f"# horizon={h} panel={letter} auc={art.reports[letter].auc_test:.6f}\n",
+                chain([["fpr", "tpr"]], ([_fmt_g(fpr), _fmt_g(tpr)] for fpr, tpr in points)),
+            )
 
 
-def _table_cells(art: HorizonArtifacts, letter: str, controls: Sequence[str]) -> list[str]:
-    """One panel row after its horizon cell."""
-    model, report = art.models[letter], art.reports[letter]
-    long, short = model.spec.pair
-    b_long, b_short = model.display_coefficients
-    cells = [f"({long}, {short})"]
-    cells.append(f"({b_long:.3f}, {b_short:.3f})")
-    cells += [_fmt3(model.control_coefs[name]) for name in controls]
-    if letter == "A":
-        cells.append(_fmt3(art.selection.lambda_selected))
-    cells += [
-        _fmt3(report.auc_train),
-        _fmt3(report.auc_test),
-        _fmt3(report.log_l_train),
-        _fmt3(report.log_ppl_test),
-        _fmt3(report.ebf),
-    ]
-    return cells
+def emit_all(result: ExperimentResult, out_dir: str, fmt: str = "csv") -> list[str]:
+    """Write the four panels (``fmt`` "csv" or "markdown", a pipe table),
+    eval_reports.csv, and per horizon the coefficient path, the spread
+    series and the four ROC curves; returns the written paths in that order.
 
-
-def emit_tables(result: ExperimentResult, fmt: str, out_dir: str) -> list[str]:
-    """Write one table file per panel, one row per horizon; 3 decimals.
-
-    Returns the written paths. The format and the horizons are checked
-    before the filesystem is touched, so a bad call leaves no file behind.
+    The format and the horizons are checked before the filesystem is
+    touched, so a bad call leaves no file behind. Any OSError becomes an
+    IoError naming the file.
     """
     if fmt not in ("csv", "markdown"):
         raise ConfigError(f"unknown table format: {fmt!r}")
     if not result.artifacts:
         raise IoError("the result holds no horizons; refusing to write empty panels")
     make_output_dir(out_dir)
-    controls = result.config.forced_controls
-    ext = "csv" if fmt == "csv" else "md"
-    return [
-        _write_rows(
-            os.path.join(out_dir, f"panel_{letter}.{ext}"),
-            [_table_header(controls, letter == "A")]
-            + [[str(h)] + _table_cells(art, letter, controls)
-               for h, art in result.artifacts.items()],
-            fmt=fmt,
-        )
-        for letter in PANELS
-    ]
-
-
-def emit_coefficient_path(path_obj: CoefficientPath, out_path: str) -> str:
-    """CSV of the original-scale coefficient path: lambda, one column per maturity."""
-    names = path_obj.feature_names
-    keep = [j for j, n in enumerate(names) if path_obj.problem.penalty_mask[j]]
-    header = ["lambda"] + [names[j] for j in keep]
-    rows = (
-        [_fmt_g(lam)] + [_fmt_g(coefs[j]) for j in keep]
-        for lam, coefs in zip(path_obj.lambdas, path_obj.coef_matrix)
-    )
-    return _write_rows(out_path, chain([header], rows))
-
-
-def emit_spread_series(
-    forecast: ForecastSeries,
-    dataset: AlignedDataset,
-    recessions: RecessionSeries,
-    out_path: str,
-) -> str:
-    """CSV of date, spread, probability, is_recession, is_test per dataset row.
-
-    ``is_recession`` flags the recession indicator at the row's own date
-    (for shading); ``is_test`` marks rows past the dataset's train/test
-    split, which sits ``horizon`` months before the target-date split.
-    """
-    header = ["date", "spread", "probability", "is_recession", "is_test"]
-    rows = (
-        [
-            str(date),
-            _fmt_g(forecast.spread[i]),
-            _fmt_g(forecast.probabilities[i]),
-            str(int(recessions.at(date))),
-            str(int(i >= dataset.split_index)),
-        ]
-        for i, date in enumerate(dataset.predictor_dates)
-    )
-    return _write_rows(out_path, chain([header], rows))
-
-
-def emit_roc(
-    targets: np.ndarray,
-    scores: np.ndarray,
-    area: float,
-    out_path: str,
-    label: str = "",
-) -> str:
-    """CSV of (fpr, tpr) pairs with ``area``, their AUC, on a leading metadata line."""
-    points = roc_curve(targets, scores)
-    preamble = f"# {label + ' ' if label else ''}auc={area:.6f}\n"
-    rows = [["fpr", "tpr"]] + [[_fmt_g(fpr), _fmt_g(tpr)] for fpr, tpr in points]
-    return _write_rows(out_path, rows, preamble=preamble)
-
-
-def emit_eval_reports(artifacts: Mapping[int, HorizonArtifacts], out_path: str) -> str:
-    """CSV of every EvalReport by horizon, then panel: one column per metric
-    (includes RM and the model-averaging weight)."""
-    rows = [["horizon", "kind"] + [f.name for f in fields(EvalReport)]]
-    rows += [
-        [str(h), kind] + [_fmt3(v) for v in astuple(art.reports[letter])]
-        for h, art in artifacts.items()
-        for letter, kind in PANELS.items()
-    ]
-    return _write_rows(out_path, rows)
-
-
-def emit_all(result: ExperimentResult, out_dir: str, fmt: str = "csv") -> list[str]:
-    """Write tables, eval reports, and plot data for a finished run."""
-    def out(name: str) -> str:
-        return os.path.join(out_dir, name)
-
-    written = emit_tables(result, fmt, out_dir)
-    written.append(emit_eval_reports(result.artifacts, out("eval_reports.csv")))
-    for horizon, art in result.artifacts.items():
-        written.append(emit_coefficient_path(art.path, out(f"coefficient_path_h{horizon}.csv")))
-        written.append(
-            emit_spread_series(
-                art.forecasts["A"],
-                art.dataset,
-                result.recessions,
-                out(f"spread_series_h{horizon}.csv"),
-            )
-        )
-        split = art.dataset.split_index
-        for letter in PANELS:
-            written.append(
-                emit_roc(
-                    art.dataset.targets[split:],
-                    art.forecasts[letter].probabilities[split:],
-                    art.reports[letter].auc_test,
-                    out(f"roc_h{horizon}_{letter}.csv"),
-                    label=f"horizon={horizon} panel={letter}",
-                )
-            )
+    written = []
+    for name, preamble, rows in _outputs(result, "csv" if fmt == "csv" else "md"):
+        path = os.path.join(out_dir, name)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(preamble)
+                if name.endswith(".md"):
+                    header = next(rows)
+                    fh.write(f"| {' | '.join(header)} |\n" + "|---" * len(header) + "|\n")
+                    fh.writelines(f"| {' | '.join(row)} |\n" for row in rows)
+                else:
+                    csv.writer(fh, lineterminator="\n").writerows(rows)
+        except OSError as exc:
+            raise IoError(f"cannot write {path}: {exc}") from None
+        written.append(path)
     return written

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Separation, SingleClass, Singular
+from .errors import NotConverged, Separation, SingleClass, Singular
 
 PROB_FLOOR = 1e-300
 PROB_CEIL = 1.0 - 1e-16
@@ -521,8 +521,9 @@ def fit_l1(
 def fit_mle(problem: LogitProblem, standardizer: Standardizer | None = None) -> LogitFit:
     """Unpenalized MLE by Newton-Raphson with step halving.
 
-    Converged means the largest gradient entry is at most MLE_GRAD_TOL within
-    MAX_ITER_MLE iterations.
+    Every returned fit is certified: its largest gradient entry is at most
+    MLE_GRAD_TOL. Raises NotConverged, naming the iterations and that entry,
+    when MAX_ITER_MLE iterations or a stalled line search leave it above.
 
     Raises Separation when the iterates diverge (logistic MLE has no finite
     optimum under quasi-separation): either the coefficient norm passes 1e4
@@ -546,42 +547,39 @@ def fit_mle(problem: LogitProblem, standardizer: Standardizer | None = None) -> 
             raise Singular("Newton step is non-finite")
         nxt = objective.line_search(pt, everything, step, no_orthant)
         if nxt is None:
-            break  # cannot descend along the Newton direction; keep the current point
+            break  # cannot descend along the Newton direction
         pt = nxt
         iterations += 1
         if float(np.max(np.abs(pt.beta))) > SEPARATION_NORM:
             raise Separation(
                 "coefficient norm exceeded 1e4; data appears linearly separable"
             )
-    converged = pt.kkt <= MLE_GRAD_TOL
-    if converged and float(np.max(np.abs(problem.targets - pt.prob))) < 1e-8:
+    if pt.kkt > MLE_GRAD_TOL:
+        raise NotConverged(
+            f"MLE did not converge after {iterations} iterations; largest gradient "
+            f"entry {pt.kkt:.3g} > {MLE_GRAD_TOL:g}"
+        )
+    if float(np.max(np.abs(problem.targets - pt.prob))) < 1e-8:
         raise Separation(
             "fit saturated to a perfect classification; data appears linearly separable"
         )
-    return _make_fit(pt, objective, iterations, converged, standardizer)
+    return _make_fit(pt, objective, iterations, True, standardizer)
 
 
 def null_model_lambda_bound(problem: LogitProblem) -> float:
     """Smallest lambda at which every penalized coefficient can sit at zero.
 
-    The "null model" fits the intercept and any unpenalized features freely;
-    the KKT condition for a zero penalized coefficient there is
-    |g_j| <= lambda, so the bound is the largest penalized |g_j|.
+    The "null model" is the MLE of the intercept and any unpenalized
+    features (the intercept alone when every feature is penalized); the KKT
+    condition for a zero penalized coefficient there is |g_j| <= lambda, so
+    the bound is the largest penalized |g_j|.
     """
-    X, y, w, mask = problem.features, problem.targets, problem.weights, problem.penalty_mask
+    mask = problem.penalty_mask
     if not mask.any():
         return 0.0
-    if mask.all():
-        # intercept-only optimum: every fitted probability equals the
-        # weighted positive fraction
-        p_bar = float(np.sum(w * y) / np.sum(w))
-        if p_bar <= 0.0 or p_bar >= 1.0:
-            raise SingleClass("both classes required to bound lambda")
-        g = X.T @ (w * (y - p_bar))
-        return float(np.max(np.abs(g[mask])))
     free = np.flatnonzero(~mask)
-    base = fit_mle(LogitProblem(features=X[:, free], targets=y, weights=w))
-    full = np.zeros(problem.n_features)
-    full[free] = base.coefs_std
-    _, g = nll_gradient(problem, base.intercept_std, full)
+    base = fit_mle(LogitProblem(problem.features[:, free], problem.targets, problem.weights))
+    beta = np.zeros(problem.n_features + 1)
+    beta[0], beta[1 + free] = base.intercept_std, base.coefs_std
+    g = _FusedObjective(PathStart(problem), 0.0).at(beta).grad[1:]
     return float(np.max(np.abs(g[mask])))

@@ -23,3 +23,13 @@ def trapezoid_auc(points: np.ndarray) -> float:
     pts = np.asarray(points, dtype=float)
     x, y = pts[:, 0], pts[:, 1]
     return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
+
+
+def intercept_only_lambda_bound(
+    features: np.ndarray, targets: np.ndarray, weights: np.ndarray
+) -> float:
+    """The null-model lambda bound when every feature is penalized, in closed
+    form: the intercept-only MLE fits every row the weighted positive
+    fraction p, so the bound is max_j |sum_i x_ij w_i (y_i - p)|."""
+    p = float(np.sum(weights * targets) / np.sum(weights))
+    return float(np.max(np.abs(features.T @ (weights * (targets - p)))))

@@ -23,7 +23,6 @@ from termspread.experiment import (
     PANELS,
     ExperimentConfig,
     emit_all,
-    emit_tables,
     run_experiment,
 )
 from termspread.logit import ClassWeights
@@ -275,12 +274,16 @@ def test_forced_control_run(data_files):
 
 # --- emitters ----------------------------------------------------------------------
 
-def test_emit_tables_csv_layout(small_run, tmp_path):
+def test_emit_all_csv_panel_layout(small_run, tmp_path):
     out = tmp_path / "tables"
-    paths = emit_tables(small_run, "csv", str(out))
-    assert sorted(os.path.basename(p) for p in paths) == [
-        "panel_A.csv", "panel_B.csv", "panel_C.csv", "panel_D.csv",
-    ]
+    paths = emit_all(small_run, str(out))
+    # panels, the reports, then per horizon the path, the series and four ROCs
+    expected = ["panel_A.csv", "panel_B.csv", "panel_C.csv", "panel_D.csv", "eval_reports.csv"]
+    for h in (3, 12):
+        expected += [f"coefficient_path_h{h}.csv", f"spread_series_h{h}.csv"]
+        expected += [f"roc_h{h}_{letter}.csv" for letter in "ABCD"]
+    assert [os.path.basename(p) for p in paths] == expected
+    assert paths[0] == os.path.join(str(out), "panel_A.csv")
     with open(out / "panel_A.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == [
@@ -299,9 +302,12 @@ def test_emit_tables_csv_layout(small_run, tmp_path):
     assert d_rows[1][-1] == "1.000"
 
 
-def test_emit_tables_markdown(small_run, tmp_path):
+def test_emit_all_markdown_panels(small_run, tmp_path):
     out = tmp_path / "md"
-    paths = emit_tables(small_run, "markdown", str(out))
+    paths = emit_all(small_run, str(out), fmt="markdown")
+    assert [os.path.basename(p) for p in paths[:5]] == [
+        "panel_A.md", "panel_B.md", "panel_C.md", "panel_D.md", "eval_reports.csv",
+    ]
     text = open(os.path.join(str(out), "panel_A.md")).read()
     lines = text.splitlines()
     assert lines[0].startswith("| horizon | pair | beta |")
@@ -309,17 +315,19 @@ def test_emit_tables_markdown(small_run, tmp_path):
     assert lines[2].startswith("| 3 | (")
 
 
-def test_emit_tables_rejects_empty_panel(small_run, tmp_path):
+def test_emit_all_rejects_empty_result(small_run, tmp_path):
     broken = dataclasses.replace(small_run, artifacts={})
     out = tmp_path / "broken"
     with pytest.raises(IoError):
-        emit_tables(broken, "csv", str(out))
+        emit_all(broken, str(out))
     assert not out.exists()  # nothing partially written
 
 
-def test_emit_tables_rejects_unknown_format(small_run, tmp_path):
+def test_emit_all_rejects_unknown_format(small_run, tmp_path):
+    out = tmp_path / "html"
     with pytest.raises(ConfigError):
-        emit_tables(small_run, "html", str(tmp_path))
+        emit_all(small_run, str(out), fmt="html")
+    assert not out.exists()
 
 
 def test_emit_all_plot_data(small_run, tmp_path):
@@ -404,6 +412,17 @@ def test_cli_computation_error_exit_2(tmp_path, data_files, capsys, monkeypatch)
     assert "horizon=3" in err and "did not converge" in err and "1 iterations" in err
 
 
+def test_cli_unconverged_mle_exit_2(tmp_path, data_files, capsys, monkeypatch):
+    # one Newton step cannot certify the first MLE fit, the null model's
+    monkeypatch.setattr(logit, "MAX_ITER_MLE", 1)
+    cfg_path = write_config(tmp_path, data_files, horizons=[3])
+    assert cli_main(["run", "--config", cfg_path, "--out", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("computation failed: [horizon=3 ")
+    assert "MLE did not converge after 1 iterations; largest gradient entry" in err
+    assert not (tmp_path / "m").exists()
+
+
 def test_cli_single_survivor_target_rejected(tmp_path, data_files, capsys):
     cfg_path = write_config(tmp_path, data_files, horizons=[3], target_nonzero=1)
     assert cli_main(["run", "--config", cfg_path, "--out", str(tmp_path / "z")]) == 1
@@ -463,6 +482,22 @@ def test_cli_unreadable_input_exit_1(tmp_path, data_files, capsys, key, kind):
     assert err.startswith(f"error: {bad}: cannot read input file: ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("existing", ["", "kept"])
+def test_cli_failed_run_removes_every_directory_it_made(
+    tmp_path, data_files, capsys, monkeypatch, existing
+):
+    monkeypatch.chdir(tmp_path)
+    if existing:
+        os.mkdir(existing)
+    out = os.path.join(existing, "nest", "a", "b")
+    cfg_path = write_config(tmp_path, data_files, recession_file=str(tmp_path / "absent.csv"))
+    assert cli_main(["run", "--config", cfg_path, "--out", out]) == 1
+    assert "cannot read input file" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == sorted({"config.json", existing} - {""})
+    if existing:
+        assert os.listdir(existing) == []
 
 
 @pytest.mark.parametrize("kind", ["existing-file", "below-a-file", "empty"])

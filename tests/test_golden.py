@@ -3,14 +3,15 @@
 Both runs are ``termspread run`` on ``conftest.make_market()`` (seed 42)
 with the README split and all eight horizons: one plain, one with class
 weights and the penalty-exempt ``lead_idx`` control. The snapshot holds all
-53 output files of each run. Numbers are compared after parsing, never as
-bytes: each line is split into its numeric tokens and the text between
-them. The text must match exactly (so file names, headers, pairs and labels
-do), as must the row counts, and each number must match to 1e-6 relative.
-``coefficient_path_*`` and ``spread_series_*`` print solver iterates to 10
-digits; their cells may also pass within 1e-5 absolute (100 x the 1e-7 KKT
-tolerance), because a correct solver may stop at another point inside its
-certificate.
+53 output files of each run, with csv panels; the markdown panels of the
+plain run are checked against its csv panels cell by cell. Numbers are
+compared after parsing, never as bytes: each line is split into its
+numeric tokens and the text between them. The text must match exactly
+(so file names, headers, pairs and labels do), as must the row counts, and
+each number must match to 1e-6 relative. ``coefficient_path_*`` and
+``spread_series_*`` print solver iterates to 10 digits; their cells may
+also pass within 1e-5 absolute (100 x the 1e-7 KKT tolerance), because a
+correct solver may stop at another point inside its certificate.
 
 To rewrite the snapshot after a change of numbers that is intended and
 explained:
@@ -20,6 +21,7 @@ explained:
 
 from __future__ import annotations
 
+import csv
 import gzip
 import json
 import math
@@ -44,7 +46,9 @@ ITERATE_FILES = ("coefficient_path_", "spread_series_")
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-def run_outputs(data_files: dict[str, str], work_dir: str, run: str) -> dict[str, list[str]]:
+def run_outputs(
+    data_files: dict[str, str], work_dir: str, run: str, fmt: str = "csv"
+) -> dict[str, list[str]]:
     """Run the CLI once and return {file name: lines} of its output directory."""
     config = {
         "yield_files": [data_files["yields"]],
@@ -56,8 +60,8 @@ def run_outputs(data_files: dict[str, str], work_dir: str, run: str) -> dict[str
     cfg_path = os.path.join(work_dir, f"{run}.json")
     with open(cfg_path, "w", encoding="utf-8") as fh:
         json.dump(config, fh)
-    out_dir = os.path.join(work_dir, run)
-    assert cli_main(["run", "--config", cfg_path, "--out", out_dir]) == 0
+    out_dir = os.path.join(work_dir, f"{run}_{fmt}")
+    assert cli_main(["run", "--config", cfg_path, "--out", out_dir, "--format", fmt]) == 0
     files = {}
     for name in sorted(os.listdir(out_dir)):
         with open(os.path.join(out_dir, name), encoding="utf-8") as fh:
@@ -109,6 +113,21 @@ def test_run_matches_golden_snapshot(data_files, tmp_path, run):
     assert len(golden) == 53
     problems = compare(run_outputs(data_files, str(tmp_path), run), golden)
     assert not problems, "\n".join(problems[:10])
+
+
+def test_markdown_panels_hold_the_csv_cells(data_files, tmp_path):
+    as_csv = run_outputs(data_files, str(tmp_path), "plain")
+    as_md = run_outputs(data_files, str(tmp_path), "plain", fmt="markdown")
+    for letter in "ABCD":
+        header, *rows = csv.reader(as_csv[f"panel_{letter}.csv"])
+        md_header, rule, *md_rows = as_md[f"panel_{letter}.md"]
+        assert md_header == "| " + " | ".join(header) + " |"
+        assert rule == "|" + "---|" * len(header)
+        assert md_rows == ["| " + " | ".join(row) + " |" for row in rows]
+    # the other files do not depend on the panel format
+    assert {k: v for k, v in as_md.items() if not k.endswith(".md")} == {
+        k: v for k, v in as_csv.items() if not k.startswith("panel_")
+    }
 
 
 def test_golden_comparison_catches_changes():

@@ -23,6 +23,8 @@ from termspread.logit import (
     weighted_nll,
 )
 
+from reference import intercept_only_lambda_bound
+
 
 def random_problem(rng, n, p, weighted=False):
     X = rng.normal(size=(n, p))
@@ -290,6 +292,20 @@ def test_l1_null_model_at_high_lambda():
     p_bar = prob_raw.targets.mean()
     assert fit.intercept_std == pytest.approx(np.log((1 - p_bar) / p_bar), abs=1e-7)
     assert fit.converged and fit.kkt_residual <= 1e-7
+
+
+def test_null_model_bound_matches_intercept_only_closed_form():
+    rng = np.random.default_rng(29)
+    for weighted in (False, True):
+        for _ in range(5):
+            raw = random_problem(rng, 80, 4, weighted=weighted)
+            prob = LogitProblem(
+                features=Standardizer.fit(raw.features).transform(raw.features),
+                targets=raw.targets,
+                weights=raw.weights,
+            )
+            closed_form = intercept_only_lambda_bound(prob.features, prob.targets, prob.weights)
+            assert null_model_lambda_bound(prob) == pytest.approx(closed_form, rel=1e-12)
 
 
 def test_l1_at_zero_matches_mle():

@@ -1,0 +1,99 @@
+"""Reseed golden: the outcome of every full run on ``make_market(1..20)``.
+
+Each reseed runs all eight horizons with the README split twice: plain, and
+with class weights and the penalty-exempt ``lead_idx`` control. A run that
+fails records its error class and the horizon the error names. A run that
+completes records per horizon the selected pair, whether panel A's log PPL
+beats panel D's, whether A's EBF is at least sqrt(10), and whether every
+fit of the horizon (the path, the selection and the three MLE fits) is
+certified. The summary holds strings, counts and flags, no floats, so it
+pins outcomes rather than digits. Failing reseeds stay in the set.
+
+To rewrite the summary after a change of outcomes that is intended and
+explained:
+
+    PYTHONPATH=src python tests/test_reseeds.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import tempfile
+
+from termspread.errors import TermSpreadError
+from termspread.experiment import ExperimentConfig, run_experiment
+from termspread.logit import KKT_TOL
+
+from conftest import make_market, write_market
+from reference import exceeds_jeffreys
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "reseeds.json")
+SEEDS = range(1, 21)
+RUNS = {
+    "plain": {},
+    "weighted_lead": {"weighting": True, "forced_controls": ["lead_idx"]},
+}
+
+
+def outcome(data_files: dict[str, str], run: str) -> dict:
+    """The error class and horizon of one run, or its per-horizon summary."""
+    config = ExperimentConfig.from_mapping({
+        "yield_files": [data_files["yields"]],
+        "recession_file": data_files["recessions"],
+        "maturities": ["3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y"],
+        "split": {"sample_start": "1961-06", "train_end": "1995-12", "sample_end": "2020-07"},
+        **RUNS[run],
+    })
+    try:
+        result = run_experiment(config)
+    except TermSpreadError as exc:
+        horizon = re.match(r"\[horizon=(\d+)", str(exc))
+        return {"error": type(exc).__name__, "horizon": horizon and int(horizon.group(1))}
+    horizons = {}
+    for h, art in result.artifacts.items():
+        a, d = art.reports["A"], art.reports["D"]
+        fits = [*art.path.fits, art.selection.fit, *(m.fit for m in art.models.values())]
+        horizons[str(h)] = {
+            "pair": "-".join(art.selection.pair),
+            "a_beats_d": a.log_ppl_test > d.log_ppl_test,
+            "ebf_at_least_sqrt10": exceeds_jeffreys(a.ebf),
+            "certified": all(f.converged for f in fits)
+            and max(f.kkt_residual for f in art.path.fits) <= KKT_TOL,
+        }
+    return {"horizons": horizons}
+
+
+def summarize(work_dir: str) -> dict[str, dict]:
+    summary = {}
+    for seed in SEEDS:
+        seed_dir = os.path.join(work_dir, f"seed{seed}")
+        os.makedirs(seed_dir)
+        data_files = write_market(seed_dir, *make_market(seed))
+        for run in RUNS:
+            summary[f"{seed}/{run}"] = outcome(data_files, run)
+    return summary
+
+
+def test_reseeds_match_golden(tmp_path):
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert len(golden) == 2 * len(SEEDS)
+    got = summarize(str(tmp_path))
+    problems = [
+        f"{key}: {got.get(key)} differs from golden {want}"
+        for key, want in golden.items()
+        if got.get(key) != want
+    ]
+    assert not problems, "\n".join(problems)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work:
+        summary = summarize(work)
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    errors = sum("error" in s for s in summary.values())
+    print(f"{GOLDEN}: {len(summary)} runs, {len(summary) - errors} complete, {errors} failed")
