@@ -6,13 +6,14 @@ Exit codes: 0 success, otherwise the failing error's ``exit_code``: 1 for a
 configuration or input-data error, 2 for a computation error (solver,
 selection or scoring failure) or an output directory or file that cannot be
 written. The output directory is made before the computation starts, and
-every directory made for a run that then fails is removed again.
+each directory made for a run that then fails is removed again while it is
+empty, innermost first.
 """
 
 from __future__ import annotations
 
 import argparse
-import shutil
+import os
 import sys
 from typing import Sequence
 
@@ -49,8 +50,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             result = run_experiment(config)
         except BaseException:
-            if made is not None:
-                shutil.rmtree(made)
+            for path in made:  # innermost first; one that is not empty stays
+                try:
+                    os.rmdir(path)
+                except OSError:
+                    break
             raise
         written = emit_all(result, out_dir, fmt=args.format)
     except TermSpreadError as exc:

@@ -304,21 +304,24 @@ def _fmt_g(v: float) -> str:
     return f"{v:.10g}"
 
 
-def make_output_dir(out_dir: str) -> str | None:
+def make_output_dir(out_dir: str) -> list[str]:
     """Make ``out_dir`` and its missing parents, unless it is a directory
-    already. Returns the outermost directory this call made, or None. A
-    path that cannot be made is an IoError."""
+    already. Returns the directories this call made, innermost first. The
+    path is resolved first, so ``new/../x`` makes no ``new``. A path that
+    cannot be made is an IoError."""
     if os.path.isdir(out_dir):
-        return None
-    top, parent = out_dir, os.path.dirname(out_dir)
-    while parent and not os.path.isdir(parent):
-        top, parent = parent, os.path.dirname(parent)
+        return []
+    target = os.path.realpath(out_dir) if out_dir else out_dir
+    made, path = [], target
+    while path and not os.path.isdir(path):
+        made.append(path)
+        path = os.path.dirname(path)
     try:
-        os.makedirs(out_dir)
+        os.makedirs(target)
     except OSError as exc:
         reason = exc.strerror or exc
         raise IoError(f"cannot create output directory {out_dir!r}: {reason}") from None
-    return top
+    return made
 
 
 def _panel_rows(result: ExperimentResult, letter: str) -> Iterator[list[str]]:

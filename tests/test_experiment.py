@@ -500,6 +500,37 @@ def test_cli_failed_run_removes_every_directory_it_made(
         assert os.listdir(existing) == []
 
 
+def test_cli_failed_run_keeps_what_another_run_wrote_into_its_new_parent(
+    tmp_path, data_files, capsys, monkeypatch
+):
+    # this run makes "shared"; a second run writes "shared/a" before this one fails
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path, data_files, horizons=[3])
+
+    def other_run_finishes_then_this_one_fails(config):
+        os.mkdir(os.path.join("shared", "a"))
+        with open(os.path.join("shared", "a", "panel_A.csv"), "w", encoding="utf-8") as fh:
+            fh.write("horizon\n")
+        raise errors.Separation("[horizon=3] perfect separation")
+
+    monkeypatch.setattr(cli, "run_experiment", other_run_finishes_then_this_one_fails)
+    assert cli_main(["run", "--config", cfg_path, "--out", os.path.join("shared", "b")]) == 2
+    assert "perfect separation" in capsys.readouterr().err
+    assert os.listdir("shared") == ["a"]
+    assert os.listdir(os.path.join("shared", "a")) == ["panel_A.csv"]
+
+
+def test_cli_failed_run_resolves_dot_dot_in_out(tmp_path, data_files, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("x")
+    cfg_path = write_config(tmp_path, data_files, recession_file=str(tmp_path / "absent.csv"))
+    out = os.path.join("new", "..", "x", "y")
+    assert cli_main(["run", "--config", cfg_path, "--out", out]) == 1
+    assert "cannot read input file" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "x"]
+    assert os.listdir("x") == []
+
+
 @pytest.mark.parametrize("kind", ["existing-file", "below-a-file", "empty"])
 def test_cli_output_directory_that_cannot_be_made_exit_2(
     tmp_path, data_files, capsys, monkeypatch, kind
