@@ -135,10 +135,17 @@ class RecessionSeries:
             raise MalformedRow("recession indicator must be 0 or 1")
         object.__setattr__(self, "indicator", ind)
 
-    def at(self, month: Month) -> float:
-        if not self.dates or not (self.dates[0] <= month <= self.dates[-1]):
-            raise CoverageError(f"recession series does not cover {month}")
-        return float(self.indicator[month - self.dates[0]])
+    def span(self, first: Month, n: int) -> np.ndarray:
+        """The indicators of the ``n`` months from ``first`` on, as one slice.
+
+        Raises CoverageError naming the first of those months the series
+        does not cover.
+        """
+        i = first - self.dates[0] if self.dates else -1
+        if i < 0 or i + n > len(self.dates):
+            missing = first if i < 0 or i >= len(self.dates) else self.dates[-1] + 1
+            raise CoverageError(f"recession series does not cover {missing}")
+        return self.indicator[i : i + n]
 
 
 @dataclass(frozen=True)
@@ -369,7 +376,8 @@ def align_dataset(
     t + horizon <= sample_end; the train partition holds the rows whose
     target date is <= train_end (so its predictor dates end ``horizon``
     months earlier). Raises HorizonTooLong if no rows or an empty partition
-    remain.
+    remain, and CoverageError, naming the first target month it lacks, if
+    the recession series does not cover every target date.
     """
     if horizon_months < 1:
         raise ValueError("horizon_months must be >= 1")
@@ -381,20 +389,19 @@ def align_dataset(
             f"recession series ends {recessions.dates[-1]}, before sample_end {split.sample_end}"
         )
 
-    rows: list[int] = []
-    for i, t in enumerate(panel.dates):
-        target_date = t + horizon_months
-        if t >= split.sample_start and target_date <= split.sample_end:
-            rows.append(i)
-    if not rows:
+    # the panel's months are contiguous, so the usable rows are one range
+    first = panel.dates[0] if panel.dates else split.sample_start
+    lo = max(split.sample_start - first, 0)
+    hi = min(split.sample_end - first - horizon_months + 1, len(panel.dates))
+    if hi <= lo:
         raise HorizonTooLong(
             f"horizon of {horizon_months} months leaves no usable rows in the sample"
         )
 
-    dates = tuple(panel.dates[i] for i in rows)
-    features = np.column_stack([c[rows] for c in cols]) if cols else np.empty((len(rows), 0))
-    targets = np.array([recessions.at(t + horizon_months) for t in dates])
-    split_index = sum(1 for t in dates if t + horizon_months <= split.train_end)
+    dates = panel.dates[lo:hi]
+    features = np.column_stack([c[lo:hi] for c in cols]) if cols else np.empty((hi - lo, 0))
+    targets = recessions.span(dates[0] + horizon_months, len(dates))
+    split_index = min(max(split.train_end - dates[0] - horizon_months + 1, 0), len(dates))
     if not 0 < split_index < len(dates):
         raise HorizonTooLong(
             f"horizon of {horizon_months} months leaves an empty partition: "

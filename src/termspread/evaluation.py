@@ -90,8 +90,9 @@ def roc_curve(targets: np.ndarray, scores: np.ndarray) -> np.ndarray:
 
     Thresholds are the distinct score values in decreasing order (a point
     classifies score >= threshold as positive); tied scores share a single
-    threshold. The endpoints (0,0) and (1,1) are always included. Returns
-    an array of shape (m, 2) ordered along the curve.
+    threshold. The curve starts at (0,0) and ends at (1,1), where the lowest
+    threshold classifies every row positive. Returns an array of shape
+    (m, 2) ordered along the curve.
     """
     y = np.asarray(targets, dtype=float)
     s = np.asarray(scores, dtype=float)
@@ -107,14 +108,11 @@ def roc_curve(targets: np.ndarray, scores: np.ndarray) -> np.ndarray:
     tp = np.cumsum(y_sorted)
     fp = np.cumsum(1.0 - y_sorted)
     # last index of each tie group marks the threshold at that score
-    last_of_group = np.flatnonzero(np.diff(s_sorted) != 0.0)
-    idx = np.concatenate([last_of_group, [len(s_sorted) - 1]])
-    points = [(0.0, 0.0)]
-    for i in idx:
-        points.append((fp[i] / n_neg, tp[i] / n_pos))
-    if points[-1] != (1.0, 1.0):
-        points.append((1.0, 1.0))
-    return np.array(points)
+    idx = np.flatnonzero(np.append(np.diff(s_sorted) != 0.0, True))
+    points = np.zeros((len(idx) + 1, 2))
+    points[1:, 0] = fp[idx] / n_neg
+    points[1:, 1] = tp[idx] / n_pos
+    return points
 
 
 def auc(targets: np.ndarray, scores: np.ndarray) -> float:
@@ -129,16 +127,10 @@ def auc(targets: np.ndarray, scores: np.ndarray) -> float:
         raise LengthMismatch(f"targets {y.shape} vs scores {s.shape}")
     n_pos, n_neg = _check_two_classes(y)
 
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(len(s))
-    sorted_s = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    # each tie group of c scores ending at 1-based rank r shares the
+    # average rank r - (c - 1)/2
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[group]
     rank_sum_pos = float(np.sum(ranks[y == 1.0]))
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

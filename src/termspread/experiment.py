@@ -363,13 +363,14 @@ def _outputs(result: ExperimentResult, ext: str) -> Iterator[tuple[str, str, Ite
         # panel A's spread and probability per row; is_recession flags the
         # row's own date (for shading), is_test the rows past the split
         forecast = art.forecasts["A"]
+        is_recession = result.recessions.span(ds.predictor_dates[0], ds.n_rows)
         is_test = np.arange(ds.n_rows) >= ds.split_index
         yield f"spread_series_h{h}.csv", "", chain(
             [["date", "spread", "probability", "is_recession", "is_test"]],
-            ([str(date), _fmt_g(spread), _fmt_g(prob),
-              str(int(result.recessions.at(date))), str(int(test))]
-             for date, spread, prob, test in zip(
-                 ds.predictor_dates, forecast.spread, forecast.probabilities, is_test)),
+            ([str(date), _fmt_g(spread), _fmt_g(prob), str(int(rec)), str(int(test))]
+             for date, spread, prob, rec, test in zip(
+                 ds.predictor_dates, forecast.spread, forecast.probabilities,
+                 is_recession, is_test)),
         )
         # test-period ROC points, the AUC on a metadata line
         for letter in PANELS:

@@ -20,15 +20,20 @@ the active orthant and the certificate stored in ``LogitFit``;
 coefficients that cross zero are clipped to exactly zero, a clipped step
 that fails is retried at the first zero crossing before it halves, and a
 proximal-gradient step is taken only when the Newton step fails to
-descend. Every fit runs from a ``PathStart``, which builds [1 | X] once,
-starts at zero or at a given fit, and carries each optimum into the fit at
-the next lambda, re-priced without a new evaluation. ``fit_mle`` solves
-the unpenalized problem by Newton-Raphson with step halving on the same
-evaluation.
+descend. Every fit runs from a ``PathStart``, which builds [1 | X] and the
+other per-path constants once, starts at zero or at a given fit, and
+carries each optimum into the fit at the next lambda, re-priced without a
+new evaluation. Once it holds three certified optima with one sign pattern,
+it also extrapolates them quadratically in log lambda (Park & Hastie's
+predictor, 3 b1 - 3 b2 + b3 on the grid) and starts from that prediction
+when it keeps the sign pattern and lowers J below the carried point's.
+``fit_mle`` solves the unpenalized problem by Newton-Raphson with step
+halving on the same evaluation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -181,10 +186,13 @@ class LogitFit:
         object.__setattr__(self, "coefs_orig", np.asarray(self.coefs_orig, dtype=float))
 
 
-def _logistic(a: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """phi(a) from e = exp(-|a|), clamped to [1e-300, 1 - 1e-16]: 1/(1 + e)
-    where a >= 0 and e/(1 + e) elsewhere, so nothing overflows."""
-    return np.clip(np.where(a >= 0.0, 1.0, e) / (1.0 + e), PROB_FLOOR, PROB_CEIL)
+def _logistic(eta: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """phi(-eta) from e = exp(-|eta|), clamped to [1e-300, 1 - 1e-16]:
+    1/(1 + e) where eta <= 0 and e/(1 + e) elsewhere, so nothing overflows."""
+    p = np.where(eta <= 0.0, 1.0, e)
+    p /= 1.0 + e
+    np.maximum(p, PROB_FLOOR, out=p)
+    return np.minimum(p, PROB_CEIL, out=p)
 
 
 def predict_proba(intercept: float, coefs: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -194,8 +202,8 @@ def predict_proba(intercept: float, coefs: np.ndarray, X: np.ndarray) -> np.ndar
     Stable for arguments up to |700| and beyond: saturated values hit the
     clamp instead of overflowing.
     """
-    a = -(intercept + np.asarray(X, dtype=float) @ np.asarray(coefs, dtype=float))
-    return _logistic(a, np.exp(-np.abs(a)))
+    eta = intercept + np.asarray(X, dtype=float) @ np.asarray(coefs, dtype=float)
+    return _logistic(eta, np.exp(-np.abs(eta)))
 
 
 def weighted_nll(problem: LogitProblem, intercept: float, coefs: np.ndarray) -> float:
@@ -233,8 +241,16 @@ def _pseudo_gradient(g: np.ndarray, beta: np.ndarray, pen: np.ndarray, lam: floa
     For penalized j: g_j + lambda*sign(b_j) when b_j != 0, else g_j shrunk
     toward zero by lambda; for the intercept and unpenalized features, g_j.
     """
-    shrunk = np.sign(g) * np.maximum(np.abs(g) - lam, 0.0)
-    return np.where(pen, np.where(beta != 0.0, g + lam * np.sign(beta), shrunk), g)
+    pg = np.abs(g)
+    pg -= lam
+    np.maximum(pg, 0.0, out=pg)
+    pg *= np.sign(g)
+    moved = np.sign(beta)
+    moved *= lam
+    moved += g
+    np.copyto(pg, moved, where=beta != 0.0)
+    np.copyto(pg, g, where=~pen)
+    return pg
 
 
 def kkt_residual(
@@ -318,23 +334,29 @@ class _FusedObjective:
     """
 
     def __init__(self, start: PathStart, lam: float) -> None:
+        self.start = start
         self.problem = start.problem
         self.lam = lam
         self.design = start.design
-        self.pen = np.concatenate([[False], self.problem.penalty_mask]) & (lam > 0.0)
+        self.pen = start.pen if lam > 0.0 else start.no_pen
         self._prox_step = 1.0
         self.evaluations = 0
 
     def at(self, beta: np.ndarray) -> _Point:
         self.evaluations += 1
-        prob = self.problem
+        start, weights = self.start, self.problem.weights
         eta = self.design @ beta
-        e = np.exp(-np.abs(eta))
-        p = _logistic(-eta, e)
-        softplus = np.maximum((2.0 * prob.targets - 1.0) * eta, 0.0) + np.log1p(e)
-        nll = float((prob.weights * softplus).sum())
-        g = self.design.T @ (prob.weights * (prob.targets - p))
-        return self._priced(beta, p, nll, g)
+        e = np.abs(eta)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        p = _logistic(eta, e)
+        softplus = start.signs * eta
+        np.maximum(softplus, 0.0, out=softplus)
+        softplus += np.log1p(e, out=e)
+        softplus *= weights
+        residual = self.problem.targets - p
+        residual *= weights
+        return self._priced(beta, p, float(softplus.sum()), start.design_t @ residual)
 
     def carried(self, pt: _Point) -> _Point:
         """``pt``, found at another lambda, priced at this one.
@@ -396,15 +418,16 @@ class _FusedObjective:
         cold start otherwise crawls for thousands of iterations).
         """
         b, pg = pt.beta, pt.pseudo_grad
-        orthant = np.where(b != 0.0, np.sign(b), -np.sign(pg)) * self.pen
-        active = ~self.pen | (b != 0.0) | (pg != 0.0)
+        nonzero = b != 0.0
+        orthant = np.where(nonzero, np.sign(b), -np.sign(pg)) * self.pen
+        active = ~self.pen | nonzero | (pg != 0.0)
         while True:
             idx = np.flatnonzero(active)
             try:
                 step = np.linalg.solve(self.hessian(pt, idx), pg[idx])
             except np.linalg.LinAlgError:
                 return None
-            leaving = (b[idx] == 0.0) & (orthant[idx] * step > 0.0)
+            leaving = ~nonzero[idx] & (orthant[idx] * step > 0.0)
             if not leaving.any():
                 break
             active[idx[leaving]] = False
@@ -466,17 +489,79 @@ class PathStart:
     of one path, in order: between grid points only the penalty changes, so
     the probabilities, the NLL and its gradient at the last optimum stay
     valid, and each later fit re-prices them at its own lambda instead of
-    evaluating them again. The design ``[1 | X]`` is built here, once per
-    path. Nothing of this state goes into the returned fits.
+    evaluating them again.
+
+    The start also keeps the last three certified optima and their lambdas.
+    When the carried point is not already optimal, the three share one sign
+    pattern of the penalized coefficients, and their quadratic extrapolation
+    in log lambda keeps it, J is evaluated at that prediction, and the fit
+    starts there if J is lower than at the carried point. The sign guard
+    keeps a prediction from moving a coefficient across or off zero, which
+    the Newton steps decide. A fresh start has no optima, so its first
+    three fits start as a warm start would.
+
+    The design ``[1 | X]``, its transpose, 2y - 1 and the penalty mask
+    extended by the intercept (and its all-false twin for lambda = 0) are
+    built here, once per path. Nothing of this state goes into the returned
+    fits.
     """
 
     def __init__(self, problem: LogitProblem, fit: LogitFit | None = None) -> None:
         self.problem = problem
         self.design = np.column_stack([np.ones(problem.n_rows), problem.features])
+        self.design_t = self.design.T
+        self.signs = 2.0 * problem.targets - 1.0
+        self.pen = np.concatenate([[False], problem.penalty_mask])
+        self.no_pen = np.zeros_like(self.pen)
         self.beta = np.zeros(problem.n_features + 1)
         if fit is not None:
             self.beta[0], self.beta[1:] = fit.intercept_std, fit.coefs_std
         self.point: _Point | None = None
+        self.optima: list[tuple[float, np.ndarray, bytes]] = []
+
+    def first_point(self, objective: _FusedObjective) -> _Point:
+        """Where the fit at ``objective.lam`` starts: the carried optimum
+        re-priced, or the predicted point when its J is lower."""
+        if self.point is None:
+            return objective.at(self.beta)
+        carried = objective.carried(self.point)
+        if carried.kkt <= KKT_TOL:
+            return carried
+        guess = self._predicted(objective.lam)
+        if guess is None:
+            return carried
+        trial = objective.at(guess)
+        return trial if trial.objective < carried.objective else carried
+
+    def _predicted(self, lam: float) -> np.ndarray | None:
+        """The last three optima extrapolated quadratically in log lambda to
+        ``lam`` (3 b1 - 3 b2 + b3 on the grid), or None unless they and the
+        extrapolation share one sign pattern of the penalized entries."""
+        if len(self.optima) < 3:
+            return None
+        (l3, b3, s3), (l2, b2, s2), (l1, b1, s1) = self.optima
+        if not s1 == s2 == s3 or min(lam, l1, l2, l3) <= 0.0:
+            return None
+        x, x1, x2, x3 = (math.log(v) for v in (lam, l1, l2, l3))
+        if len({x, x1, x2, x3}) < 4:
+            return None
+        guess = (
+            (x - x2) * (x - x3) / ((x1 - x2) * (x1 - x3)) * b1
+            + (x - x1) * (x - x3) / ((x2 - x1) * (x2 - x3)) * b2
+            + (x - x1) * (x - x2) / ((x3 - x1) * (x3 - x2)) * b3
+        )
+        return guess if self._signs_of(guess) == s1 else None
+
+    def _signs_of(self, beta: np.ndarray) -> bytes:
+        """The sign pattern of the penalized entries, -0.0 read as 0.0."""
+        return (np.sign(beta[self.pen]) + 0.0).tobytes()
+
+    def record(self, pt: _Point, lam: float, certified: bool) -> None:
+        """Carry ``pt`` to the next fit; keep it as one of the last three
+        optima if it is certified, else forget them."""
+        self.point = pt
+        optimum = (lam, pt.beta, self._signs_of(pt.beta))
+        self.optima = (self.optima + [optimum])[-3:] if certified else []
 
 
 def fit_l1(
@@ -489,7 +574,8 @@ def fit_l1(
 
     ``start`` is a ``PathStart`` of ``problem`` (None means
     ``PathStart(problem)``, a cold start at zero); the fit continues from
-    its last optimum and leaves its own there. Each iteration reuses the one
+    its last optimum, or from the optimum it predicts, and leaves its own
+    there. Each iteration reuses the one
     evaluation of J, its gradient and the KKT residual made at the point the
     last step accepted, then takes a projected Newton step on the active
     orthant with a descent-only line search; when that fails, it takes a
@@ -504,7 +590,7 @@ def fit_l1(
     if start.problem is not problem:
         raise ValueError("start belongs to another problem")
     objective = _FusedObjective(start, lam)
-    pt = objective.at(start.beta) if start.point is None else objective.carried(start.point)
+    pt = start.first_point(objective)
     iterations = 0
     while pt.kkt > KKT_TOL and iterations < MAX_ITER_L1:
         nxt = objective.newton_step(pt)
@@ -514,7 +600,7 @@ def fit_l1(
                 break
         pt = nxt
         iterations += 1
-    start.point = pt
+    start.record(pt, lam, pt.kkt <= KKT_TOL)
     return _make_fit(pt, objective, iterations, pt.kkt <= KKT_TOL, standardizer)
 
 

@@ -33,3 +33,40 @@ def intercept_only_lambda_bound(
     fraction p, so the bound is max_j |sum_i x_ij w_i (y_i - p)|."""
     p = float(np.sum(weights * targets) / np.sum(weights))
     return float(np.max(np.abs(features.T @ (weights * (targets - p)))))
+
+
+def loop_auc(targets: np.ndarray, scores: np.ndarray) -> float:
+    """Mann-Whitney AUC from average 1-based ranks, assigned by a loop over
+    the sorted scores, one tie group at a time."""
+    y = np.asarray(targets, dtype=float)
+    s = np.asarray(scores, dtype=float)
+    order = np.argsort(s, kind="stable")
+    sorted_s = s[order]
+    ranks = np.empty(len(s))
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    n_pos = int(np.sum(y == 1.0))
+    n_neg = int(np.sum(y == 0.0))
+    u = float(np.sum(ranks[y == 1.0])) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
+def loop_roc(targets: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """ROC points (fpr, tpr) from (0, 0), one per distinct score in
+    decreasing order, built by a loop over the thresholds."""
+    y = np.asarray(targets, dtype=float)
+    s = np.asarray(scores, dtype=float)
+    n_pos = int(np.sum(y == 1.0))
+    n_neg = int(np.sum(y == 0.0))
+    points = [(0.0, 0.0)]
+    for threshold in sorted(set(s.tolist()), reverse=True):
+        hit = s >= threshold
+        false_pos = float(np.sum(hit & (y == 0.0)))
+        true_pos = float(np.sum(hit & (y == 1.0)))
+        points.append((false_pos / n_neg, true_pos / n_pos))
+    return np.array(points)

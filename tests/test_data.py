@@ -242,7 +242,7 @@ def test_align_rows_match_brute_force(market, split95):
     for i in range(0, ds.n_rows, 37):
         t = ds.predictor_dates[i]
         assert ds.features[i].tolist() == [panel.series(m)[t - start] for m in MATS]
-        assert ds.targets[i] == recessions.at(t + 12)
+        assert ds.targets[i] == recessions.indicator[t + 12 - recessions.dates[0]]
     for t, date in enumerate(ds.predictor_dates):
         assert (date + 12 <= split95.train_end) == (t < ds.split_index)
 
@@ -273,7 +273,7 @@ def test_align_split_boundary_property(market, horizon, offsets, names):
     for i, t in enumerate(ds.predictor_dates):
         assert (i < ds.split_index) == (t + horizon <= split.train_end)
         assert ds.features[i].tolist() == [panel.series(name)[t - start] for name in names]
-        assert ds.targets[i] == recessions.at(t + horizon)
+        assert ds.targets[i] == recessions.indicator[t + horizon - recessions.dates[0]]
 
 
 def test_align_one_month_horizon_minimal():
@@ -295,18 +295,34 @@ def test_align_horizon_too_long(market, split95):
         align_dataset(panel, recessions, 2000, split95, MATS)
 
 
-def test_align_coverage_error(market):
+def test_align_coverage_error(market, split95):
     panel, recessions = market
     short = RecessionSeries(
         dates=recessions.dates[:200], indicator=recessions.indicator[:200]
     )
-    split = SplitConfig(
-        train_end=Month(1995, 12),
-        sample_start=Month(1961, 6),
-        sample_end=Month(2020, 7),
-    )
-    with pytest.raises(CoverageError):
-        align_dataset(panel, short, 12, split, MATS)
+    with pytest.raises(CoverageError, match="ends 1978-01, before sample_end 2020-07"):
+        align_dataset(panel, short, 12, split95, MATS)
+    # h=12 from 1961-06: the first target month is 1962-06
+    late = RecessionSeries(dates=recessions.dates[20:], indicator=recessions.indicator[20:])
+    with pytest.raises(CoverageError, match="does not cover 1962-06$"):
+        align_dataset(panel, late, 12, split95, MATS)
+    # a series that starts at the first target month covers every row
+    on_time = RecessionSeries(dates=recessions.dates[12:], indicator=recessions.indicator[12:])
+    ds = align_dataset(panel, on_time, 12, split95, MATS)
+    full = align_dataset(panel, recessions, 12, split95, MATS)
+    assert ds.targets.tobytes() == full.targets.tobytes()
+
+
+def test_recession_span_names_the_first_uncovered_month(market):
+    _, recessions = market
+    first, last = recessions.dates[0], recessions.dates[-1]
+    assert recessions.span(first + 3, 4).tolist() == recessions.indicator[3:7].tolist()
+    with pytest.raises(CoverageError, match=f"does not cover {first + -1}$"):
+        recessions.span(first + -1, 2)
+    with pytest.raises(CoverageError, match=f"does not cover {last + 1}$"):
+        recessions.span(last + -1, 3)
+    with pytest.raises(CoverageError, match=f"does not cover {last + 5}$"):
+        recessions.span(last + 5, 1)
 
 
 def test_split_views_partition(market, split95):

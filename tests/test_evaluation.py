@@ -17,7 +17,13 @@ from termspread.evaluation import (
     roc_curve,
 )
 
-from reference import JEFFREYS_THRESHOLD, exceeds_jeffreys, trapezoid_auc
+from reference import (
+    JEFFREYS_THRESHOLD,
+    exceeds_jeffreys,
+    loop_auc,
+    loop_roc,
+    trapezoid_auc,
+)
 
 
 # --- average log likelihood -------------------------------------------------------
@@ -179,17 +185,26 @@ def test_auc_matches_brute_force_and_trapezoid_with_ties():
         assert a == pytest.approx(trapezoid_auc(roc_curve(y, s)), abs=1e-12)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
-    st.lists(st.tuples(st.booleans(), st.integers(0, 4)), min_size=2, max_size=40).filter(
-        lambda rows: len({label for label, _ in rows}) == 2
-    )
+    st.lists(
+        st.tuples(
+            st.booleans(),
+            # mostly five score levels, so most thresholds are shared by ties
+            st.one_of(st.integers(0, 4).map(lambda level: 0.1 * level), st.floats(0.0, 1.0)),
+        ),
+        min_size=2,
+        max_size=40,
+    ).filter(lambda rows: len({label for label, _ in rows}) == 2)
 )
 def test_auc_is_the_trapezoid_under_the_roc_curve_with_ties(rows):
-    # five score levels over up to 40 rows: most thresholds are shared by ties
+    # the loop references check the vectorized tie handling value for value
     y = np.array([float(label) for label, _ in rows])
-    s = np.array([0.1 * level for _, level in rows])
-    assert auc(y, s) == pytest.approx(trapezoid_auc(roc_curve(y, s)), abs=1e-12)
+    s = np.array([score for _, score in rows])
+    points = loop_roc(y, s)
+    assert np.array_equal(roc_curve(y, s), points)
+    assert auc(y, s) == loop_auc(y, s)
+    assert auc(y, s) == pytest.approx(trapezoid_auc(points), abs=1e-12)
 
 
 def test_auc_invariant_under_monotone_transform():

@@ -536,3 +536,30 @@ def test_l1_numerically_singular_newton_system_falls_back_quickly():
     fit = fit_l1(prob, lam)
     assert fit.converged and fit.iterations <= 100
     assert kkt_residual(prob, lam, fit.intercept_std, fit.coefs_std) <= 1e-7
+
+
+def test_path_start_predicts_only_from_three_optima_of_one_sign_pattern(monkeypatch):
+    rng = np.random.default_rng(59)
+    prob = random_problem(rng, 200, 4)
+    lams = 2.0 ** (np.arange(-60, -56) / 10.0)  # small: every coefficient survives
+    carry = logit.PathStart(prob)
+    fits = []
+    for lam in lams[:3]:
+        assert carry._predicted(lam) is None  # fewer than three optima
+        fits.append(fit_l1(prob, lam, start=carry))
+    b3, b2, b1 = (np.r_[f.intercept_std, f.coefs_std] for f in fits)
+    assert np.all(b1[1:] != 0.0)
+    # quadratic in log lambda, which is 3 b1 - 3 b2 + b3 on an even grid
+    assert np.allclose(carry._predicted(lams[3]), 3 * b1 - 3 * b2 + b3, rtol=0, atol=1e-12)
+
+    # an optimum with another sign pattern stops the prediction
+    lam, beta, _ = carry.optima[0]
+    flipped = beta.copy()
+    flipped[1] = 0.0
+    carry.optima[0] = (lam, flipped, carry._signs_of(flipped))
+    assert carry._predicted(lams[3]) is None
+
+    # so does a fit that misses its certificate: it forgets the optima
+    monkeypatch.setattr(logit, "MAX_ITER_L1", 0)
+    assert not fit_l1(prob, 10.0, start=carry).converged
+    assert carry.optima == [] and carry._predicted(lams[3]) is None
