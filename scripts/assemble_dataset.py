@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import math
 import os
 import sys
 
@@ -46,6 +47,7 @@ from termspread.data import (  # noqa: E402
     discount_to_bond_equivalent,
     monthly_average,
 )
+from termspread.errors import MalformedRow  # noqa: E402
 
 SAMPLE_START = Month(1961, 6)
 SAMPLE_END = Month(2020, 7)
@@ -53,6 +55,24 @@ BILLS_UNTIL = Month(1981, 8)
 GS2_FROM = Month(1976, 6)
 GS7_FROM = Month(1969, 7)
 GS20_GAP = (Month(1987, 1), Month(1993, 9))
+MISSING = ("", "NA", ".")  # cells that mark a value as not available
+
+
+def _day(path: str, lineno: int, token: str) -> dt.date:
+    try:
+        return dt.date.fromisoformat(token)
+    except ValueError as exc:
+        raise MalformedRow(f"{path}:{lineno}: bad date {token!r}: {exc}") from None
+
+
+def _value(path: str, lineno: int, name: str, token: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise MalformedRow(f"{path}:{lineno}: cannot parse {name}={token!r}") from None
+    if not math.isfinite(value):
+        raise MalformedRow(f"{path}:{lineno}: non-finite {name}={token!r}")
+    return value
 
 
 def read_fred_monthly(path: str) -> dict[Month, float]:
@@ -62,43 +82,51 @@ def read_fred_monthly(path: str) -> dict[Month, float]:
         header = fh.readline()
         if "," not in header:
             raise SystemExit(f"{path}: not a two-column FRED csv")
-        for line in fh:
+        name = header.split(",")[1].strip().strip('"')
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            date_str, value_str = line.split(",")[:2]
-            value_str = value_str.strip().strip('"')
-            if value_str in (".", "", "NA"):
+            cells = line.split(",")
+            if len(cells) < 2:
+                raise MalformedRow(f"{path}:{lineno}: expected a date and a value, got {line!r}")
+            value_str = cells[1].strip().strip('"')
+            if value_str in MISSING:
                 continue
-            day = dt.date.fromisoformat(date_str.strip().strip('"'))
-            out[Month(day.year, day.month)] = float(value_str)
+            day = _day(path, lineno, cells[0].strip().strip('"'))
+            out[Month(day.year, day.month)] = _value(path, lineno, name, value_str)
     return out
 
 
 def read_gsw_monthly(path: str, columns: tuple[str, ...]) -> dict[str, dict[Month, float]]:
     """Monthly averages of some columns of the daily GSW zero-curve file,
-    read in one pass; a missing cell drops that day from its own column only."""
+    read in one pass; a missing cell drops that day from its own column only.
+
+    A data line is split only up to the last column used, and only the date
+    and the used cells are parsed."""
     daily: dict[str, tuple[list[dt.date], list[float]]] = {c: ([], []) for c in columns}
     with open(path, encoding="utf-8") as fh:
-        col_idx = None
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             cells = [c.strip().strip('"') for c in line.strip().split(",")]
-            if col_idx is None:
-                if cells and cells[0].lower() == "date" and set(columns) <= set(cells):
-                    col_idx = [cells.index(c) for c in columns]
-                continue
-            if not cells or not cells[0]:
+            if cells[0].lower() == "date" and set(columns) <= set(cells):
+                break
+        else:
+            raise SystemExit(f"{path}: no header row carrying {list(columns)!r}")
+        used = [(cells.index(c), c, *daily[c]) for c in columns]
+        width = max(j for j, *_ in used) + 1
+        for lineno, line in enumerate(fh, start=lineno + 1):
+            cells = line.split(",", width)
+            date = cells[0].strip().strip('"')
+            if not date:
                 continue
             day = None
-            for (dates, values), j in zip(daily.values(), col_idx):
-                raw = cells[j] if j < len(cells) else ""
-                if raw in ("", "NA", "."):
+            for j, name, dates, values in used:
+                raw = cells[j].strip().strip('"') if j < len(cells) else ""
+                if raw in MISSING:
                     continue
-                day = day or dt.date.fromisoformat(cells[0])
+                day = day or _day(path, lineno, date)
                 dates.append(day)
-                values.append(float(raw))
-    if col_idx is None:
-        raise SystemExit(f"{path}: no header row carrying {list(columns)!r}")
+                values.append(_value(path, lineno, name, raw))
     return {c: dict(zip(*monthly_average(dates, values))) for c, (dates, values) in daily.items()}
 
 
@@ -165,7 +193,12 @@ def main() -> int:
     args = parser.parse_args()
 
     start, end = Month.parse(args.start), Month.parse(args.end)
-    columns = build_columns(args.raw)
+    try:
+        columns = build_columns(args.raw)
+        rec = read_fred_monthly(os.path.join(args.raw, "USREC.csv"))
+    except MalformedRow as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     core = [c for c in ("3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y")]
     missing_report = []
@@ -225,7 +258,6 @@ def main() -> int:
                 file=sys.stderr,
             )
 
-    rec = read_fred_monthly(os.path.join(args.raw, "USREC.csv"))
     rec_path = os.path.join(args.out, "recessions.csv")
     with open(rec_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("date,recession\n")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import datetime as _dt
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -247,7 +248,7 @@ def _parse_csv(path: str) -> tuple[list[str], list[Month], np.ndarray]:
             if not _DECIMAL_RE.fullmatch(cell):
                 raise MalformedRow(f"{path}:{lineno}: cannot parse {name}={cell!r}")
             v = float(cell)
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise MalformedRow(f"{path}:{lineno}: non-finite {name}={cell!r}")
             vals.append(v)
         months.append(month)
@@ -309,21 +310,6 @@ def load_recession_series(path: str) -> RecessionSeries:
     return RecessionSeries(dates=tuple(months), indicator=ind)
 
 
-def _format_cell(v: float) -> str:
-    # %.6f keeps <=6-fractional-digit decimals bit-exact through a round trip
-    s = f"{v:.6f}".rstrip("0").rstrip(".")
-    return s if s not in ("", "-0") else "0"
-
-
-def write_yield_panel(panel: YieldPanel, path: str) -> None:
-    """Write a panel back to the yield CSV schema, columns in stored order."""
-    values = np.column_stack(list(panel.columns.values()))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(["date", *panel.columns]) + "\n")
-        for d, row in zip(panel.dates, values):
-            fh.write(",".join([str(d), *map(_format_cell, row)]) + "\n")
-
-
 def monthly_average(
     daily_dates: Sequence[_dt.date],
     daily_values: Sequence[float],
@@ -333,16 +319,16 @@ def monthly_average(
         raise ValueError("dates and values differ in length")
     if len(daily_dates) == 0:
         raise EmptyInput("no daily observations")
-    buckets: dict[Month, list[float]] = {}
+    buckets: defaultdict[tuple[int, int], list[float]] = defaultdict(list)
     for day, value in zip(daily_dates, daily_values):
         v = float(value)
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise MalformedRow(f"non-finite observation on {day}")
-        buckets.setdefault(Month(day.year, day.month), []).append(v)
-    months = tuple(sorted(buckets))
+        buckets[day.year, day.month].append(v)
+    keys = sorted(buckets)
     # fsum makes the mean exactly invariant to the order of observations
-    means = np.array([math.fsum(buckets[m]) / len(buckets[m]) for m in months])
-    return months, means
+    means = np.array([math.fsum(buckets[k]) / len(buckets[k]) for k in keys])
+    return tuple(Month(y, m) for y, m in keys), means
 
 
 def discount_to_bond_equivalent(discount_rate_pct: float, days_to_maturity: int) -> float:

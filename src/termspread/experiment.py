@@ -300,10 +300,6 @@ def _fmt3(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _fmt_g(v: float) -> str:
-    return f"{v:.10g}"
-
-
 def make_output_dir(out_dir: str) -> list[str]:
     """Make ``out_dir`` and its missing parents, unless it is a directory
     already. Returns the directories this call made, innermost first. The
@@ -340,46 +336,72 @@ def _panel_rows(result: ExperimentResult, letter: str) -> Iterator[list[str]]:
                "({:.3f}, {:.3f})".format(*model.display_coefficients), *map(_fmt3, numbers)]
 
 
-def _outputs(result: ExperimentResult, ext: str) -> Iterator[tuple[str, str, Iterator[list[str]]]]:
-    """Every output file in order as (name, preamble, rows), the first row
-    the header. The rows are generated as the file is written."""
+class _Echo:
+    """A file whose ``write`` returns the text: ``csv.writer(_Echo()).writerow``
+    returns the row as one line."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _table_lines(rows: Iterator[list[str]], markdown: bool) -> Iterator[str]:
+    """A table of string cells as text lines: a pipe table, or csv with the
+    cells quoted where they need it (a pair holds a comma)."""
+    if not markdown:
+        yield from map(csv.writer(_Echo(), lineterminator="\n").writerow, rows)
+        return
+    header = next(rows)
+    yield f"| {' | '.join(header)} |\n" + "|---" * len(header) + "|\n"
+    yield from (f"| {' | '.join(row)} |\n" for row in rows)
+
+
+def _number_lines(header: list[str], cell_formats: list[str], columns: list[list]) -> Iterator[str]:
+    """A csv header, then one line per row of ``columns`` (equal-length
+    lists), each made by one %-format of the row's cells."""
+    yield ",".join(header) + "\n"
+    yield from map((",".join(cell_formats) + "\n").__mod__, zip(*columns))
+
+
+def _outputs(result: ExperimentResult, ext: str) -> Iterator[tuple[str, Iterator[str]]]:
+    """Every output file in order as (name, text lines). The lines are
+    generated as the file is written."""
     for letter in PANELS:
-        yield f"panel_{letter}.{ext}", "", _panel_rows(result, letter)
+        rows = _panel_rows(result, letter)
+        yield f"panel_{letter}.{ext}", _table_lines(rows, markdown=ext == "md")
     # every EvalReport by horizon, then panel, one column per metric
-    yield "eval_reports.csv", "", chain(
+    yield "eval_reports.csv", _table_lines(chain(
         [["horizon", "kind", *(f.name for f in fields(EvalReport))]],
         ([str(h), kind, *map(_fmt3, astuple(art.reports[letter]))]
          for h, art in result.artifacts.items() for letter, kind in PANELS.items()),
-    )
+    ), markdown=False)
     for h, art in result.artifacts.items():
         # the original-scale path: lambda, then one column per maturity
         path, ds = art.path, art.dataset
         keep = np.flatnonzero(path.problem.penalty_mask)
-        yield f"coefficient_path_h{h}.csv", "", chain(
-            [["lambda", *(path.feature_names[j] for j in keep)]],
-            ([_fmt_g(lam), *map(_fmt_g, coefs)]
-             for lam, coefs in zip(path.lambdas, path.coef_matrix[:, keep])),
+        yield f"coefficient_path_h{h}.csv", _number_lines(
+            ["lambda", *(path.feature_names[j] for j in keep)],
+            ["%.10g"] * (1 + len(keep)),
+            [path.lambdas.tolist(), *path.coef_matrix[:, keep].T.tolist()],
         )
         # panel A's spread and probability per row; is_recession flags the
         # row's own date (for shading), is_test the rows past the split
         forecast = art.forecasts["A"]
         is_recession = result.recessions.span(ds.predictor_dates[0], ds.n_rows)
         is_test = np.arange(ds.n_rows) >= ds.split_index
-        yield f"spread_series_h{h}.csv", "", chain(
-            [["date", "spread", "probability", "is_recession", "is_test"]],
-            ([str(date), _fmt_g(spread), _fmt_g(prob), str(int(rec)), str(int(test))]
-             for date, spread, prob, rec, test in zip(
-                 ds.predictor_dates, forecast.spread, forecast.probabilities,
-                 is_recession, is_test)),
+        yield f"spread_series_h{h}.csv", _number_lines(
+            ["date", "spread", "probability", "is_recession", "is_test"],
+            ["%s", "%.10g", "%.10g", "%d", "%d"],
+            [list(map(str, ds.predictor_dates)), forecast.spread.tolist(),
+             forecast.probabilities.tolist(), is_recession.astype(int).tolist(),
+             is_test.astype(int).tolist()],
         )
         # test-period ROC points, the AUC on a metadata line
         for letter in PANELS:
             points = roc_curve(ds.targets[ds.split_index:],
                                art.forecasts[letter].probabilities[ds.split_index:])
-            yield (
-                f"roc_h{h}_{letter}.csv",
-                f"# horizon={h} panel={letter} auc={art.reports[letter].auc_test:.6f}\n",
-                chain([["fpr", "tpr"]], ([_fmt_g(fpr), _fmt_g(tpr)] for fpr, tpr in points)),
+            yield f"roc_h{h}_{letter}.csv", chain(
+                [f"# horizon={h} panel={letter} auc={art.reports[letter].auc_test:.6f}\n"],
+                _number_lines(["fpr", "tpr"], ["%.10g"] * 2, points.T.tolist()),
             )
 
 
@@ -398,17 +420,11 @@ def emit_all(result: ExperimentResult, out_dir: str, fmt: str = "csv") -> list[s
         raise IoError("the result holds no horizons; refusing to write empty panels")
     make_output_dir(out_dir)
     written = []
-    for name, preamble, rows in _outputs(result, "csv" if fmt == "csv" else "md"):
+    for name, lines in _outputs(result, "csv" if fmt == "csv" else "md"):
         path = os.path.join(out_dir, name)
         try:
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(preamble)
-                if name.endswith(".md"):
-                    header = next(rows)
-                    fh.write(f"| {' | '.join(header)} |\n" + "|---" * len(header) + "|\n")
-                    fh.writelines(f"| {' | '.join(row)} |\n" for row in rows)
-                else:
-                    csv.writer(fh, lineterminator="\n").writerows(rows)
+                fh.writelines(lines)
         except OSError as exc:
             raise IoError(f"cannot write {path}: {exc}") from None
         written.append(path)

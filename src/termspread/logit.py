@@ -110,12 +110,6 @@ class ClassWeights:
             raise SingleClass("both classes must be present to derive class weights")
         return cls(recession_ratio=r, w_pos=1.0 / (2.0 * r), w_neg=1.0 / (2.0 * (1.0 - r)))
 
-    @property
-    def oversampling_factor(self) -> float:
-        """How many times each recession month is effectively repeated."""
-        r = self.recession_ratio
-        return (1.0 - r) / r
-
     def per_row(self, targets: np.ndarray) -> np.ndarray:
         y = np.asarray(targets, dtype=float)
         return np.where(y == 1.0, self.w_pos, self.w_neg)

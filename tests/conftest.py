@@ -13,13 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from termspread.data import (
-    Month,
-    RecessionSeries,
-    SplitConfig,
-    YieldPanel,
-    write_yield_panel,
-)
+from termspread.data import Month, RecessionSeries, SplitConfig, YieldPanel
 
 MATURITY_CODES = ("3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y")
 TENOR_YEARS = np.array([3, 6, 12, 24, 36, 60, 84, 120, 240]) / 12.0
@@ -77,6 +71,21 @@ def split95() -> SplitConfig:
         sample_start=Month(1961, 6),
         sample_end=Month(2020, 7),
     )
+
+
+def _format_cell(v: float) -> str:
+    # %.6f keeps <=6-fractional-digit decimals bit-exact through a round trip
+    s = f"{v:.6f}".rstrip("0").rstrip(".")
+    return s if s not in ("", "-0") else "0"
+
+
+def write_yield_panel(panel: YieldPanel, path: str) -> None:
+    """Write a panel back to the yield CSV schema, columns in stored order."""
+    values = np.column_stack(list(panel.columns.values()))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(["date", *panel.columns]) + "\n")
+        for d, row in zip(panel.dates, values):
+            fh.write(",".join([str(d), *map(_format_cell, row)]) + "\n")
 
 
 def write_market(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import datetime as dt
+import importlib.util
 import os
 import subprocess
 import sys
@@ -11,10 +13,19 @@ import pytest
 
 from termspread.data import Month, load_recession_series, load_yield_panel
 
+from reference import line_by_line_gsw_monthly
+
 SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "assemble_dataset.py")
 MATS = ["3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y"]
 
 START, END = Month(1961, 6), Month(1963, 5)  # two-year toy sample
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("assemble_dataset", SCRIPT)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def month_range(a, b):
@@ -115,11 +126,7 @@ def test_zero_curve_skips_a_missing_cell_in_its_own_column_only(raw_dir, tmp_pat
 
 
 def test_splice_switch_rule():
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location("assemble_dataset", SCRIPT)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
+    mod = load_script()
     early = {Month(1975, 1) + i: 1.0 for i in range(36)}
     late = {Month(1975, 1) + i: 2.0 for i in range(36)}
     merged = mod.splice(early, late, Month(1976, 6))
@@ -161,3 +168,131 @@ def test_extended_file_with_optional_columns(raw_dir, tmp_path):
     ext = load_yield_panel([str(out / "yields_monthly_extended.csv")], MATS + ["30y"])
     assert ext.dates[0] == START + 4
     assert "lead_idx" in ext.columns
+
+
+# --- the daily zero-curve reader against the line-by-line oracle ---------------
+
+WIDE_HEADER = (
+    ["Date", "BETA0", "BETA1", "BETA2", "BETA3", "SVEN1F01", "SVEN1F04", "SVEN1F09"]
+    + [f"{prefix}{k:02d}" for prefix in ("SVENF", "SVENPY", "SVENY") for k in range(1, 31)]
+    + ["TAU1", "TAU2"]
+)
+USED = ("SVENY02", "SVENY07")
+
+
+def wide_gsw(path, rows, newline="\n"):
+    """A 99-column daily file: a preamble, the header, then ``rows`` given as
+    {column: cell} overrides of a day's generated cells."""
+    rng = np.random.default_rng(1)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        # a "Date" line without the used columns is still preamble
+        preamble = ["THE U.S. TREASURY YIELD CURVE", "Series,Description", "Date,Note", ""]
+        fh.write(newline.join(preamble))
+        fh.write(newline + ",".join(WIDE_HEADER) + newline)
+        for cells in rows:
+            line = [f"{v:.4f}" for v in rng.uniform(0.5, 9.0, len(WIDE_HEADER))]
+            for name, cell in cells.items():
+                line[WIDE_HEADER.index(name)] = cell
+            fh.write(",".join(line) + newline)
+
+
+def business_days(first, n):
+    days, day = [], first
+    while len(days) < n:
+        if day.weekday() < 5:
+            days.append(day)
+        day += dt.timedelta(days=1)
+    return days
+
+
+def generated_rows(n=400, seed=0):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for day in business_days(dt.date(1961, 6, 14), n):
+        cells = {"Date": day.isoformat()}
+        for name in USED:
+            draw = rng.random()
+            cells[name] = "NA" if draw < 0.1 else "" if draw < 0.15 else f"{rng.uniform(1, 9):.4f}"
+        rows.append(cells)
+    return rows
+
+
+def assert_reader_matches_oracle(path):
+    got = load_script().read_gsw_monthly(str(path), USED)
+    want = line_by_line_gsw_monthly(str(path), USED)
+    assert got == want
+    assert all(len(want[c]) > 0 for c in USED)
+    return got
+
+
+def test_gsw_reader_matches_oracle_on_a_wide_file(tmp_path):
+    wide_gsw(tmp_path / "f.csv", generated_rows())
+    assert_reader_matches_oracle(tmp_path / "f.csv")
+
+
+def test_gsw_reader_matches_oracle_on_crlf_lines(tmp_path):
+    wide_gsw(tmp_path / "f.csv", generated_rows(), newline="\r\n")
+    assert_reader_matches_oracle(tmp_path / "f.csv")
+
+
+def test_gsw_reader_strips_quotes_and_spaces_of_used_cells(tmp_path):
+    wide_gsw(tmp_path / "f.csv", [
+        {"Date": "1961-06-14", "SVENY02": '"4.25"', "SVENY07": "  5.5 "},
+        {"Date": '"1961-06-15"', "SVENY02": ' " 4.75" ', "SVENY07": '"NA"'},
+        {"Date": " 1961-07-03 ", "SVENY02": "3.0", "SVENY07": '"6.0"'},
+    ])
+    assert assert_reader_matches_oracle(tmp_path / "f.csv") == {
+        "SVENY02": {Month(1961, 6): 4.5, Month(1961, 7): 3.0},
+        "SVENY07": {Month(1961, 6): 5.5, Month(1961, 7): 6.0},
+    }
+
+
+def test_gsw_reader_drops_a_row_too_short_to_reach_a_used_column(tmp_path):
+    path = tmp_path / "f.csv"
+    wide_gsw(path, generated_rows(60))
+    lines = path.read_text().splitlines(keepends=True)
+    # the first data line ends before SVENY07, the second before SVENY02 too
+    lines[5] = ",".join(lines[5].split(",")[: WIDE_HEADER.index("SVENY07")]) + "\n"
+    lines[6] = ",".join(lines[6].split(",")[:3]) + "\n"
+    path.write_text("".join(lines))
+    assert_reader_matches_oracle(path)
+
+
+def test_gsw_reader_never_parses_unused_cells(tmp_path):
+    rows = generated_rows(60)
+    for cells in rows:
+        cells.update(BETA0="garbage", SVENY05="1961-13-40", TAU2="inf", SVENY30='"x,')
+    wide_gsw(tmp_path / "f.csv", rows)
+    assert_reader_matches_oracle(tmp_path / "f.csv")
+
+
+# --- malformed raw downloads -----------------------------------------------------
+
+def _replace_line(path, lineno, text):
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "file, lineno, text, what",
+    [
+        ("GS1.csv", 3, "1961-07-01", "expected a date and a value, got '1961-07-01'"),
+        ("GS3.csv", 4, "1961-13-40,4.5", "bad date '1961-13-40': month must be in 1..12"),
+        ("USREC.csv", 2, "1961-06-01,yes", "cannot parse USREC='yes'"),
+        ("feds200628.csv", 6, "1961-13-40,9.99,4.0,5.0",
+         "bad date '1961-13-40': month must be in 1..12"),
+        ("feds200628.csv", 7, "1961-06-20,9.99,4.0,x5", "cannot parse SVENY07='x5'"),
+        ("feds200628.csv", 8, "1961-06-21,9.99,inf,5.0", "non-finite SVENY02='inf'"),
+    ],
+    ids=["fred-one-cell", "fred-bad-date", "fred-bad-value",
+         "daily-bad-date", "daily-bad-value", "daily-non-finite"],
+)
+def test_malformed_raw_file_is_an_error_line(raw_dir, tmp_path, file, lineno, text, what):
+    path = raw_dir / file
+    _replace_line(path, lineno, text)
+    out = tmp_path / "data"
+    proc = run_script(raw_dir, out)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {path}:{lineno}: {what}\n"
+    assert not out.exists()

@@ -22,7 +22,6 @@ from termspread.data import (
     load_yield_panel,
     monthly_average,
     split_views,
-    write_yield_panel,
 )
 from termspread.errors import (
     CoverageError,
@@ -35,6 +34,7 @@ from termspread.errors import (
 )
 
 from conftest import MATURITY_CODES as MATS
+from conftest import write_yield_panel
 
 
 # --- Month / maturity codes ---------------------------------------------------

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import filecmp
 import importlib
+import importlib.util
 import json
 import os
 import re
@@ -13,6 +14,8 @@ import runpy
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from termspread import cli, errors, logit
 from termspread.cli import main as cli_main
@@ -28,6 +31,7 @@ from termspread.experiment import (
 from termspread.logit import ClassWeights
 
 from conftest import make_market, write_market
+from reference import per_cell_outputs
 
 MATS = ["3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y"]
 
@@ -363,6 +367,45 @@ def test_emit_all_plot_data(small_run, tmp_path):
     assert pts[0] == (0.0, 0.0) and pts[-1] == (1.0, 1.0)
 
 
+@pytest.fixture(scope="module")
+def full_runs(data_files):
+    """The plain and the weighted + lead_idx run, every default horizon."""
+    variants = {"plain": {}, "weighted_lead": {"weighting": True, "forced_controls": ["lead_idx"]}}
+    return {
+        name: run_experiment(ExperimentConfig.from_mapping(
+            base_config_dict(data_files, horizons=list(DEFAULT_HORIZONS), **overrides)))
+        for name, overrides in variants.items()
+    }
+
+
+@pytest.mark.parametrize("fmt", ["csv", "markdown"])
+@pytest.mark.parametrize("run", ["plain", "weighted_lead"])
+def test_emit_all_writes_the_bytes_of_the_per_cell_writer(full_runs, tmp_path, run, fmt):
+    # both renderings format one in-process result, so this holds on any BLAS
+    result = full_runs[run]
+    paths = emit_all(result, str(tmp_path / "out"), fmt=fmt)
+    want = per_cell_outputs(result, markdown=fmt == "markdown")
+    assert len(paths) == 53
+    assert [os.path.basename(p) for p in paths] == list(want)
+    for path in paths:
+        with open(path, "rb") as fh:
+            assert fh.read() == want[os.path.basename(path)].encode("utf-8"), path
+
+
+@given(st.floats())
+@example(-0.0)
+@example(5e-324)  # the smallest subnormal
+@example(2.2250738585072009e-308)  # the largest subnormal
+@example(1e16)
+@example(2.0**60)
+@example(-123456789012345678.0)
+@example(1e22)
+@example(float("nan"))
+@example(float("-inf"))
+def test_row_format_matches_per_cell_format(x):
+    assert "%.10g" % x == format(x, ".10g")
+
+
 def test_rerun_is_byte_identical(data_files, tmp_path):
     cfg = ExperimentConfig.from_mapping(base_config_dict(data_files, horizons=[3]))
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -609,10 +652,17 @@ def test_benchmark_trace_targets_resolve():
     # perfbench's --trace 1 wraps these names and crashes on a missing one
     operation = runpy.run_path(os.path.join(REPO_ROOT, "perfbench", "operation.py"))
     spans, counts = operation["_targets"]()
-    targets = [key for key in [*spans, *counts] if key[0].startswith("termspread.")]
+    spec = importlib.util.spec_from_file_location("assemble_dataset", operation["ASSEMBLE_SCRIPT"])
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    targets = [*spans, *counts]
     assert len(targets) > 20
+    assert {attr for modname, attr in targets if modname == "assemble_dataset"} == {
+        "read_gsw_monthly", "read_fred_monthly",
+    }
     for modname, attr in targets:
-        assert callable(getattr(importlib.import_module(modname), attr)), (modname, attr)
+        module = script if modname == "assemble_dataset" else importlib.import_module(modname)
+        assert callable(getattr(module, attr)), (modname, attr)
 
 
 def test_readme_library_sketch_runs(tmp_path, market, monkeypatch):

@@ -226,9 +226,11 @@ def test_class_weights_imbalanced_oversampling():
     assert cw.w_neg == pytest.approx(1.0 / 1.72)
     assert cw.w_pos == pytest.approx(3.5714, abs=1e-4)
     assert cw.w_neg == pytest.approx(0.5814, abs=1e-4)
-    assert cw.oversampling_factor == pytest.approx(86.0 / 14.0)
-    # r*w_pos + (1-r)*w_neg = 1
+    # each recession month counts as (1-r)/r repeats of a calm month
     r = cw.recession_ratio
+    assert (1 - r) / r == pytest.approx(86.0 / 14.0)
+    assert cw.w_pos / cw.w_neg == pytest.approx((1 - r) / r)
+    # r*w_pos + (1-r)*w_neg = 1
     assert r * cw.w_pos + (1 - r) * cw.w_neg == pytest.approx(1.0, abs=1e-12)
 
 
