@@ -28,6 +28,13 @@ through 1981-08 and constant-maturity series afterwards; the 2y and 7y
 columns start on the zero-coupon curve and switch to CMT at 1976-06 and
 1969-07. Day counts for the bond-equivalent conversion are 91 and 182.
 
+Every download is read and checked before anything is written; only then
+is ``--out`` made and are the files written. A missing or unreadable
+download, a malformed row, an empty daily column, a bill rate outside
+[0, 100), a gap in a core column (one line per column) or a month missing
+from USREC stops the script with ``error: ...`` and exit code 1; a bad
+``--start`` or ``--end`` is a usage error, exit code 2.
+
 Usage:
     python scripts/assemble_dataset.py --raw ~/Downloads/fred --out data
 """
@@ -39,15 +46,14 @@ import datetime as dt
 import math
 import os
 import sys
+from collections.abc import Iterator
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from termspread.data import (  # noqa: E402
-    Month,
-    discount_to_bond_equivalent,
-    monthly_average,
+from termspread.data import Month, discount_to_bond_equivalent, monthly_average  # noqa: E402
+from termspread.errors import (  # noqa: E402
+    CoverageError, DomainError, EmptyInput, GapInDates, MalformedRow, TermSpreadError,
 )
-from termspread.errors import MalformedRow  # noqa: E402
 
 SAMPLE_START = Month(1961, 6)
 SAMPLE_END = Month(2020, 7)
@@ -56,6 +62,7 @@ GS2_FROM = Month(1976, 6)
 GS7_FROM = Month(1969, 7)
 GS20_GAP = (Month(1987, 1), Month(1993, 9))
 MISSING = ("", "NA", ".")  # cells that mark a value as not available
+CORE = ("3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y")
 
 
 def _day(path: str, lineno: int, token: str) -> dt.date:
@@ -81,7 +88,7 @@ def read_fred_monthly(path: str) -> dict[Month, float]:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if "," not in header:
-            raise SystemExit(f"{path}: not a two-column FRED csv")
+            raise MalformedRow(f"{path}:1: not a two-column FRED csv")
         name = header.split(",")[1].strip().strip('"')
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -111,7 +118,7 @@ def read_gsw_monthly(path: str, columns: tuple[str, ...]) -> dict[str, dict[Mont
             if cells[0].lower() == "date" and set(columns) <= set(cells):
                 break
         else:
-            raise SystemExit(f"{path}: no header row carrying {list(columns)!r}")
+            raise MalformedRow(f"{path}: no header row carrying {list(columns)!r}")
         used = [(cells.index(c), c, *daily[c]) for c in columns]
         width = max(j for j, *_ in used) + 1
         for lineno, line in enumerate(fh, start=lineno + 1):
@@ -127,6 +134,9 @@ def read_gsw_monthly(path: str, columns: tuple[str, ...]) -> dict[str, dict[Mont
                 day = day or _day(path, lineno, date)
                 dates.append(day)
                 values.append(_value(path, lineno, name, raw))
+    for c, (dates, _) in daily.items():
+        if not dates:
+            raise EmptyInput(f"{path}: no daily observations of {c}")
     return {c: dict(zip(*monthly_average(dates, values))) for c, (dates, values) in daily.items()}
 
 
@@ -154,9 +164,10 @@ def build_columns(raw: str) -> dict[str, dict[Month, float]]:
     columns: dict[str, dict[Month, float]] = {}
 
     for code, days, bill, cmt in (("3m", 91, "TB3MS", "GS3M"), ("6m", 182, "TB6MS", "GS6M")):
-        converted = {
-            m: discount_to_bond_equivalent(v, days) for m, v in fred(bill).items()
-        }
+        try:
+            converted = {m: discount_to_bond_equivalent(v, days) for m, v in fred(bill).items()}
+        except DomainError as exc:
+            raise DomainError(f"{os.path.join(raw, f'{bill}.csv')}: {exc}") from None
         columns[code] = splice(converted, fred(cmt), BILLS_UNTIL + 1)
 
     gsw_path = os.path.join(raw, "feds200628.csv")
@@ -175,99 +186,85 @@ def build_columns(raw: str) -> dict[str, dict[Month, float]]:
                 gs20.setdefault(m, fill[m])
     columns["20y"] = gs20
 
-    gs30 = optional("GS30")
-    if gs30:
-        columns["30y"] = gs30
-    lead = optional("USSLIND")
-    if lead:
-        columns["lead_idx"] = lead
+    for code, name in (("30y", "GS30"), ("lead_idx", "USSLIND")):
+        series = optional(name)
+        if series:
+            columns[code] = series
     return columns
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--raw", required=True, help="directory of downloaded CSVs")
-    parser.add_argument("--out", default="data", help="output directory")
-    parser.add_argument("--start", default=str(SAMPLE_START))
-    parser.add_argument("--end", default=str(SAMPLE_END))
-    args = parser.parse_args()
+def read_and_check(raw: str, start: Month, end: Month) -> list[tuple[str, Iterator[str]]]:
+    """Read every download and make every check, raising on the first
+    failure; return each output file's name and its lazily formatted lines."""
+    columns = build_columns(raw)
+    rec_path = os.path.join(raw, "USREC.csv")
+    rec = read_fred_monthly(rec_path)
 
-    start, end = Month.parse(args.start), Month.parse(args.end)
-    try:
-        columns = build_columns(args.raw)
-        rec = read_fred_monthly(os.path.join(args.raw, "USREC.csv"))
-    except MalformedRow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    months = month_range(start, end)
+    gaps = {code: [m for m in months if m not in columns[code]] for code in CORE}
+    report = [f"column {code} misses {len(g)} months, first {', '.join(map(str, g[:6]))}"
+              for code, g in gaps.items() if g]
+    if report:  # one error line per column, then the hint
+        hint = (
+            "\nhint: the 20y CMT was not published 1987-01..1993-09; provide "
+            "GS20_FILL.csv (e.g. monthly-averaged GSW SVENY20) to bridge it"
+        ) if gaps["20y"] else ""
+        raise GapInDates("\nerror: ".join(report) + hint)
 
-    core = [c for c in ("3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y")]
-    missing_report = []
-    for code in core:
-        gaps = [m for m in month_range(start, end) if m not in columns[code]]
-        if gaps:
-            missing_report.append((code, gaps[:6], len(gaps)))
-    if missing_report:
-        for code, head, count in missing_report:
-            print(
-                f"error: column {code} misses {count} months, first "
-                f"{', '.join(map(str, head))}",
-                file=sys.stderr,
-            )
-        if any(code == "20y" for code, _, _ in missing_report):
-            print(
-                "hint: the 20y CMT was not published 1987-01..1993-09; provide "
-                "GS20_FILL.csv (e.g. monthly-averaged GSW SVENY20) to bridge it",
-                file=sys.stderr,
-            )
-        return 1
+    # an empty USREC file counts as missing the first month
+    rec_months = month_range(start, min(max(rec, default=start), end + 24))
+    for m in rec_months:
+        if m not in rec:
+            raise CoverageError(f"{rec_path}: no value for {m}")
 
-    os.makedirs(args.out, exist_ok=True)
+    def table(codes: tuple[str, ...], months: list[Month]) -> Iterator[str]:
+        yield ",".join(("date", *codes))
+        for m in months:
+            yield ",".join([str(m)] + [f"{columns[c][m]:.6f}".rstrip("0").rstrip(".") for c in codes])
 
-    def write_wide(path: str, codes: list[str], months: list[Month]) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("date," + ",".join(codes) + "\n")
-            for m in months:
-                cells = [str(m)] + [
-                    f"{columns[c][m]:.6f}".rstrip("0").rstrip(".") for c in codes
-                ]
-                fh.write(",".join(cells) + "\n")
-        print(f"wrote {path}")
+    def recessions() -> Iterator[str]:
+        yield "date,recession"
+        for m in rec_months:
+            yield f"{m},{int(rec[m])}"
 
-    write_wide(
-        os.path.join(args.out, "yields_monthly.csv"), core, month_range(start, end)
-    )
-
+    files = [("yields_monthly.csv", table(CORE, months))]
     # a second file for runs that force the 30y yield / leading indicator:
     # it starts where every optional column exists
-    optional_cols = [c for c in columns if c not in core]
+    optional_cols = sorted(c for c in columns if c not in CORE)
     if optional_cols:
-        wide = core + sorted(optional_cols)
-        common = [
-            m
-            for m in month_range(start, end)
-            if all(m in columns[c] for c in wide)
-        ]
+        wide = CORE + tuple(optional_cols)
+        common = [m for m in months if all(m in columns[c] for c in wide)]
         if common and common == month_range(common[0], common[-1]):
-            write_wide(
-                os.path.join(args.out, "yields_monthly_extended.csv"), wide, common
-            )
+            files.append(("yields_monthly_extended.csv", table(wide, common)))
         else:
             print(
                 "warning: optional columns have internal gaps in the sample "
                 "(the 30y CMT stopped 2002-03..2006-01); no extended file written",
                 file=sys.stderr,
             )
+    return files + [("recessions.csv", recessions())]
 
-    rec_path = os.path.join(args.out, "recessions.csv")
-    with open(rec_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("date,recession\n")
-        last = max(rec)
-        for m in month_range(start, min(last, end + 24)):
-            if m not in rec:
-                print(f"error: USREC misses {m}", file=sys.stderr)
-                return 1
-            fh.write(f"{m},{int(rec[m])}\n")
-    print(f"wrote {rec_path}")
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--raw", required=True, help="directory of downloaded CSVs")
+    parser.add_argument("--out", default="data", help="output directory")
+    parser.add_argument("--start", type=Month.parse, default=SAMPLE_START)
+    parser.add_argument("--end", type=Month.parse, default=SAMPLE_END)
+    args = parser.parse_args()
+
+    try:
+        files = read_and_check(args.raw, args.start, args.end)
+        os.makedirs(args.out, exist_ok=True)
+        for name, lines in files:
+            path = os.path.join(args.out, name)
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                for line in lines:
+                    fh.write(line + "\n")
+            print(f"wrote {path}")
+    except (TermSpreadError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -137,21 +137,30 @@ def test_splice_switch_rule():
 
 
 def test_gap_detected_and_fill_applied(raw_dir, tmp_path):
-    # knock three months out of GS20, as in the real publication gap
+    # knock three months out of GS20, as in the real publication gap, and one
+    # out of GS3
     months = month_range(START, END)
-    gs20 = raw_dir / "GS20.csv"
-    lines = gs20.read_text().splitlines()
-    del lines[5:8]
-    gs20.write_text("\n".join(lines) + "\n")
+    for name, gap in (("GS20", slice(5, 8)), ("GS3", slice(8, 9))):
+        path = raw_dir / f"{name}.csv"
+        lines = path.read_text().splitlines()
+        del lines[gap]
+        path.write_text("\n".join(lines) + "\n")
 
     proc = run_script(raw_dir, tmp_path / "d1")
     assert proc.returncode == 1
-    assert "20y" in proc.stderr
+    assert proc.stderr == (
+        "error: column 3y misses 1 months, first 1962-01\n"
+        "error: column 20y misses 3 months, first 1961-10, 1961-11, 1961-12\n"
+        "hint: the 20y CMT was not published 1987-01..1993-09; provide "
+        "GS20_FILL.csv (e.g. monthly-averaged GSW SVENY20) to bridge it\n"
+    )
+    assert not (tmp_path / "d1").exists()
 
     # a fill file bridges the gap; note the real gap is 1987-01..1993-09 so
     # the script only consults the fill inside that window; here we patch the
     # generic missing-month path by restoring the rows instead
     fred_csv(raw_dir, "GS20", months, [6.0] * len(months))
+    fred_csv(raw_dir, "GS3", months, [5.0] * len(months))
     proc = run_script(raw_dir, tmp_path / "d2")
     assert proc.returncode == 0, proc.stderr
 
@@ -274,6 +283,12 @@ def _replace_line(path, lineno, text):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _delete_line(path, lineno):
+    lines = path.read_text().splitlines()
+    del lines[lineno - 1]
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize(
     "file, lineno, text, what",
     [
@@ -295,4 +310,45 @@ def test_malformed_raw_file_is_an_error_line(raw_dir, tmp_path, file, lineno, te
     proc = run_script(raw_dir, out)
     assert proc.returncode == 1
     assert proc.stderr == f"error: {path}:{lineno}: {what}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "file, damage, named",
+    [
+        ("GS1.csv", lambda path: path.unlink(), None),
+        ("GS5.csv", lambda path: _replace_line(path, 1, "observation_date"),
+         "not a two-column FRED csv"),
+        ("feds200628.csv", lambda path: _replace_line(path, 4, "Date,SVENY01,SVENY02"),
+         "no header row carrying ['SVENY02', 'SVENY07']"),
+        ("feds200628.csv", lambda path: gsw_csv(path.parent, [
+            (f"{m.year:04d}-{m.month:02d}-03", "NA", "5.0") for m in month_range(START, END)
+        ]), "no daily observations of SVENY02"),
+        ("TB3MS.csv", lambda path: _replace_line(path, 3, "1961-07-01,-0.5"),
+         "discount rate out of range: -0.5"),
+        ("USREC.csv", lambda path: _delete_line(path, 7), "no value for 1961-11"),
+        ("USREC.csv", lambda path: path.write_text("observation_date,USREC\n"),
+         "no value for 1961-06"),
+    ],
+    ids=["missing-file", "fred-header", "daily-header", "daily-column-empty",
+         "bill-rate-negative", "usrec-month-missing", "usrec-empty"],
+)
+def test_bad_download_is_one_error_line_before_any_write(raw_dir, tmp_path, file, damage, named):
+    path = raw_dir / file
+    damage(path)
+    out = tmp_path / "data"
+    proc = run_script(raw_dir, out)
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and str(path) in line
+    assert named is None or line.endswith(named)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--start", "--end"])
+def test_bad_month_argument_is_a_usage_error(raw_dir, tmp_path, flag):
+    out = tmp_path / "data"
+    proc = run_script(raw_dir, out, **{flag[2:]: "1961-6"})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "1961-6" in proc.stderr
     assert not out.exists()

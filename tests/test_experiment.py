@@ -312,7 +312,8 @@ def test_emit_all_markdown_panels(small_run, tmp_path):
     assert [os.path.basename(p) for p in paths[:5]] == [
         "panel_A.md", "panel_B.md", "panel_C.md", "panel_D.md", "eval_reports.csv",
     ]
-    text = open(os.path.join(str(out), "panel_A.md")).read()
+    with open(os.path.join(str(out), "panel_A.md")) as fh:
+        text = fh.read()
     lines = text.splitlines()
     assert lines[0].startswith("| horizon | pair | beta |")
     assert set(lines[1].replace("|", "")) <= {"-"}
