@@ -30,7 +30,7 @@ columns start on the zero-coupon curve and switch to CMT at 1976-06 and
 
 Every download is read and checked before anything is written; only then
 is ``--out`` made and are the files written. A missing or unreadable
-download, a malformed row, an empty daily column, a bill rate outside
+download, one that is not UTF-8 text, a malformed row, an empty daily column, a bill rate outside
 [0, 100), a gap in a core column (one line per column) or a month missing
 from USREC stops the script with ``error: ...`` and exit code 1; a bad
 ``--start`` or ``--end`` is a usage error, exit code 2.
@@ -47,12 +47,15 @@ import math
 import os
 import sys
 from collections.abc import Iterator
+from contextlib import contextmanager
+from typing import TextIO
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from termspread.data import Month, discount_to_bond_equivalent, monthly_average  # noqa: E402
 from termspread.errors import (  # noqa: E402
     CoverageError, DomainError, EmptyInput, GapInDates, MalformedRow, TermSpreadError,
+    UnreadableInput,
 )
 
 SAMPLE_START = Month(1961, 6)
@@ -82,10 +85,21 @@ def _value(path: str, lineno: int, name: str, token: str) -> float:
     return value
 
 
+@contextmanager
+def _open_text(path: str) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 text; a decoding error while it is read
+    becomes UnreadableInput naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise UnreadableInput(f"{path}: input file is not UTF-8 text: {exc.reason}") from None
+
+
 def read_fred_monthly(path: str) -> dict[Month, float]:
     """FRED two-column CSV -> {month: value}; missing markers dropped."""
     out: dict[Month, float] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         header = fh.readline()
         if "," not in header:
             raise MalformedRow(f"{path}:1: not a two-column FRED csv")
@@ -112,7 +126,7 @@ def read_gsw_monthly(path: str, columns: tuple[str, ...]) -> dict[str, dict[Mont
     A data line is split only up to the last column used, and only the date
     and the used cells are parsed."""
     daily: dict[str, tuple[list[dt.date], list[float]]] = {c: ([], []) for c in columns}
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             cells = [c.strip().strip('"') for c in line.strip().split(",")]
             if cells[0].lower() == "date" and set(columns) <= set(cells):

@@ -29,6 +29,17 @@ predictor, 3 b1 - 3 b2 + b3 on the grid) and starts from that prediction
 when it keeps the sign pattern and lowers J below the carried point's.
 ``fit_mle`` solves the unpenalized problem by Newton-Raphson with step
 halving on the same evaluation.
+
+NumPy does the work that touches the rows: the fused evaluation, the
+Hessian product and ``np.linalg.solve``. The bookkeeping over the ten or so
+coefficients (the pseudo-gradient and KKT residual of a point, the orthant
+and active set of a Newton step, the line search's trial points, the sign
+patterns and the prediction of a ``PathStart``) runs on Python floats from
+``tolist()``, because at that size a NumPy call costs a fixed dispatch
+larger than its arithmetic. Each scalar operation is the array form's IEEE
+operation in the same order, so the iterates are the same bit for bit; the
+sums whose order NumPy fixes (the penalty, the descent test pg.step) stay
+in NumPy.
 """
 
 from __future__ import annotations
@@ -227,26 +238,6 @@ def nll_gradient(
     return float(np.sum(r)), problem.features.T @ r
 
 
-def _pseudo_gradient(g: np.ndarray, beta: np.ndarray, pen: np.ndarray, lam: float) -> np.ndarray:
-    """Minimum-norm subgradient of J over (intercept, coefs); its largest
-    absolute entry equals ``kkt_residual``, which stays the independent
-    reference.
-
-    For penalized j: g_j + lambda*sign(b_j) when b_j != 0, else g_j shrunk
-    toward zero by lambda; for the intercept and unpenalized features, g_j.
-    """
-    pg = np.abs(g)
-    pg -= lam
-    np.maximum(pg, 0.0, out=pg)
-    pg *= np.sign(g)
-    moved = np.sign(beta)
-    moved *= lam
-    moved += g
-    np.copyto(pg, moved, where=beta != 0.0)
-    np.copyto(pg, g, where=~pen)
-    return pg
-
-
 def kkt_residual(
     problem: LogitProblem, lam: float, intercept: float, coefs: np.ndarray
 ) -> float:
@@ -285,35 +276,43 @@ def destandardize(
     if len(std.means) != len(b):
         raise ValueError("standardizer feature count does not match coefficients")
     coefs_orig = b / std.stds
-    intercept_orig = b0 - float(np.sum(b * std.means / std.stds))
+    intercept_orig = b0 - float((b * std.means / std.stds).sum())
     return intercept_orig, coefs_orig
 
 
 class _Point(NamedTuple):
     """The NLL, J, the NLL gradient, the pseudo-gradient and the KKT residual
-    (the largest pseudo-gradient entry) at beta = (intercept, coefs)."""
+    (the largest pseudo-gradient entry) at beta = (intercept, coefs); the
+    pseudo-gradient is a list of Python floats."""
 
     beta: np.ndarray
     prob: np.ndarray
     nll: float
     objective: float
     grad: np.ndarray
-    pseudo_grad: np.ndarray
+    pseudo_grad: list[float]
     kkt: float
 
 
+def _sign(v: float) -> int:
+    """The sign of ``v`` as -1, 0 or 1, with -0.0 read as 0."""
+    return (v > 0.0) - (v < 0.0)
+
+
 def _first_crossing(
-    b: np.ndarray, step: np.ndarray, orthant: np.ndarray, idx: np.ndarray
-) -> tuple[float, np.ndarray]:
+    b: list[float], step: list[float], orthant: list[int], idx: list[int]
+) -> tuple[float, list[int]]:
     """The t < 1 at which the first signed entry of b - t*step reaches zero,
     and the entries of ``idx`` that reach it there; (1/2, none) when no
     entry crosses before the full step."""
-    crossing = (orthant != 0.0) & (b * step > 0.0) & (np.abs(b) < np.abs(step))
-    if not crossing.any():
-        return 0.5, idx[:0]
-    ratio = b[crossing] / step[crossing]
-    t = float(ratio.min())
-    return t, idx[crossing][ratio == t]
+    ratios = [
+        (j, b[j] / d) for j, d in zip(idx, step)
+        if orthant[j] != 0.0 and b[j] * d > 0.0 and abs(b[j]) < abs(d)
+    ]
+    if not ratios:
+        return 0.5, []
+    t = min(r for _, r in ratios)
+    return t, [j for j, r in ratios if r == t]
 
 
 class _FusedObjective:
@@ -330,9 +329,10 @@ class _FusedObjective:
     def __init__(self, start: PathStart, lam: float) -> None:
         self.start = start
         self.problem = start.problem
-        self.lam = lam
+        self.lam = float(lam)
         self.design = start.design
         self.pen = start.pen if lam > 0.0 else start.no_pen
+        self.penalized = self.pen.tolist()
         self._prox_step = 1.0
         self.evaluations = 0
 
@@ -361,18 +361,31 @@ class _FusedObjective:
         return self._priced(pt.beta, pt.prob, pt.nll, pt.grad)
 
     def _priced(self, beta: np.ndarray, p: np.ndarray, nll: float, g: np.ndarray) -> _Point:
-        objective = nll + self.lam * float(np.abs(beta[self.pen]).sum())
-        pg = _pseudo_gradient(g, beta, self.pen, self.lam)
-        return _Point(beta, p, nll, objective, g, pg, float(np.abs(pg).max()))
+        """The point with J and the minimum-norm subgradient of J: g_j for
+        the intercept and unpenalized entries, g_j + lambda*sign(b_j) where
+        b_j != 0, else g_j shrunk toward zero by lambda."""
+        lam = self.lam
+        objective = nll + lam * float(np.abs(beta[self.pen]).sum())
+        pg = []
+        for gj, bj, penalized in zip(g.tolist(), beta.tolist(), self.penalized):
+            if not penalized:
+                pg.append(gj)
+            elif bj > 0.0 or bj == 0.0 and gj < -lam:
+                pg.append(gj + lam)
+            elif bj < 0.0 or gj > lam:
+                pg.append(gj - lam)
+            else:
+                pg.append(0.0)
+        return _Point(beta, p, nll, objective, g, pg, max(map(abs, pg)))
 
-    def hessian(self, pt: _Point, idx: np.ndarray) -> np.ndarray:
-        """NLL Hessian over the entries ``idx`` of beta."""
-        s = self.problem.weights * pt.prob * (1.0 - pt.prob)
+    def hessian(self, s: np.ndarray, idx: list[int]) -> np.ndarray:
+        """NLL Hessian over the entries ``idx`` of beta, from the curvature
+        weights s = w*p*(1-p) of a point."""
         A = self.design[:, idx]
         return A.T @ (s[:, None] * A)
 
     def line_search(
-        self, pt: _Point, idx: np.ndarray, step: np.ndarray, orthant: np.ndarray
+        self, pt: _Point, idx: list[int], step: np.ndarray, orthant: list[int]
     ) -> _Point | None:
         """First of beta - t*step that does not raise J.
 
@@ -385,19 +398,22 @@ class _FusedObjective:
         for nothing.
         """
         limit = pt.objective + DESCENT_SLACK * abs(pt.objective)
-        t, first_zeros = 1.0, idx[:0]
+        b, steps = pt.beta.tolist(), step.tolist()
+        t, first_zeros = 1.0, []
         for trial in range(MAX_HALVINGS):
-            beta = pt.beta.copy()
-            beta[idx] -= t * step
-            beta[orthant * beta < 0.0] = 0.0
-            beta[first_zeros] = 0.0
-            new = self.at(beta)
+            beta = b.copy()
+            for j, d in zip(idx, steps):
+                v = b[j] - t * d
+                beta[j] = 0.0 if orthant[j] * v < 0.0 else v
+            for j in first_zeros:
+                beta[j] = 0.0
+            new = self.at(np.array(beta))
             if new.objective <= limit:
                 return new
             if trial == 0:
-                t, first_zeros = _first_crossing(pt.beta[idx], step, orthant[idx], idx)
+                t, first_zeros = _first_crossing(b, steps, orthant, idx)
             else:
-                t, first_zeros = 0.5 * t, idx[:0]
+                t, first_zeros = 0.5 * t, []
         return None
 
     def newton_step(self, pt: _Point) -> _Point | None:
@@ -411,21 +427,23 @@ class _FusedObjective:
         keeping it bends the step of the others (on near-separable panels the
         cold start otherwise crawls for thousands of iterations).
         """
-        b, pg = pt.beta, pt.pseudo_grad
-        nonzero = b != 0.0
-        orthant = np.where(nonzero, np.sign(b), -np.sign(pg)) * self.pen
-        active = ~self.pen | nonzero | (pg != 0.0)
+        b, pg, flags = pt.beta.tolist(), pt.pseudo_grad, self.penalized
+        orthant = [(_sign(bj) or -_sign(gj)) if pen else 0 for bj, gj, pen in zip(b, pg, flags)]
+        idx = [j for j, pen in enumerate(flags) if not pen or b[j] != 0.0 or pg[j] != 0.0]
+        s = self.problem.weights * pt.prob * (1.0 - pt.prob)
         while True:
-            idx = np.flatnonzero(active)
+            rhs = np.array([pg[j] for j in idx])
             try:
-                step = np.linalg.solve(self.hessian(pt, idx), pg[idx])
+                step = np.linalg.solve(self.hessian(s, idx), rhs)
             except np.linalg.LinAlgError:
                 return None
-            leaving = ~nonzero[idx] & (orthant[idx] * step > 0.0)
-            if not leaving.any():
+            staying = [
+                j for j, d in zip(idx, step.tolist()) if b[j] != 0.0 or not orthant[j] * d > 0.0
+            ]
+            if len(staying) == len(idx):
                 break
-            active[idx[leaving]] = False
-        if not pg[idx] @ step > 0.0:
+            idx = staying
+        if not rhs @ step > 0.0:
             return None  # a numerically singular system gave no descent direction
         return self.line_search(pt, idx, step, orthant)
 
@@ -495,9 +513,9 @@ class PathStart:
     three fits start as a warm start would.
 
     The design ``[1 | X]``, its transpose, 2y - 1 and the penalty mask
-    extended by the intercept (and its all-false twin for lambda = 0) are
-    built here, once per path. Nothing of this state goes into the returned
-    fits.
+    extended by the intercept (as an array and as a list, and its all-false
+    twin for lambda = 0) are built here, once per path. Nothing of this
+    state goes into the returned fits.
     """
 
     def __init__(self, problem: LogitProblem, fit: LogitFit | None = None) -> None:
@@ -506,12 +524,13 @@ class PathStart:
         self.design_t = self.design.T
         self.signs = 2.0 * problem.targets - 1.0
         self.pen = np.concatenate([[False], problem.penalty_mask])
+        self.penalized = self.pen.tolist()
         self.no_pen = np.zeros_like(self.pen)
         self.beta = np.zeros(problem.n_features + 1)
         if fit is not None:
             self.beta[0], self.beta[1:] = fit.intercept_std, fit.coefs_std
         self.point: _Point | None = None
-        self.optima: list[tuple[float, np.ndarray, bytes]] = []
+        self.optima: list[tuple[float, list[float], tuple[int, ...]]] = []
 
     def first_point(self, objective: _FusedObjective) -> _Point:
         """Where the fit at ``objective.lam`` starts: the carried optimum
@@ -539,22 +558,22 @@ class PathStart:
         x, x1, x2, x3 = (math.log(v) for v in (lam, l1, l2, l3))
         if len({x, x1, x2, x3}) < 4:
             return None
-        guess = (
-            (x - x2) * (x - x3) / ((x1 - x2) * (x1 - x3)) * b1
-            + (x - x1) * (x - x3) / ((x2 - x1) * (x2 - x3)) * b2
-            + (x - x1) * (x - x2) / ((x3 - x1) * (x3 - x2)) * b3
-        )
-        return guess if self._signs_of(guess) == s1 else None
+        c1 = (x - x2) * (x - x3) / ((x1 - x2) * (x1 - x3))
+        c2 = (x - x1) * (x - x3) / ((x2 - x1) * (x2 - x3))
+        c3 = (x - x1) * (x - x2) / ((x3 - x1) * (x3 - x2))
+        guess = [c1 * u + c2 * v + c3 * w for u, v, w in zip(b1, b2, b3)]
+        return np.array(guess) if self._signs_of(guess) == s1 else None
 
-    def _signs_of(self, beta: np.ndarray) -> bytes:
-        """The sign pattern of the penalized entries, -0.0 read as 0.0."""
-        return (np.sign(beta[self.pen]) + 0.0).tobytes()
+    def _signs_of(self, beta: list[float]) -> tuple[int, ...]:
+        """The sign pattern of the penalized entries, -0.0 read as 0."""
+        return tuple(_sign(b) for b, pen in zip(beta, self.penalized) if pen)
 
     def record(self, pt: _Point, lam: float, certified: bool) -> None:
         """Carry ``pt`` to the next fit; keep it as one of the last three
         optima if it is certified, else forget them."""
         self.point = pt
-        optimum = (lam, pt.beta, self._signs_of(pt.beta))
+        beta = pt.beta.tolist()
+        optimum = (lam, beta, self._signs_of(beta))
         self.optima = (self.optima + [optimum])[-3:] if certified else []
 
 
@@ -614,13 +633,14 @@ def fit_mle(problem: LogitProblem, standardizer: Standardizer | None = None) -> 
     if np.unique(problem.targets).size < 2:
         raise SingleClass("logistic MLE needs both classes in the training targets")
     objective = _FusedObjective(PathStart(problem), 0.0)
-    everything = np.arange(problem.n_features + 1)
-    no_orthant = np.zeros(problem.n_features + 1)
+    everything = list(range(problem.n_features + 1))
+    no_orthant = [0] * (problem.n_features + 1)
     pt = objective.at(np.zeros(problem.n_features + 1))
     iterations = 0
     while pt.kkt > MLE_GRAD_TOL and iterations < MAX_ITER_MLE:
+        s = problem.weights * pt.prob * (1.0 - pt.prob)
         try:
-            step = np.linalg.solve(objective.hessian(pt, everything), pt.grad)
+            step = np.linalg.solve(objective.hessian(s, everything), pt.grad)
         except np.linalg.LinAlgError:
             raise Singular("Hessian is singular; features may be collinear") from None
         if not np.all(np.isfinite(step)):

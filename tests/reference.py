@@ -63,6 +63,25 @@ def loop_auc(targets: np.ndarray, scores: np.ndarray) -> float:
     return u / (n_pos * n_neg)
 
 
+def array_pseudo_gradient(
+    g: np.ndarray, beta: np.ndarray, pen: np.ndarray, lam: float
+) -> np.ndarray:
+    """Minimum-norm subgradient of the L1 objective over (intercept, coefs),
+    in whole-array NumPy operations: for penalized j, g_j + lambda*sign(b_j)
+    when b_j != 0, else g_j shrunk toward zero by lambda; for the intercept
+    and unpenalized features, g_j."""
+    pg = np.abs(g)
+    pg -= lam
+    np.maximum(pg, 0.0, out=pg)
+    pg *= np.sign(g)
+    moved = np.sign(beta)
+    moved *= lam
+    moved += g
+    np.copyto(pg, moved, where=beta != 0.0)
+    np.copyto(pg, g, where=~pen)
+    return pg
+
+
 def loop_roc(targets: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """ROC points (fpr, tpr) from (0, 0), one per distinct score in
     decreasing order, built by a loop over the thresholds."""

@@ -329,9 +329,14 @@ def test_malformed_raw_file_is_an_error_line(raw_dir, tmp_path, file, lineno, te
         ("USREC.csv", lambda path: _delete_line(path, 7), "no value for 1961-11"),
         ("USREC.csv", lambda path: path.write_text("observation_date,USREC\n"),
          "no value for 1961-06"),
+        ("GS1.csv", lambda path: path.write_bytes(b"\xff\xfe" + path.read_bytes()),
+         "input file is not UTF-8 text: invalid start byte"),
+        ("feds200628.csv", lambda path: path.write_bytes(path.read_bytes() + b"2020-07-31,\xff\n"),
+         "input file is not UTF-8 text: invalid start byte"),
     ],
     ids=["missing-file", "fred-header", "daily-header", "daily-column-empty",
-         "bill-rate-negative", "usrec-month-missing", "usrec-empty"],
+         "bill-rate-negative", "usrec-month-missing", "usrec-empty", "fred-not-utf8",
+         "daily-not-utf8"],
 )
 def test_bad_download_is_one_error_line_before_any_write(raw_dir, tmp_path, file, damage, named):
     path = raw_dir / file

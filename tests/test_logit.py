@@ -23,7 +23,7 @@ from termspread.logit import (
     weighted_nll,
 )
 
-from reference import intercept_only_lambda_bound
+from reference import array_pseudo_gradient, intercept_only_lambda_bound
 
 
 def random_problem(rng, n, p, weighted=False):
@@ -538,6 +538,28 @@ def test_l1_numerically_singular_newton_system_falls_back_quickly():
     fit = fit_l1(prob, lam)
     assert fit.converged and fit.iterations <= 100
     assert kkt_residual(prob, lam, fit.intercept_std, fit.coefs_std) <= 1e-7
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_point_pricing_matches_the_array_oracle(data):
+    # zero coefficients of either sign, gradients on the kink |g_j| = lambda,
+    # lambda = 0 and unpenalized entries; -0.0 and 0.0 count as equal
+    p = data.draw(st.integers(1, 9))
+    lam = data.draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 4.0))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=p, max_size=p)))
+    special = st.sampled_from([0.0, -0.0, lam, -lam])
+    entries = st.lists(special | st.floats(-8.0, 8.0), min_size=p + 1, max_size=p + 1)
+    beta, g = (np.array(data.draw(entries)) for _ in range(2))
+    nll = data.draw(st.floats(0.0, 100.0))
+    prob = LogitProblem(np.arange(2.0 * p).reshape(2, p), np.array([0.0, 1.0]), penalty_mask=mask)
+    start = logit.PathStart(prob)
+    pt = logit._FusedObjective(start, lam)._priced(beta, np.zeros(2), nll, g)
+    expected = array_pseudo_gradient(g, beta, start.pen, lam)
+    assert pt.pseudo_grad == expected.tolist()
+    assert pt.kkt == float(np.abs(expected).max())
+    assert pt.objective == nll + lam * float(np.abs(beta[start.pen]).sum())
+    assert start._signs_of(beta.tolist()) == tuple((np.sign(beta[start.pen]) + 0.0).tolist())
 
 
 def test_path_start_predicts_only_from_three_optima_of_one_sign_pattern(monkeypatch):

@@ -12,6 +12,7 @@ from termspread import logit, selection
 from termspread.data import align_dataset, split_views
 from termspread.errors import CountNeverAttained, NotConverged
 from termspread.logit import (
+    ClassWeights,
     LogitProblem,
     Standardizer,
     fit_mle,
@@ -121,22 +122,35 @@ def test_solver_work_on_the_reference_market_is_pinned(market, split95):
 
 
 def test_sweep_evaluations_on_the_reference_market(market, split95):
-    # all eight horizons of make_market(42), unweighted: re-evaluating each
-    # warm start and halving past clipped coefficients took 4,449 evaluations;
+    # all eight horizons of make_market(42), unweighted and with class weights
+    # and the penalty-exempt lead_idx: re-evaluating each warm start and
+    # halving past clipped coefficients took 4,449 evaluations unweighted;
     # starting every fit from the carried optimum took 2,749 iterations and
-    # 2,827 evaluations
+    # 2,827 evaluations; the bounds are the counts of the predicted starts
     panel, recessions = market
-    fits = []
-    for h in (3, 6, 9, 12, 15, 18, 21, 24):
-        train, _ = split_views(align_dataset(panel, recessions, h, split95, MATURITY_CODES))
-        fits += sweep_path(train.features, train.targets, MATURITY_CODES).fits
-    assert len(fits) == 1129
-    iterations = sum(f.iterations for f in fits)
-    evaluations = sum(f.evaluations for f in fits)
-    assert iterations <= 1800
-    assert iterations <= evaluations <= 2827
-    # a fit that makes no step spends no evaluation on its carried start
-    assert all(f.iterations >= 1 or f.evaluations == 0 for f in fits)
+    runs = [  # controls, class weights, fits, most iterations, most evaluations
+        ((), False, 1129, 1765, 2689),
+        (("lead_idx",), True, 1198, 1720, 2737),
+    ]
+    for controls, weighted, n_fits, max_iterations, max_evaluations in runs:
+        names = MATURITY_CODES + controls
+        mask = np.array([name in MATURITY_CODES for name in names])
+        fits = []
+        for h in (3, 6, 9, 12, 15, 18, 21, 24):
+            train, _ = split_views(align_dataset(panel, recessions, h, split95, names))
+            weights = None
+            if weighted:
+                weights = ClassWeights.from_targets(train.targets).per_row(train.targets)
+            fits += sweep_path(
+                train.features, train.targets, names, weights=weights, penalty_mask=mask
+            ).fits
+        assert len(fits) == n_fits
+        iterations = sum(f.iterations for f in fits)
+        evaluations = sum(f.evaluations for f in fits)
+        assert iterations <= max_iterations
+        assert iterations <= evaluations <= max_evaluations
+        # a fit that makes no step spends no evaluation on its carried start
+        assert all(f.iterations >= 1 or f.evaluations == 0 for f in fits)
 
 
 def test_carried_start_matches_a_warm_start_from_the_previous_fit():
