@@ -33,7 +33,8 @@ is ``--out`` made and are the files written. A missing or unreadable
 download, one that is not UTF-8 text, a malformed row, an empty daily column, a bill rate outside
 [0, 100), a gap in a core column (one line per column) or a month missing
 from USREC stops the script with ``error: ...`` and exit code 1; a bad
-``--start`` or ``--end`` is a usage error, exit code 2.
+``--start`` or ``--end``, or a ``--start`` after ``--end``, is a usage
+error, exit code 2.
 
 Usage:
     python scripts/assemble_dataset.py --raw ~/Downloads/fred --out data
@@ -266,6 +267,8 @@ def main() -> int:
     parser.add_argument("--start", type=Month.parse, default=SAMPLE_START)
     parser.add_argument("--end", type=Month.parse, default=SAMPLE_END)
     args = parser.parse_args()
+    if args.start > args.end:
+        parser.error(f"--start {args.start} is after --end {args.end}")
 
     try:
         files = read_and_check(args.raw, args.start, args.end)

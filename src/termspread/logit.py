@@ -2,8 +2,10 @@
 
 The recession probability for a feature row x is phi(-b0 - b.x) with
 phi(z) = 1 / (1 + exp(-z)), so the probability RISES as the linear
-combination of yields FALLS. All optimization runs on z-scored features;
-coefficients are reported in both scales.
+combination of yields FALLS. All optimization runs on z-scored features,
+and a ``LogitFit`` is the solver's point in that standardized scale;
+``destandardize`` maps it to the original scale where a number is reported
+(``selection`` and ``models``).
 
 The L1 objective is
 
@@ -96,10 +98,6 @@ class Standardizer:
             raise ValueError(f"constant feature column(s): {bad}")
         return cls(means=means, stds=stds)
 
-    @classmethod
-    def identity(cls, n_features: int) -> "Standardizer":
-        return cls(means=np.zeros(n_features), stds=np.ones(n_features))
-
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=float) - self.means) / self.stds
 
@@ -169,7 +167,9 @@ class LogitProblem:
 
 @dataclass(frozen=True)
 class LogitFit:
-    """A fitted logistic model in standardized and original scales.
+    """A fitted logistic model in the scale of the problem it solved: the
+    standardized one when the features were z-scored, which
+    ``destandardize`` maps back.
 
     ``evaluations`` counts the fused evaluations of J the fit made: every
     line-search and proximal trial, and the start point unless it was
@@ -178,17 +178,11 @@ class LogitFit:
 
     intercept_std: float
     coefs_std: np.ndarray
-    intercept_orig: float
-    coefs_orig: np.ndarray
     objective_value: float
     iterations: int
     evaluations: int
     converged: bool
     kkt_residual: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefs_std", np.asarray(self.coefs_std, dtype=float))
-        object.__setattr__(self, "coefs_orig", np.asarray(self.coefs_orig, dtype=float))
 
 
 def _logistic(eta: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -474,17 +468,11 @@ class _FusedObjective:
 
 
 def _make_fit(
-    pt: _Point, objective: _FusedObjective, iterations: int, converged: bool,
-    standardizer: Standardizer | None,
+    pt: _Point, objective: _FusedObjective, iterations: int, converged: bool
 ) -> LogitFit:
-    b0, b = float(pt.beta[0]), pt.beta[1:].copy()
-    std = standardizer if standardizer is not None else Standardizer.identity(len(b))
-    i_orig, c_orig = destandardize(b0, b, std)
     return LogitFit(
-        intercept_std=b0,
-        coefs_std=b,
-        intercept_orig=i_orig,
-        coefs_orig=c_orig,
+        intercept_std=float(pt.beta[0]),
+        coefs_std=pt.beta[1:].copy(),
         objective_value=pt.objective,
         iterations=iterations,
         evaluations=objective.evaluations,
@@ -577,12 +565,7 @@ class PathStart:
         self.optima = (self.optima + [optimum])[-3:] if certified else []
 
 
-def fit_l1(
-    problem: LogitProblem,
-    lam: float,
-    standardizer: Standardizer | None = None,
-    start: PathStart | None = None,
-) -> LogitFit:
+def fit_l1(problem: LogitProblem, lam: float, start: PathStart | None = None) -> LogitFit:
     """Minimize NLL + lam * ||penalized coefs||_1 by active-orthant Newton.
 
     ``start`` is a ``PathStart`` of ``problem`` (None means
@@ -614,10 +597,10 @@ def fit_l1(
         pt = nxt
         iterations += 1
     start.record(pt, lam, pt.kkt <= KKT_TOL)
-    return _make_fit(pt, objective, iterations, pt.kkt <= KKT_TOL, standardizer)
+    return _make_fit(pt, objective, iterations, pt.kkt <= KKT_TOL)
 
 
-def fit_mle(problem: LogitProblem, standardizer: Standardizer | None = None) -> LogitFit:
+def fit_mle(problem: LogitProblem) -> LogitFit:
     """Unpenalized MLE by Newton-Raphson with step halving.
 
     Every returned fit is certified: its largest gradient entry is at most
@@ -663,7 +646,7 @@ def fit_mle(problem: LogitProblem, standardizer: Standardizer | None = None) -> 
         raise Separation(
             "fit saturated to a perfect classification; data appears linearly separable"
         )
-    return _make_fit(pt, objective, iterations, True, standardizer)
+    return _make_fit(pt, objective, iterations, True)
 
 
 def null_model_lambda_bound(problem: LogitProblem) -> float:

@@ -11,13 +11,13 @@ specification and are exempt from the L1 penalty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import AlignedDataset
 from .errors import MissingSeries
-from .logit import LogitFit, LogitProblem, Standardizer, fit_mle, predict_proba
+from .logit import LogitFit, LogitProblem, Standardizer, destandardize, fit_mle, predict_proba
 from .selection import CoefficientPath, SelectionResult
 
 CONVENTIONAL_PAIR = ("10y", "3m")
@@ -44,28 +44,31 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """A specification with estimated original-scale parameters.
+    """A specification with its estimated parameters in the original scale.
 
-    The fit holds one coefficient per design column: the yield pair or
-    spread, then the spec's controls.
+    ``coefs`` holds one coefficient per design column: the yield pair or
+    spread, then the spec's controls. ``fit`` is the solver's fit in the
+    standardized scale it solved, with its certificate and work counts.
     """
 
     spec: ModelSpec
     fit: LogitFit
+    intercept: float
+    coefs: np.ndarray
 
     @property
     def control_coefs(self) -> dict[str, float]:
         """Original-scale coefficient of each control, by name."""
-        trailing = self.fit.coefs_orig[len(self.spec.yield_feature_names):]
+        trailing = self.coefs[len(self.spec.yield_feature_names):]
         return {name: float(b) for name, b in zip(self.spec.controls, trailing)}
 
     @property
     def display_coefficients(self) -> tuple[float, float]:
         """(long, short) coefficients; a simple spread shows (b, -b)."""
         if self.spec.simple:
-            b = float(self.fit.coefs_orig[0])
+            b = float(self.coefs[0])
             return (b, -b)
-        return (float(self.fit.coefs_orig[0]), float(self.fit.coefs_orig[1]))
+        return (float(self.coefs[0]), float(self.coefs[1]))
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,8 @@ def fit_spec(
         targets=ds.targets[: ds.split_index],
         weights=weights,
     )
-    return FittedModel(spec=spec, fit=fit_mle(problem, standardizer))
+    fit = fit_mle(problem)
+    return FittedModel(spec, fit, *destandardize(fit.intercept_std, fit.coefs_std, standardizer))
 
 
 def fitted_model_from_selection(
@@ -115,9 +119,10 @@ def fitted_model_from_selection(
     """Panel A: the selection fit as the generalized model of the selected pair.
 
     The selection fit carries one coefficient per path column, almost all
-    exactly zero; this reduces it to the surviving pair plus the path's
-    unpenalized columns (the forced controls), which leaves every predicted
-    probability unchanged.
+    exactly zero. Its full vector is mapped to the original scale, then
+    reduced to the surviving pair plus the path's unpenalized columns (the
+    forced controls), which leaves every predicted probability unchanged;
+    ``fit`` stays the unreduced selection fit.
     """
     controls = tuple(
         name
@@ -127,8 +132,8 @@ def fitted_model_from_selection(
     spec = ModelSpec(selection.pair, simple=False, controls=controls)
     idx = [path.feature_names.index(name) for name in spec.yield_feature_names + controls]
     fit = selection.fit
-    reduced = replace(fit, coefs_std=fit.coefs_std[idx], coefs_orig=fit.coefs_orig[idx])
-    return FittedModel(spec=spec, fit=reduced)
+    intercept, coefs = destandardize(fit.intercept_std, fit.coefs_std, path.standardizer)
+    return FittedModel(spec, fit, intercept, coefs[idx])
 
 
 def forecast_series(model: FittedModel, ds: AlignedDataset) -> ForecastSeries:
@@ -139,6 +144,5 @@ def forecast_series(model: FittedModel, ds: AlignedDataset) -> ForecastSeries:
     test rows alike; the dates and the split are the dataset's.
     """
     design = _aligned_columns(ds, model.spec)
-    b0 = model.fit.intercept_orig
-    b = model.fit.coefs_orig
+    b0, b = model.intercept, model.coefs
     return ForecastSeries(spread=b0 + design @ b, probabilities=predict_proba(b0, b, design))

@@ -44,7 +44,7 @@ class CoefficientPath:
 
     ``problem`` is the standardized training problem that every fit of the
     path solved, each at its own lambda; a refit passes it with another
-    lambda.
+    lambda. The fits are in its scale; ``standardizer`` maps them back.
     """
 
     k_values: np.ndarray
@@ -57,7 +57,7 @@ class CoefficientPath:
     @property
     def coef_matrix(self) -> np.ndarray:
         """Original-scale coefficients, one row per lambda."""
-        return np.array([f.coefs_orig for f in self.fits])
+        return np.array([f.coefs_std for f in self.fits]) / self.standardizer.stds
 
     @property
     def nonzero_counts(self) -> np.ndarray:
@@ -105,7 +105,7 @@ def sweep_path(
     """Fit the L1 path over lambda_k = 2^(k/10) with warm starts.
 
     ``features`` are original-scale training rows; they are z-scored here
-    and the per-lambda coefficients are reported back in the original scale.
+    and ``coef_matrix`` maps the per-lambda fits back to the original scale.
     ``feature_names`` name the columns; each penalized one must be a maturity
     code, else ValueError names it. The grid
     runs over integer k from K_START to one step past the null-model bound,
@@ -138,7 +138,7 @@ def sweep_path(
 
     carry = PathStart(problem)
     fits = [
-        _certified(fit_l1(problem, lam, standardizer, start=carry), k)
+        _certified(fit_l1(problem, lam, start=carry), k)
         for k, lam in zip(k_values, lambdas)
     ]
 
@@ -156,9 +156,10 @@ def _result_from_fit(
     path: CoefficientPath, k: float, lam: float, fit: LogitFit
 ) -> SelectionResult:
     support = _support(fit, path.problem.penalty_mask)
+    stds = path.standardizer.stds
     long, short = (
         path.feature_names[j]
-        for j in sorted(support, key=lambda j: -fit.coefs_orig[j])  # positive first
+        for j in sorted(support, key=lambda j: -fit.coefs_std[j] / stds[j])  # positive first
     )
     return SelectionResult(lambda_selected=lam, k_selected=k, pair=(long, short), fit=fit)
 
@@ -193,7 +194,7 @@ def _bisect(path: CoefficientPath, lo_idx: int, hi_idx: int) -> SelectionResult:
         k_mid = 0.5 * (k_lo + k_hi)
         lam = lambda_at(k_mid)
         start = PathStart(path.problem, fit_lo)
-        fit = _certified(fit_l1(path.problem, lam, path.standardizer, start=start), k_mid)
+        fit = _certified(fit_l1(path.problem, lam, start=start), k_mid)
         count = _support(fit, path.problem.penalty_mask).size
         if count == TARGET_NONZERO:
             return _result_from_fit(path, k_mid, lam, fit)

@@ -102,8 +102,8 @@ def test_acceptance_1_solver_oracle_equivalence():
 
         st = Standardizer.fit(X)
         prob = LogitProblem(features=st.transform(X), targets=y)
-        l1 = fit_l1(prob, 0.0, st)
-        mle = fit_mle(prob, st)
+        l1 = fit_l1(prob, 0.0)
+        mle = fit_mle(prob)
         diff = max(
             abs(l1.intercept_std - mle.intercept_std),
             float(np.max(np.abs(l1.coefs_std - mle.coefs_std))),
@@ -142,7 +142,7 @@ def test_acceptance_2_kkt_certification():
         st = Standardizer.fit(X)
         lam = float(2.0 ** rng.uniform(-10, 6))
         prob = LogitProblem(features=st.transform(X), targets=y, penalty_mask=mask)
-        fit = fit_l1(prob, lam, st)
+        fit = fit_l1(prob, lam)
         assert fit.converged
         res = kkt_residual(prob, lam, fit.intercept_std, fit.coefs_std)
         worst = max(worst, res)

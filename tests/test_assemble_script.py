@@ -350,10 +350,18 @@ def test_bad_download_is_one_error_line_before_any_write(raw_dir, tmp_path, file
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--start", "--end"])
-def test_bad_month_argument_is_a_usage_error(raw_dir, tmp_path, flag):
+@pytest.mark.parametrize(
+    "months, shown",
+    [
+        ({"start": "1961-6"}, "1961-6"),
+        ({"end": "1961-6"}, "1961-6"),
+        ({"start": "1963-05", "end": "1961-06"}, "--start 1963-05 is after --end 1961-06"),
+    ],
+    ids=["--start", "--end", "start-after-end"],
+)
+def test_bad_month_argument_is_a_usage_error(raw_dir, tmp_path, months, shown):
     out = tmp_path / "data"
-    proc = run_script(raw_dir, out, **{flag[2:]: "1961-6"})
+    proc = run_script(raw_dir, out, **months)
     assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr and "1961-6" in proc.stderr
+    assert "Traceback" not in proc.stderr and shown in proc.stderr
     assert not out.exists()

@@ -28,7 +28,7 @@ from termspread.experiment import (
     emit_all,
     run_experiment,
 )
-from termspread.logit import ClassWeights
+from termspread.logit import ClassWeights, destandardize
 
 from conftest import make_market, write_market
 from reference import per_cell_outputs
@@ -269,11 +269,13 @@ def test_forced_control_run(data_files):
     art = result.artifacts[12]
     for letter in ("A", "B", "C", "D"):
         model = art.models[letter]
-        assert model.control_coefs == {"lead_idx": model.fit.coefs_orig[-1]}
+        assert model.control_coefs == {"lead_idx": model.coefs[-1]}
     # the control is exempt from the penalty, so it survives selection
     j = art.path.feature_names.index("lead_idx")
     assert not art.path.problem.penalty_mask[j]
-    assert art.models["A"].control_coefs["lead_idx"] == art.selection.fit.coefs_orig[j] != 0.0
+    fit = art.selection.fit
+    coefs = destandardize(fit.intercept_std, fit.coefs_std, art.path.standardizer)[1]
+    assert art.models["A"].control_coefs["lead_idx"] == coefs[j] != 0.0
 
 
 # --- emitters ----------------------------------------------------------------------

@@ -171,7 +171,7 @@ def test_standardizer_rejects_constant_feature():
 
 
 def test_destandardize_identity():
-    st = Standardizer.identity(2)
+    st = Standardizer(means=np.zeros(2), stds=np.ones(2))
     i, c = destandardize(0.7, np.array([1.0, -2.0]), st)
     assert i == 0.7 and c.tolist() == [1.0, -2.0]
 
@@ -205,9 +205,9 @@ def test_fit_prediction_equivalence_across_scales():
     y[:2] = [0.0, 1.0]
     st = Standardizer.fit(X)
     prob = LogitProblem(features=st.transform(X), targets=y)
-    fit = fit_l1(prob, 0.5, st)
+    fit = fit_l1(prob, 0.5)
     p_std = predict_proba(fit.intercept_std, fit.coefs_std, st.transform(X))
-    p_orig = predict_proba(fit.intercept_orig, fit.coefs_orig, X)
+    p_orig = predict_proba(*destandardize(fit.intercept_std, fit.coefs_std, st), X)
     assert np.max(np.abs(p_std - p_orig)) <= 1e-10
 
 
@@ -289,7 +289,7 @@ def test_l1_null_model_at_high_lambda():
     Z = st.transform(prob_raw.features)
     bound = null_model_lambda_bound(LogitProblem(features=Z, targets=prob_raw.targets))
     prob = LogitProblem(features=Z, targets=prob_raw.targets)
-    fit = fit_l1(prob, bound * 1.01, st)
+    fit = fit_l1(prob, bound * 1.01)
     assert np.all(fit.coefs_std == 0.0)
     p_bar = prob_raw.targets.mean()
     assert fit.intercept_std == pytest.approx(np.log((1 - p_bar) / p_bar), abs=1e-7)
@@ -318,8 +318,8 @@ def test_l1_at_zero_matches_mle():
         prob = LogitProblem(
             features=st.transform(raw.features), targets=raw.targets, weights=raw.weights
         )
-        f_l1 = fit_l1(prob, 0.0, st)
-        f_mle = fit_mle(prob, st)
+        f_l1 = fit_l1(prob, 0.0)
+        f_mle = fit_mle(prob)
         assert abs(f_l1.intercept_std - f_mle.intercept_std) <= 1e-6
         assert np.max(np.abs(f_l1.coefs_std - f_mle.coefs_std)) <= 1e-6
 
@@ -341,7 +341,7 @@ def test_l1_kkt_certificate_randomized():
             weights=raw.weights,
             penalty_mask=mask,
         )
-        fit = fit_l1(prob, lam, st)
+        fit = fit_l1(prob, lam)
         assert fit.converged
         assert kkt_residual(prob, lam, fit.intercept_std, fit.coefs_std) <= 1e-7
         # exact zeros, not small values
@@ -376,7 +376,7 @@ def test_l1_monotone_descent_without_polish(monkeypatch):
     values = []
     for cap in range(1, 60):
         monkeypatch.setattr(logit, "MAX_ITER_L1", cap)
-        fit = fit_l1(prob, lam, st)
+        fit = fit_l1(prob, lam)
         values.append(
             weighted_nll(prob, fit.intercept_std, fit.coefs_std)
             + lam * np.abs(fit.coefs_std[prob.penalty_mask]).sum()
@@ -392,7 +392,7 @@ def test_l1_monotone_descent_with_polish(monkeypatch):
     values = []
     for cap in range(1, 60):
         monkeypatch.setattr(logit, "MAX_ITER_L1", cap)
-        fit = fit_l1(prob, lam, st)
+        fit = fit_l1(prob, lam)
         values.append(
             weighted_nll(prob, fit.intercept_std, fit.coefs_std)
             + lam * np.abs(fit.coefs_std[prob.penalty_mask]).sum()
@@ -407,7 +407,7 @@ def test_l1_unpenalized_features_kept_free():
     Z = st.transform(raw.features)
     mask = np.array([True, True, False])
     prob = LogitProblem(features=Z, targets=raw.targets, penalty_mask=mask)
-    fit = fit_l1(prob, 50.0, st)
+    fit = fit_l1(prob, 50.0)
     assert fit.coefs_std[0] == 0.0 and fit.coefs_std[1] == 0.0
     # the exempt feature keeps a gradient-zero (not shrunk-to-zero) value
     g0, g = nll_gradient(prob, fit.intercept_std, fit.coefs_std)

@@ -17,7 +17,7 @@ from termspread.data import (
     split_views,
 )
 from termspread.errors import MissingSeries
-from termspread.logit import ClassWeights, predict_proba
+from termspread.logit import ClassWeights, Standardizer, destandardize, predict_proba
 from termspread.models import (
     CONVENTIONAL_PAIR,
     FittedModel,
@@ -104,8 +104,8 @@ def test_simple_ml_with_conventional_pair_collapses_to_benchmark(ds12):
     ml = fit_spec(ds12, ModelSpec(("10y", "3m"), simple=True))
     conv = fit_spec(ds12, ModelSpec(CONVENTIONAL_PAIR, simple=True))
     assert ml.spec == conv.spec
-    assert ml.fit.intercept_orig == conv.fit.intercept_orig
-    assert np.array_equal(ml.fit.coefs_orig, conv.fit.coefs_orig)
+    assert ml.intercept == conv.intercept
+    assert np.array_equal(ml.coefs, conv.coefs)
 
 
 def test_weighting_identity_on_balanced_targets(market, split95):
@@ -184,8 +184,8 @@ def test_translation_property_bitwise():
     assert np.array_equal(
         ds0.features[:, 0] - ds0.features[:, 1], ds3.features[:, 0] - ds3.features[:, 1]
     )
-    assert model0.fit.intercept_orig == model3.fit.intercept_orig
-    assert np.array_equal(model0.fit.coefs_orig, model3.fit.coefs_orig)
+    assert model0.intercept == model3.intercept
+    assert np.array_equal(model0.coefs, model3.coefs)
     assert np.array_equal(fc0.probabilities, fc3.probabilities)
 
 
@@ -220,7 +220,23 @@ def test_selection_model_reduction_preserves_probabilities(ds12):
     model = fitted_model_from_selection(path, sel)
     fc = forecast_series(model, ds12)
     # the dropped exact zeros cannot change the linear combination
-    full_spread = sel.fit.intercept_orig + ds12.features @ sel.fit.coefs_orig
+    intercept, coefs = destandardize(sel.fit.intercept_std, sel.fit.coefs_std, path.standardizer)
+    full_spread = intercept + ds12.features @ coefs
     assert np.max(np.abs(fc.spread - full_spread)) < 1e-12
     assert model.spec.pair == sel.pair and not model.spec.simple
     assert model.display_coefficients[0] > 0 > model.display_coefficients[1]
+    # panel A maps the full selection fit, then keeps the pair's columns
+    assert model.fit is sel.fit
+    assert model.intercept == intercept
+    assert np.array_equal(model.coefs, coefs[[ALL.index(m) for m in sel.pair]])
+    # panels B-D map their MLE fits with the standardizer of their own columns
+    for spec in (
+        ModelSpec(sel.pair, simple=True),
+        ModelSpec(CONVENTIONAL_PAIR, simple=False),
+        ModelSpec(CONVENTIONAL_PAIR, simple=True),
+    ):
+        fitted = fit_spec(ds12, spec)
+        std = Standardizer.fit(_aligned_columns(ds12, spec)[: ds12.split_index])
+        intercept, coefs = destandardize(fitted.fit.intercept_std, fitted.fit.coefs_std, std)
+        assert fitted.intercept == intercept
+        assert np.array_equal(fitted.coefs, coefs)

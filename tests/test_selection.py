@@ -15,6 +15,7 @@ from termspread.logit import (
     ClassWeights,
     LogitProblem,
     Standardizer,
+    destandardize,
     fit_mle,
     kkt_residual,
     null_model_lambda_bound,
@@ -74,7 +75,7 @@ def test_sweep_smallest_lambda_close_to_mle():
     path = sweep_path(X, y, NAMES)
     assert path.k_values[0] == -100
     st = Standardizer.fit(X)
-    mle = fit_mle(LogitProblem(features=st.transform(X), targets=y), st)
+    mle = fit_mle(LogitProblem(features=st.transform(X), targets=y))
     assert np.max(np.abs(path.fits[0].coefs_std - mle.coefs_std)) <= 1e-4
 
 
@@ -162,9 +163,7 @@ def test_carried_start_matches_a_warm_start_from_the_previous_fit():
     mask = path.problem.penalty_mask
     predicted = 0
     for i, (lam, prev, fit) in enumerate(zip(path.lambdas[1:], path.fits, path.fits[1:])):
-        warm = logit.fit_l1(
-            path.problem, lam, path.standardizer, start=logit.PathStart(path.problem, prev)
-        )
+        warm = logit.fit_l1(path.problem, lam, start=logit.PathStart(path.problem, prev))
         if i < 2:
             assert np.array_equal(warm.coefs_std, fit.coefs_std)
             assert warm.intercept_std == fit.intercept_std
@@ -195,7 +194,10 @@ def test_sweep_shape_and_names():
     assert path.coef_matrix.shape == (len(path.lambdas), 3)
     assert path.k_values.shape == path.nonzero_counts.shape == (len(path.fits),)
     assert path.feature_names == ("10y", "3m", "5y")
-    assert np.array_equal(path.coef_matrix[7], path.fits[7].coefs_orig)
+    # the matrix is each fit mapped to the original scale, bit for bit
+    for row, fit in zip(path.coef_matrix, path.fits):
+        expected = destandardize(fit.intercept_std, fit.coefs_std, path.standardizer)[1]
+        assert np.array_equal(row, expected)
     with pytest.raises(ValueError, match="feature_names"):
         sweep_path(X, y, feature_names=["10y", "3m"])
 
@@ -225,7 +227,8 @@ def test_select_first_hit_rule():
     assert sel.lambda_selected == pytest.approx(path.lambdas[first])
     assert sel.fit is path.fits[first]
     long, short = (names.index(m) for m in sel.pair)
-    assert sel.fit.coefs_orig[long] > 0 > sel.fit.coefs_orig[short]
+    coefs = destandardize(sel.fit.intercept_std, sel.fit.coefs_std, path.standardizer)[1]
+    assert coefs[long] > 0 > coefs[short]
 
 
 def test_select_pair_orders_positive_coefficient_first():
@@ -234,8 +237,9 @@ def test_select_pair_orders_positive_coefficient_first():
     sel = select_pair(path)
     long, short = sel.pair
     cols = list(path.feature_names)
-    assert sel.fit.coefs_orig[cols.index(long)] > 0
-    assert sel.fit.coefs_orig[cols.index(short)] < 0
+    coefs = destandardize(sel.fit.intercept_std, sel.fit.coefs_std, path.standardizer)[1]
+    assert coefs[cols.index(long)] > 0
+    assert coefs[cols.index(short)] < 0
 
 
 def test_duplicate_columns_jump_over_two():
@@ -294,7 +298,7 @@ def test_bisection_finds_fractional_k_when_grid_skips():
     # oracle: a cold-started fit at the refined lambda shows the same support
     from termspread.logit import fit_l1
 
-    cold = fit_l1(path.problem, sel.lambda_selected, path.standardizer)
+    cold = fit_l1(path.problem, sel.lambda_selected)
     assert cold.converged
     assert np.array_equal(
         np.abs(cold.coefs_std) > 1e-10, np.abs(sel.fit.coefs_std) > 1e-10
