@@ -370,7 +370,7 @@ def align_dataset(
     names = tuple(feature_names)
     cols = [panel.series(name) for name in names]
 
-    if recessions.dates[-1] < split.sample_end:
+    if recessions.dates and recessions.dates[-1] < split.sample_end:
         raise CoverageError(
             f"recession series ends {recessions.dates[-1]}, before sample_end {split.sample_end}"
         )

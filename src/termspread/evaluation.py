@@ -77,12 +77,24 @@ def posterior_weight(log_ebf: float) -> float:
     return e / (1.0 + e)
 
 
-def _check_two_classes(y: np.ndarray) -> tuple[int, int]:
+def _roc_inputs(
+    targets: np.ndarray, scores: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Targets and scores as float arrays, with the positive and negative
+    counts: the checks that ``roc_curve`` and ``auc`` share, so that the two
+    accept the same inputs. The shapes must match, every score must be
+    finite and both classes must be present."""
+    y = np.asarray(targets, dtype=float)
+    s = np.asarray(scores, dtype=float)
+    if y.shape != s.shape:
+        raise LengthMismatch(f"targets {y.shape} vs scores {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("scores must be finite")
     n_pos = int(np.sum(y == 1.0))
     n_neg = int(np.sum(y == 0.0))
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("ROC statistics need both classes present")
-    return n_pos, n_neg
+    return y, s, n_pos, n_neg
 
 
 def roc_curve(targets: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -94,13 +106,7 @@ def roc_curve(targets: np.ndarray, scores: np.ndarray) -> np.ndarray:
     threshold classifies every row positive. Returns an array of shape
     (m, 2) ordered along the curve.
     """
-    y = np.asarray(targets, dtype=float)
-    s = np.asarray(scores, dtype=float)
-    if y.shape != s.shape:
-        raise LengthMismatch(f"targets {y.shape} vs scores {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("scores must be finite")
-    n_pos, n_neg = _check_two_classes(y)
+    y, s, n_pos, n_neg = _roc_inputs(targets, scores)
 
     order = np.argsort(-s, kind="stable")
     y_sorted = y[order]
@@ -121,11 +127,7 @@ def auc(targets: np.ndarray, scores: np.ndarray) -> float:
     Computed from average ranks, so ties get half credit; this equals the
     trapezoidal area under ``roc_curve``.
     """
-    y = np.asarray(targets, dtype=float)
-    s = np.asarray(scores, dtype=float)
-    if y.shape != s.shape:
-        raise LengthMismatch(f"targets {y.shape} vs scores {s.shape}")
-    n_pos, n_neg = _check_two_classes(y)
+    y, s, n_pos, n_neg = _roc_inputs(targets, scores)
 
     # each tie group of c scores ending at 1-based rank r shares the
     # average rank r - (c - 1)/2

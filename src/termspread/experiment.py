@@ -129,6 +129,8 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 text: {exc.reason}") from None
         return cls.from_mapping(raw)
 
     @classmethod
@@ -224,16 +226,9 @@ def run_horizon(
         w_train, w_test = cw.per_row(train.targets), cw.per_row(test.targets)
     else:
         w_train = w_test = None
-    penalty_mask = np.array([name in config.maturities for name in feature_names])
 
     try:
-        path = sweep_path(
-            train.features,
-            train.targets,
-            feature_names,
-            weights=w_train,
-            penalty_mask=penalty_mask,
-        )
+        path = sweep_path(train.features, train.targets, feature_names, weights=w_train)
         selection = select_pair(path)
     except TermSpreadError as exc:
         raise _annotate(exc, horizon, "panel A selection")

@@ -13,8 +13,9 @@ The L1 objective is
 
 where NLL is the weighted negative log likelihood SUMMED over rows (not
 averaged), the intercept is never penalized, and the penalty mask can
-exempt individual features. A ``LogitProblem`` holds the data only;
-lambda is the argument of each fit. ``fit_l1`` minimizes J by active-orthant
+exempt individual features. A ``LogitProblem`` holds the data and builds
+[1 | X], 2y - 1 and the intercept-extended penalty mask once; lambda is the
+argument of each fit. ``fit_l1(start, lam)`` minimizes J by active-orthant
 Newton (after OWL-QN, Andrew & Gao 2007): every iteration makes one fused
 evaluation of J, its gradient and the curvature weights w*p*(1-p), all from
 one product [1 | X] b, which give the KKT residual, the Newton system on
@@ -22,15 +23,15 @@ the active orthant and the certificate stored in ``LogitFit``;
 coefficients that cross zero are clipped to exactly zero, a clipped step
 that fails is retried at the first zero crossing before it halves, and a
 proximal-gradient step is taken only when the Newton step fails to
-descend. Every fit runs from a ``PathStart``, which builds [1 | X] and the
-other per-path constants once, starts at zero or at a given fit, and
-carries each optimum into the fit at the next lambda, re-priced without a
-new evaluation. Once it holds three certified optima with one sign pattern,
-it also extrapolates them quadratically in log lambda (Park & Hastie's
-predictor, 3 b1 - 3 b2 + b3 on the grid) and starts from that prediction
-when it keeps the sign pattern and lowers J below the carried point's.
-``fit_mle`` solves the unpenalized problem by Newton-Raphson with step
-halving on the same evaluation.
+descend. Every fit runs from a ``PathStart`` of its problem, which starts at
+zero or at a given fit and carries each optimum into the fit at the next
+lambda, re-priced without a new evaluation; the start is the fit's only
+input besides lambda. Once it holds three certified optima with one sign
+pattern, it also extrapolates them quadratically in log lambda (Park &
+Hastie's predictor, 3 b1 - 3 b2 + b3 on the grid) and starts from that
+prediction when it keeps the sign pattern and lowers J below the carried
+point's. ``fit_mle`` solves the unpenalized problem by Newton-Raphson with
+step halving on the same evaluation.
 
 NumPy does the work that touches the rows: the fused evaluation, the
 Hessian product and ``np.linalg.solve``. The bookkeeping over the ten or so
@@ -47,7 +48,7 @@ in NumPy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -126,12 +127,24 @@ class ClassWeights:
 
 @dataclass(frozen=True)
 class LogitProblem:
-    """A weighted, penalized logistic fit problem on standardized features."""
+    """A weighted, penalized logistic fit problem on standardized features.
+
+    The solver's constants are built here, once per problem: the design
+    ``[1 | X]`` (``features`` is its view without the intercept column, so
+    the data are held once), its transpose, 2y - 1, and the penalty mask
+    extended by the never-penalized intercept, as an array (``pen``) and as
+    a list (``penalized``).
+    """
 
     features: np.ndarray
     targets: np.ndarray
     weights: np.ndarray | None = None
     penalty_mask: np.ndarray | None = None
+    design: np.ndarray = field(init=False, repr=False, compare=False)
+    design_t: np.ndarray = field(init=False, repr=False, compare=False)
+    signs: np.ndarray = field(init=False, repr=False, compare=False)
+    pen: np.ndarray = field(init=False, repr=False, compare=False)
+    penalized: list[bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         X = np.atleast_2d(np.asarray(self.features, dtype=float))
@@ -151,14 +164,17 @@ class LogitProblem:
         )
         if mask.shape != (p,):
             raise ValueError("penalty_mask length does not match feature count")
-        object.__setattr__(self, "features", X)
+        design = np.column_stack([np.ones(n), X])
+        pen = np.concatenate([[False], mask])
+        object.__setattr__(self, "features", design[:, 1:])
         object.__setattr__(self, "targets", y)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "penalty_mask", mask)
-
-    @property
-    def n_rows(self) -> int:
-        return self.features.shape[0]
+        object.__setattr__(self, "design", design)
+        object.__setattr__(self, "design_t", design.T)
+        object.__setattr__(self, "signs", 2.0 * y - 1.0)
+        object.__setattr__(self, "pen", pen)
+        object.__setattr__(self, "penalized", pen.tolist())
 
     @property
     def n_features(self) -> int:
@@ -320,31 +336,30 @@ class _FusedObjective:
     cannot tell a Newton step from noise. ``evaluations`` counts them.
     """
 
-    def __init__(self, start: PathStart, lam: float) -> None:
-        self.start = start
-        self.problem = start.problem
+    def __init__(self, problem: LogitProblem, lam: float) -> None:
+        self.problem = problem
         self.lam = float(lam)
-        self.design = start.design
-        self.pen = start.pen if lam > 0.0 else start.no_pen
+        self.design = problem.design
+        self.pen = problem.pen if lam > 0.0 else np.zeros_like(problem.pen)
         self.penalized = self.pen.tolist()
         self._prox_step = 1.0
         self.evaluations = 0
 
     def at(self, beta: np.ndarray) -> _Point:
         self.evaluations += 1
-        start, weights = self.start, self.problem.weights
+        problem, weights = self.problem, self.problem.weights
         eta = self.design @ beta
         e = np.abs(eta)
         np.negative(e, out=e)
         np.exp(e, out=e)
         p = _logistic(eta, e)
-        softplus = start.signs * eta
+        softplus = problem.signs * eta
         np.maximum(softplus, 0.0, out=softplus)
         softplus += np.log1p(e, out=e)
         softplus *= weights
-        residual = self.problem.targets - p
+        residual = problem.targets - p
         residual *= weights
-        return self._priced(beta, p, float(softplus.sum()), start.design_t @ residual)
+        return self._priced(beta, p, float(softplus.sum()), problem.design_t @ residual)
 
     def carried(self, pt: _Point) -> _Point:
         """``pt``, found at another lambda, priced at this one.
@@ -500,20 +515,14 @@ class PathStart:
     the Newton steps decide. A fresh start has no optima, so its first
     three fits start as a warm start would.
 
-    The design ``[1 | X]``, its transpose, 2y - 1 and the penalty mask
-    extended by the intercept (as an array and as a list, and its all-false
-    twin for lambda = 0) are built here, once per path. Nothing of this
-    state goes into the returned fits.
+    A start holds only where the next fit begins: its problem, the first
+    point, the carried point and the last three optima. The data and the
+    penalty mask belong to the problem. Nothing of this state goes into the
+    returned fits.
     """
 
     def __init__(self, problem: LogitProblem, fit: LogitFit | None = None) -> None:
         self.problem = problem
-        self.design = np.column_stack([np.ones(problem.n_rows), problem.features])
-        self.design_t = self.design.T
-        self.signs = 2.0 * problem.targets - 1.0
-        self.pen = np.concatenate([[False], problem.penalty_mask])
-        self.penalized = self.pen.tolist()
-        self.no_pen = np.zeros_like(self.pen)
         self.beta = np.zeros(problem.n_features + 1)
         if fit is not None:
             self.beta[0], self.beta[1:] = fit.intercept_std, fit.coefs_std
@@ -554,7 +563,7 @@ class PathStart:
 
     def _signs_of(self, beta: list[float]) -> tuple[int, ...]:
         """The sign pattern of the penalized entries, -0.0 read as 0."""
-        return tuple(_sign(b) for b, pen in zip(beta, self.penalized) if pen)
+        return tuple(_sign(b) for b, pen in zip(beta, self.problem.penalized) if pen)
 
     def record(self, pt: _Point, lam: float, certified: bool) -> None:
         """Carry ``pt`` to the next fit; keep it as one of the last three
@@ -565,27 +574,24 @@ class PathStart:
         self.optima = (self.optima + [optimum])[-3:] if certified else []
 
 
-def fit_l1(problem: LogitProblem, lam: float, start: PathStart | None = None) -> LogitFit:
-    """Minimize NLL + lam * ||penalized coefs||_1 by active-orthant Newton.
+def fit_l1(start: PathStart, lam: float) -> LogitFit:
+    """Minimize NLL + lam * ||penalized coefs||_1 of ``start.problem`` by
+    active-orthant Newton.
 
-    ``start`` is a ``PathStart`` of ``problem`` (None means
-    ``PathStart(problem)``, a cold start at zero); the fit continues from
-    its last optimum, or from the optimum it predicts, and leaves its own
-    there. Each iteration reuses the one
-    evaluation of J, its gradient and the KKT residual made at the point the
-    last step accepted, then takes a projected Newton step on the active
-    orthant with a descent-only line search; when that fails, it takes a
-    proximal-gradient step instead.
-    Crossings are clipped to exact zeros. Convergence is the certificate
-    ``kkt_residual <= KKT_TOL``; after MAX_ITER_L1 iterations, or when no
-    step can move, the fit is returned with ``converged=False``.
+    ``start`` is the fit's only input besides lambda. The fit begins where
+    it says: at its first point (zero for a cold ``PathStart(problem)``),
+    later at its last optimum or the optimum it predicts, and leaves its own
+    optimum there. Each iteration reuses the one evaluation of J, its
+    gradient and the KKT residual made at the point the last step accepted,
+    then takes a projected Newton step on the active orthant with a
+    descent-only line search; when that fails, it takes a proximal-gradient
+    step instead. Crossings are clipped to exact zeros. Convergence is the
+    certificate ``kkt_residual <= KKT_TOL``; after MAX_ITER_L1 iterations,
+    or when no step can move, the fit is returned with ``converged=False``.
     """
     if lam < 0.0:
         raise ValueError("lambda must be non-negative")
-    start = PathStart(problem) if start is None else start
-    if start.problem is not problem:
-        raise ValueError("start belongs to another problem")
-    objective = _FusedObjective(start, lam)
+    objective = _FusedObjective(start.problem, lam)
     pt = start.first_point(objective)
     iterations = 0
     while pt.kkt > KKT_TOL and iterations < MAX_ITER_L1:
@@ -615,7 +621,7 @@ def fit_mle(problem: LogitProblem) -> LogitFit:
     """
     if np.unique(problem.targets).size < 2:
         raise SingleClass("logistic MLE needs both classes in the training targets")
-    objective = _FusedObjective(PathStart(problem), 0.0)
+    objective = _FusedObjective(problem, 0.0)
     everything = list(range(problem.n_features + 1))
     no_orthant = [0] * (problem.n_features + 1)
     pt = objective.at(np.zeros(problem.n_features + 1))
@@ -664,5 +670,5 @@ def null_model_lambda_bound(problem: LogitProblem) -> float:
     base = fit_mle(LogitProblem(problem.features[:, free], problem.targets, problem.weights))
     beta = np.zeros(problem.n_features + 1)
     beta[0], beta[1 + free] = base.intercept_std, base.coefs_std
-    g = _FusedObjective(PathStart(problem), 0.0).at(beta).grad[1:]
+    g = _FusedObjective(problem, 0.0).at(beta).grad[1:]
     return float(np.max(np.abs(g[mask])))

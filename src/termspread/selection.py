@@ -43,8 +43,9 @@ class CoefficientPath:
     """Certified fits along an ascending lambda grid, one per k.
 
     ``problem`` is the standardized training problem that every fit of the
-    path solved, each at its own lambda; a refit passes it with another
-    lambda. The fits are in its scale; ``standardizer`` maps them back.
+    path solved, each at its own lambda; a refit starts a ``PathStart`` on
+    it. Its penalty mask marks the columns named by maturity codes. The
+    fits are in its scale; ``standardizer`` maps them back.
     """
 
     k_values: np.ndarray
@@ -100,16 +101,16 @@ def sweep_path(
     targets: np.ndarray,
     feature_names: Sequence[str],
     weights: np.ndarray | None = None,
-    penalty_mask: np.ndarray | None = None,
 ) -> CoefficientPath:
     """Fit the L1 path over lambda_k = 2^(k/10) with warm starts.
 
     ``features`` are original-scale training rows; they are z-scored here
     and ``coef_matrix`` maps the per-lambda fits back to the original scale.
-    ``feature_names`` name the columns; each penalized one must be a maturity
-    code, else ValueError names it. The grid
-    runs over integer k from K_START to one step past the null-model bound,
-    so the path always ends with every penalized coefficient at zero.
+    ``feature_names`` name the columns: a column is penalized if and only if
+    its name is a maturity code, so a control such as a leading index enters
+    every fit unpenalized. The grid runs over integer k from K_START to one
+    step past the null-model bound, so the path always ends with every
+    penalized coefficient at zero.
     Raises NotConverged (naming lambda, k, the iterations used and the last
     KKT residual) if any fit misses its certificate.
     """
@@ -122,11 +123,8 @@ def sweep_path(
         features=standardizer.transform(X),
         targets=targets,
         weights=weights,
-        penalty_mask=penalty_mask,
+        penalty_mask=[name in MATURITY_CODES for name in names],
     )
-    for name, penalized in zip(names, problem.penalty_mask):
-        if penalized and name not in MATURITY_CODES:
-            raise ValueError(f"penalized column {name!r} is not a maturity code")
     bound = null_model_lambda_bound(problem)
     k_end = K_START
     if bound > 0.0:
@@ -137,10 +135,7 @@ def sweep_path(
     lambdas = 2.0 ** (k_values / 10.0)
 
     carry = PathStart(problem)
-    fits = [
-        _certified(fit_l1(problem, lam, start=carry), k)
-        for k, lam in zip(k_values, lambdas)
-    ]
+    fits = [_certified(fit_l1(carry, lam), k) for k, lam in zip(k_values, lambdas)]
 
     return CoefficientPath(
         k_values=k_values,
@@ -193,8 +188,7 @@ def _bisect(path: CoefficientPath, lo_idx: int, hi_idx: int) -> SelectionResult:
     while k_hi - k_lo >= 1e-6:
         k_mid = 0.5 * (k_lo + k_hi)
         lam = lambda_at(k_mid)
-        start = PathStart(path.problem, fit_lo)
-        fit = _certified(fit_l1(path.problem, lam, start=start), k_mid)
+        fit = _certified(fit_l1(PathStart(path.problem, fit_lo), lam), k_mid)
         count = _support(fit, path.problem.penalty_mask).size
         if count == TARGET_NONZERO:
             return _result_from_fit(path, k_mid, lam, fit)

@@ -26,6 +26,7 @@ from termspread.experiment import ExperimentConfig, run_experiment
 from termspread.logit import (
     ClassWeights,
     LogitProblem,
+    PathStart,
     Standardizer,
     fit_l1,
     fit_mle,
@@ -102,7 +103,7 @@ def test_acceptance_1_solver_oracle_equivalence():
 
         st = Standardizer.fit(X)
         prob = LogitProblem(features=st.transform(X), targets=y)
-        l1 = fit_l1(prob, 0.0)
+        l1 = fit_l1(PathStart(prob), 0.0)
         mle = fit_mle(prob)
         diff = max(
             abs(l1.intercept_std - mle.intercept_std),
@@ -142,7 +143,7 @@ def test_acceptance_2_kkt_certification():
         st = Standardizer.fit(X)
         lam = float(2.0 ** rng.uniform(-10, 6))
         prob = LogitProblem(features=st.transform(X), targets=y, penalty_mask=mask)
-        fit = fit_l1(prob, lam)
+        fit = fit_l1(PathStart(prob), lam)
         assert fit.converged
         res = kkt_residual(prob, lam, fit.intercept_std, fit.coefs_std)
         worst = max(worst, res)

@@ -313,6 +313,13 @@ def test_align_coverage_error(market, split95):
     assert ds.targets.tobytes() == full.targets.tobytes()
 
 
+def test_align_with_an_empty_recession_series_is_a_coverage_error(market, split95):
+    panel, _ = market
+    # h=12 from 1961-06: the first target month is 1962-06
+    with pytest.raises(CoverageError, match="does not cover 1962-06$"):
+        align_dataset(panel, RecessionSeries((), np.array([])), 12, split95, MATS)
+
+
 def test_recession_span_names_the_first_uncovered_month(market):
     _, recessions = market
     first, last = recessions.dates[0], recessions.dates[-1]

@@ -148,6 +148,13 @@ def test_roc_single_class_error():
         roc_curve(np.ones(4), np.linspace(0, 1, 4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("score", [roc_curve, auc])
+def test_roc_and_auc_reject_a_score_that_is_not_finite(score, bad):
+    with pytest.raises(ValueError, match="scores must be finite"):
+        score(np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.1, bad, 0.3, 0.9]))
+
+
 # --- AUC -----------------------------------------------------------------------------
 
 def brute_force_auc(y, s):

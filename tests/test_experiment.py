@@ -441,6 +441,16 @@ def test_cli_validation_error_exit_1(tmp_path, data_files, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+def test_cli_config_that_is_not_utf8_exit_1(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "never_made"
+    assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config is not UTF-8 text: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_missing_data_exit_1(tmp_path, data_files, capsys):
     cfg_path = write_config(
         tmp_path, data_files, maturities=MATS + ["30y"], horizons=[3]

@@ -12,6 +12,7 @@ from termspread.errors import Separation, SingleClass, Singular
 from termspread.logit import (
     ClassWeights,
     LogitProblem,
+    PathStart,
     Standardizer,
     destandardize,
     fit_l1,
@@ -205,7 +206,7 @@ def test_fit_prediction_equivalence_across_scales():
     y[:2] = [0.0, 1.0]
     st = Standardizer.fit(X)
     prob = LogitProblem(features=st.transform(X), targets=y)
-    fit = fit_l1(prob, 0.5)
+    fit = fit_l1(PathStart(prob), 0.5)
     p_std = predict_proba(fit.intercept_std, fit.coefs_std, st.transform(X))
     p_orig = predict_proba(*destandardize(fit.intercept_std, fit.coefs_std, st), X)
     assert np.max(np.abs(p_std - p_orig)) <= 1e-10
@@ -289,7 +290,7 @@ def test_l1_null_model_at_high_lambda():
     Z = st.transform(prob_raw.features)
     bound = null_model_lambda_bound(LogitProblem(features=Z, targets=prob_raw.targets))
     prob = LogitProblem(features=Z, targets=prob_raw.targets)
-    fit = fit_l1(prob, bound * 1.01)
+    fit = fit_l1(PathStart(prob), bound * 1.01)
     assert np.all(fit.coefs_std == 0.0)
     p_bar = prob_raw.targets.mean()
     assert fit.intercept_std == pytest.approx(np.log((1 - p_bar) / p_bar), abs=1e-7)
@@ -318,7 +319,7 @@ def test_l1_at_zero_matches_mle():
         prob = LogitProblem(
             features=st.transform(raw.features), targets=raw.targets, weights=raw.weights
         )
-        f_l1 = fit_l1(prob, 0.0)
+        f_l1 = fit_l1(PathStart(prob), 0.0)
         f_mle = fit_mle(prob)
         assert abs(f_l1.intercept_std - f_mle.intercept_std) <= 1e-6
         assert np.max(np.abs(f_l1.coefs_std - f_mle.coefs_std)) <= 1e-6
@@ -341,7 +342,7 @@ def test_l1_kkt_certificate_randomized():
             weights=raw.weights,
             penalty_mask=mask,
         )
-        fit = fit_l1(prob, lam)
+        fit = fit_l1(PathStart(prob), lam)
         assert fit.converged
         assert kkt_residual(prob, lam, fit.intercept_std, fit.coefs_std) <= 1e-7
         # exact zeros, not small values
@@ -354,7 +355,7 @@ def test_fit_objective_matches_reference_likelihood():
     raw = random_problem(rng, 80, 4, weighted=True)
     Z = Standardizer.fit(raw.features).transform(raw.features)
     prob = LogitProblem(features=Z, targets=raw.targets, weights=raw.weights)
-    fit = fit_l1(prob, 0.8)
+    fit = fit_l1(PathStart(prob), 0.8)
     reference = weighted_nll(prob, fit.intercept_std, fit.coefs_std) + 0.8 * np.abs(
         fit.coefs_std
     ).sum()
@@ -376,7 +377,7 @@ def test_l1_monotone_descent_without_polish(monkeypatch):
     values = []
     for cap in range(1, 60):
         monkeypatch.setattr(logit, "MAX_ITER_L1", cap)
-        fit = fit_l1(prob, lam)
+        fit = fit_l1(PathStart(prob), lam)
         values.append(
             weighted_nll(prob, fit.intercept_std, fit.coefs_std)
             + lam * np.abs(fit.coefs_std[prob.penalty_mask]).sum()
@@ -392,7 +393,7 @@ def test_l1_monotone_descent_with_polish(monkeypatch):
     values = []
     for cap in range(1, 60):
         monkeypatch.setattr(logit, "MAX_ITER_L1", cap)
-        fit = fit_l1(prob, lam)
+        fit = fit_l1(PathStart(prob), lam)
         values.append(
             weighted_nll(prob, fit.intercept_std, fit.coefs_std)
             + lam * np.abs(fit.coefs_std[prob.penalty_mask]).sum()
@@ -407,7 +408,7 @@ def test_l1_unpenalized_features_kept_free():
     Z = st.transform(raw.features)
     mask = np.array([True, True, False])
     prob = LogitProblem(features=Z, targets=raw.targets, penalty_mask=mask)
-    fit = fit_l1(prob, 50.0)
+    fit = fit_l1(PathStart(prob), 50.0)
     assert fit.coefs_std[0] == 0.0 and fit.coefs_std[1] == 0.0
     # the exempt feature keeps a gradient-zero (not shrunk-to-zero) value
     g0, g = nll_gradient(prob, fit.intercept_std, fit.coefs_std)
@@ -463,9 +464,9 @@ def test_l1_objective_never_rises_with_more_iterations(seed, n, p, rho, weighted
     with pytest.MonkeyPatch.context() as mp:  # hypothesis reruns the body: no fixture
         for cap in range(25):
             mp.setattr(logit, "MAX_ITER_L1", cap)
-            values.append(fit_l1(prob, lam).objective_value)
+            values.append(fit_l1(PathStart(prob), lam).objective_value)
     assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
-    final = fit_l1(prob, lam)
+    final = fit_l1(PathStart(prob), lam)
     assert final.objective_value <= values[-1] + 1e-12 * max(1.0, abs(values[-1]))
 
 
@@ -476,7 +477,7 @@ def test_l1_objective_never_rises_with_more_iterations(seed, n, p, rho, weighted
 )
 def test_l1_certificate_and_exact_zeros(seed, n, p, rho, weighted, lam, free_share, flip):
     prob = overlapping_problem(seed, n, p, rho, weighted, free_share, flip)
-    fit = fit_l1(prob, lam)
+    fit = fit_l1(PathStart(prob), lam)
     assert fit.converged
     reference = kkt_residual(prob, lam, fit.intercept_std, fit.coefs_std)
     assert reference <= 1e-7
@@ -490,7 +491,7 @@ def test_l1_certificate_and_exact_zeros(seed, n, p, rho, weighted, lam, free_sha
 @given(seeds, rows, widths, correlations, st.booleans())
 def test_l1_at_zero_lambda_is_the_mle(seed, n, p, rho, weighted):
     prob = overlapping_problem(seed, n, p, rho, weighted, free_share=0.3)
-    f_l1, f_mle = fit_l1(prob, 0.0), fit_mle(prob)
+    f_l1, f_mle = fit_l1(PathStart(prob), 0.0), fit_mle(prob)
     assert f_l1.converged and f_mle.converged
     assert abs(f_l1.intercept_std - f_mle.intercept_std) <= 1e-6
     assert np.max(np.abs(f_l1.coefs_std - f_mle.coefs_std)) <= 1e-6
@@ -500,7 +501,7 @@ def test_weighted_nll_matches_the_solver_objective_on_a_steep_fit():
     # a nearly separable problem on which a reference that clamped p and
     # summed log1p(-p) was off by 9e-9
     prob = overlapping_problem(0, 22, 8, 0.0, False, 0.3, flip_weight=0.0078)
-    fit = fit_l1(prob, 0.031)
+    fit = fit_l1(PathStart(prob), 0.031)
     assert fit.converged
     penalty = 0.031 * np.abs(fit.coefs_std[prob.penalty_mask]).sum()
     reference = weighted_nll(prob, fit.intercept_std, fit.coefs_std) + penalty
@@ -510,19 +511,19 @@ def test_weighted_nll_matches_the_solver_objective_on_a_steep_fit():
 def test_fits_count_their_evaluations(monkeypatch):
     rng = np.random.default_rng(47)
     prob = random_problem(rng, 60, 3)
-    l1, mle = fit_l1(prob, 0.5), fit_mle(prob)
+    l1, mle = fit_l1(PathStart(prob), 0.5), fit_mle(prob)
     # every iteration accepts one evaluation; the cold start adds one more
     assert l1.evaluations >= l1.iterations + 1
     assert mle.evaluations >= mle.iterations + 1
     monkeypatch.setattr(logit, "MAX_ITER_L1", 0)
-    assert fit_l1(prob, 0.5).evaluations == 1
+    assert fit_l1(PathStart(prob), 0.5).evaluations == 1
 
 
 def test_fit_l1_rejects_a_negative_lambda():
     rng = np.random.default_rng(53)
     prob = random_problem(rng, 30, 2, weighted=True)
     with pytest.raises(ValueError, match="non-negative"):
-        fit_l1(prob, -1.0)
+        fit_l1(PathStart(prob), -1.0)
 
 
 def test_l1_numerically_singular_newton_system_falls_back_quickly():
@@ -535,7 +536,7 @@ def test_l1_numerically_singular_newton_system_falls_back_quickly():
     prob = overlapping_problem(
         2235105666, 12, 9, 0.727324043682471, False, 0.3656495314739199, 1.6261225853290896e-05,
     )
-    fit = fit_l1(prob, lam)
+    fit = fit_l1(PathStart(prob), lam)
     assert fit.converged and fit.iterations <= 100
     assert kkt_residual(prob, lam, fit.intercept_std, fit.coefs_std) <= 1e-7
 
@@ -554,12 +555,12 @@ def test_point_pricing_matches_the_array_oracle(data):
     nll = data.draw(st.floats(0.0, 100.0))
     prob = LogitProblem(np.arange(2.0 * p).reshape(2, p), np.array([0.0, 1.0]), penalty_mask=mask)
     start = logit.PathStart(prob)
-    pt = logit._FusedObjective(start, lam)._priced(beta, np.zeros(2), nll, g)
-    expected = array_pseudo_gradient(g, beta, start.pen, lam)
+    pt = logit._FusedObjective(prob, lam)._priced(beta, np.zeros(2), nll, g)
+    expected = array_pseudo_gradient(g, beta, prob.pen, lam)
     assert pt.pseudo_grad == expected.tolist()
     assert pt.kkt == float(np.abs(expected).max())
-    assert pt.objective == nll + lam * float(np.abs(beta[start.pen]).sum())
-    assert start._signs_of(beta.tolist()) == tuple((np.sign(beta[start.pen]) + 0.0).tolist())
+    assert pt.objective == nll + lam * float(np.abs(beta[prob.pen]).sum())
+    assert start._signs_of(beta.tolist()) == tuple((np.sign(beta[prob.pen]) + 0.0).tolist())
 
 
 def test_path_start_predicts_only_from_three_optima_of_one_sign_pattern(monkeypatch):
@@ -570,7 +571,7 @@ def test_path_start_predicts_only_from_three_optima_of_one_sign_pattern(monkeypa
     fits = []
     for lam in lams[:3]:
         assert carry._predicted(lam) is None  # fewer than three optima
-        fits.append(fit_l1(prob, lam, start=carry))
+        fits.append(fit_l1(carry, lam))
     b3, b2, b1 = (np.r_[f.intercept_std, f.coefs_std] for f in fits)
     assert np.all(b1[1:] != 0.0)
     # quadratic in log lambda, which is 3 b1 - 3 b2 + b3 on an even grid
@@ -585,5 +586,5 @@ def test_path_start_predicts_only_from_three_optima_of_one_sign_pattern(monkeypa
 
     # so does a fit that misses its certificate: it forgets the optima
     monkeypatch.setattr(logit, "MAX_ITER_L1", 0)
-    assert not fit_l1(prob, 10.0, start=carry).converged
+    assert not fit_l1(carry, 10.0).converged
     assert carry.optima == [] and carry._predicted(lams[3]) is None
