@@ -218,7 +218,7 @@ def _parse_csv(path: str) -> tuple[list[str], list[Month], np.ndarray]:
     ``j`` in month ``months[i]``.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
     except OSError as exc:
         raise UnreadableInput(f"{path}: cannot read input file: {exc.strerror or exc}") from None

@@ -59,7 +59,8 @@ class HorizonTooLong(TermSpreadError):
 
 
 class CoverageError(TermSpreadError):
-    """The recession series does not cover the sample, or a partition's two classes."""
+    """The recession series does not cover the sample or a partition's two
+    classes, or a feature does not vary over the training rows."""
 
     exit_code = 1
 

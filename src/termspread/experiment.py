@@ -123,7 +123,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
@@ -209,18 +209,25 @@ def run_horizon(
     The train/test split and the class weights are derived once here and
     shared by the sweep, the fits and the scoring. Class weights use the
     training recession ratio on the test rows too. A partition holding one
-    class only is a CoverageError naming the horizon, the partition and its
-    row count.
+    class only, or a feature that is constant over the training rows, is a
+    CoverageError naming the horizon, the partition and its row count.
     """
     feature_names = config.maturities + config.forced_controls
     ds = align_dataset(panel, recessions, horizon, config.split, feature_names)
     train, test = split_views(ds)
     for name, part in (("training", train), ("test", test)):
-        if np.unique(part.targets).size < 2:
+        if np.count_nonzero(part.targets) in (0, len(part.targets)):
             raise CoverageError(
                 f"[horizon={horizon}] the {name} partition's {len(part.targets)} rows "
                 f"all have recession={int(part.targets[0])}; both classes are needed"
             )
+    constant = np.flatnonzero((train.features == train.features[0]).all(axis=0))
+    if constant.size:
+        j = int(constant[0])
+        raise CoverageError(
+            f"[horizon={horizon}] the training partition's {len(train.targets)} rows "
+            f"all have {feature_names[j]}={train.features[0, j]:g}; every feature must vary"
+        )
     if config.weighting:
         cw = ClassWeights.from_targets(train.targets)
         w_train, w_test = cw.per_row(train.targets), cw.per_row(test.targets)

@@ -30,8 +30,8 @@ input besides lambda. Once it holds three certified optima with one sign
 pattern, it also extrapolates them quadratically in log lambda (Park &
 Hastie's predictor, 3 b1 - 3 b2 + b3 on the grid) and starts from that
 prediction when it keeps the sign pattern and lowers J below the carried
-point's. ``fit_mle`` solves the unpenalized problem by Newton-Raphson with
-step halving on the same evaluation.
+point's. ``fit_mle`` solves the unpenalized problem with the same Newton
+step, taken at lambda = 0; only it lets a singular Hessian raise.
 
 NumPy does the work that touches the rows: the fused evaluation, the
 Hessian product and ``np.linalg.solve``. The bookkeeping over the ten or so
@@ -434,7 +434,9 @@ class _FusedObjective:
         entry whose Newton step points out of that orthant would only be
         clipped back; it is dropped and the system solved again, because
         keeping it bends the step of the others (on near-separable panels the
-        cold start otherwise crawls for thousands of iterations).
+        cold start otherwise crawls for thousands of iterations). Raises
+        Singular when the system cannot be solved or its solution is not
+        finite; ``fit_mle`` lets it propagate, ``fit_l1`` takes a proximal step.
         """
         b, pg, flags = pt.beta.tolist(), pt.pseudo_grad, self.penalized
         orthant = [(_sign(bj) or -_sign(gj)) if pen else 0 for bj, gj, pen in zip(b, pg, flags)]
@@ -445,13 +447,15 @@ class _FusedObjective:
             try:
                 step = np.linalg.solve(self.hessian(s, idx), rhs)
             except np.linalg.LinAlgError:
-                return None
+                raise Singular("Hessian is singular; features may be collinear") from None
             staying = [
                 j for j, d in zip(idx, step.tolist()) if b[j] != 0.0 or not orthant[j] * d > 0.0
             ]
             if len(staying) == len(idx):
                 break
             idx = staying
+        if not np.isfinite(step).all():
+            raise Singular("Newton step is non-finite")
         if not rhs @ step > 0.0:
             return None  # a numerically singular system gave no descent direction
         return self.line_search(pt, idx, step, orthant)
@@ -584,10 +588,11 @@ def fit_l1(start: PathStart, lam: float) -> LogitFit:
     optimum there. Each iteration reuses the one evaluation of J, its
     gradient and the KKT residual made at the point the last step accepted,
     then takes a projected Newton step on the active orthant with a
-    descent-only line search; when that fails, it takes a proximal-gradient
-    step instead. Crossings are clipped to exact zeros. Convergence is the
-    certificate ``kkt_residual <= KKT_TOL``; after MAX_ITER_L1 iterations,
-    or when no step can move, the fit is returned with ``converged=False``.
+    descent-only line search; when that fails or raises Singular, it takes a
+    proximal-gradient step instead, so no fit raises Singular. Crossings are
+    clipped to exact zeros. Convergence is the certificate ``kkt_residual <=
+    KKT_TOL``; after MAX_ITER_L1 iterations, or when no step can move, the
+    fit is returned with ``converged=False``.
     """
     if lam < 0.0:
         raise ValueError("lambda must be non-negative")
@@ -595,7 +600,10 @@ def fit_l1(start: PathStart, lam: float) -> LogitFit:
     pt = start.first_point(objective)
     iterations = 0
     while pt.kkt > KKT_TOL and iterations < MAX_ITER_L1:
-        nxt = objective.newton_step(pt)
+        try:
+            nxt = objective.newton_step(pt)
+        except Singular:
+            nxt = None
         if nxt is None:
             nxt = objective.proximal_step(pt)
             if nxt is None:
@@ -607,7 +615,7 @@ def fit_l1(start: PathStart, lam: float) -> LogitFit:
 
 
 def fit_mle(problem: LogitProblem) -> LogitFit:
-    """Unpenalized MLE by Newton-Raphson with step halving.
+    """Unpenalized MLE by the path's Newton step, taken at lambda = 0.
 
     Every returned fit is certified: its largest gradient entry is at most
     MLE_GRAD_TOL. Raises NotConverged, naming the iterations and that entry,
@@ -617,24 +625,15 @@ def fit_mle(problem: LogitProblem) -> LogitFit:
     optimum under quasi-separation): either the coefficient norm passes 1e4
     or the fit saturates, classifying every row perfectly to within 1e-8,
     which is where the vanishing gradient would otherwise halt Newton.
-    Raises Singular when the Hessian cannot be inverted.
+    Raises Singular, from ``newton_step``, when the Hessian cannot be inverted.
     """
-    if np.unique(problem.targets).size < 2:
+    if np.count_nonzero(problem.targets) in (0, len(problem.targets)):
         raise SingleClass("logistic MLE needs both classes in the training targets")
     objective = _FusedObjective(problem, 0.0)
-    everything = list(range(problem.n_features + 1))
-    no_orthant = [0] * (problem.n_features + 1)
     pt = objective.at(np.zeros(problem.n_features + 1))
     iterations = 0
     while pt.kkt > MLE_GRAD_TOL and iterations < MAX_ITER_MLE:
-        s = problem.weights * pt.prob * (1.0 - pt.prob)
-        try:
-            step = np.linalg.solve(objective.hessian(s, everything), pt.grad)
-        except np.linalg.LinAlgError:
-            raise Singular("Hessian is singular; features may be collinear") from None
-        if not np.all(np.isfinite(step)):
-            raise Singular("Newton step is non-finite")
-        nxt = objective.line_search(pt, everything, step, no_orthant)
+        nxt = objective.newton_step(pt)
         if nxt is None:
             break  # cannot descend along the Newton direction
         pt = nxt

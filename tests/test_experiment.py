@@ -11,6 +11,8 @@ import json
 import os
 import re
 import runpy
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from termspread import cli, errors, logit
 from termspread.cli import main as cli_main
+from termspread.data import YieldPanel
 from termspread.errors import ConfigError, IoError
 from termspread.evaluation import EvalReport, avg_log_likelihood
 from termspread.experiment import (
@@ -525,6 +528,42 @@ def test_cli_single_class_partition_exit_1(
     assert not (tmp_path / "s").exists()
 
 
+def test_cli_constant_training_feature_exit_1(tmp_path, market, capsys):
+    # a control that never varies cannot be standardized for the L1 sweep
+    panel, recessions = market
+    flat = YieldPanel(panel.dates, {**panel.columns, "lead_idx": np.full(len(panel.dates), 1.5)})
+    files = write_market(str(tmp_path), flat, recessions)
+    cfg_path = write_config(tmp_path, files, horizons=[3], forced_controls=["lead_idx"])
+    out = tmp_path / "c"
+    assert cli_main(["run", "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [horizon=3] the training partition's ")
+    assert "rows all have lead_idx=1.5; every feature must vary" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_inputs_saved_with_a_utf8_bom_run_as_without(tmp_path, data_files):
+    bom_files = {}
+    for key in ("yields", "recessions"):
+        path = tmp_path / f"bom_{key}.csv"
+        with open(data_files[key], "rb") as fh:
+            path.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        bom_files[key] = str(path)
+    bom_cfg = tmp_path / "bom_config.json"
+    bom_cfg.write_bytes(
+        b"\xef\xbb\xbf" + json.dumps(base_config_dict(bom_files, horizons=[3])).encode()
+    )
+    plain_cfg = write_config(tmp_path, data_files, horizons=[3])
+    plain, bom = tmp_path / "plain", tmp_path / "bom"
+    assert cli_main(["run", "--config", plain_cfg, "--out", str(plain)]) == 0
+    assert cli_main(["run", "--config", str(bom_cfg), "--out", str(bom)]) == 0
+    names = sorted(os.listdir(plain))
+    assert names == sorted(os.listdir(bom))
+    match, mismatch, errors = filecmp.cmpfiles(plain, bom, names, shallow=False)
+    assert mismatch == [] and errors == []
+
+
 @pytest.mark.parametrize("key", ["yield_files", "recession_file"])
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 def test_cli_unreadable_input_exit_1(tmp_path, data_files, capsys, key, kind):
@@ -676,6 +715,27 @@ def test_benchmark_trace_targets_resolve():
     for modname, attr in targets:
         module = script if modname == "assemble_dataset" else importlib.import_module(modname)
         assert callable(getattr(module, attr)), (modname, attr)
+
+
+def test_a_run_does_not_import_numpy_ma(tmp_path, data_files):
+    # numpy 2 imports numpy.ma, 1.25 MB and 10-14 ms, on the first
+    # np.unique without return_* arguments; numpy 1 imports it with numpy
+    cfg_path = write_config(tmp_path, data_files)
+    script = (
+        "import sys\n"
+        "from termspread.experiment import ExperimentConfig, emit_all, run_experiment\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        f"emit_all(run_experiment(ExperimentConfig.from_json({cfg_path!r})), "
+        f"{str(tmp_path / 'out')!r})\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    paths = [os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH")]
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+    )
+    before, after = done.stdout.split()
+    assert after == before
 
 
 def test_readme_library_sketch_runs(tmp_path, market, monkeypatch):

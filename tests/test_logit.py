@@ -265,6 +265,42 @@ def test_mle_singular_on_duplicated_feature():
         fit_mle(LogitProblem(features=X, targets=y))
 
 
+def test_l1_on_the_duplicated_feature_design_falls_back_and_certifies():
+    # the design of test_mle_singular_on_duplicated_feature: no Singular
+    # escapes fit_l1, whether lambda penalizes anything or not
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=30)
+    y = (rng.random(30) < 0.5).astype(float)
+    prob = LogitProblem(features=np.column_stack([x, x]), targets=y)
+    for lam in (0.0, 0.5):
+        fit = fit_l1(PathStart(prob), lam)
+        assert fit.converged and fit.kkt_residual <= logit.KKT_TOL
+
+
+def test_singular_newton_system_raises_in_mle_and_falls_back_in_l1(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    proximal_steps = []
+    proximal_step = logit._FusedObjective.proximal_step
+
+    def counted(self, pt):
+        proximal_steps.append(pt)
+        return proximal_step(self, pt)
+
+    prob = random_problem(np.random.default_rng(3), 40, 2)
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(logit._FusedObjective, "proximal_step", counted)
+    with pytest.raises(Singular, match="^Hessian is singular; features may be collinear$"):
+        fit_mle(prob)
+    assert proximal_steps == []
+    for lam in (0.0, 0.5):
+        proximal_steps.clear()
+        fit = fit_l1(PathStart(prob), lam)
+        assert fit.converged and fit.kkt_residual <= logit.KKT_TOL
+        assert len(proximal_steps) == fit.iterations > 0
+
+
 def test_mle_beats_random_probes():
     rng = np.random.default_rng(17)
     prob = random_problem(rng, 50, 2)
