@@ -30,11 +30,12 @@ columns start on the zero-coupon curve and switch to CMT at 1976-06 and
 
 Every download is read and checked before anything is written; only then
 is ``--out`` made and are the files written. A missing or unreadable
-download, one that is not UTF-8 text, a malformed row, an empty daily column, a bill rate outside
-[0, 100), a gap in a core column (one line per column) or a month missing
-from USREC stops the script with ``error: ...`` and exit code 1; a bad
-``--start`` or ``--end``, or a ``--start`` after ``--end``, is a usage
-error, exit code 2.
+download, one that is not UTF-8 text, a malformed row, a second row in one
+month of a FRED file, an empty daily column, a bill rate outside [0, 100),
+a gap in a core column (one line per column), or a USREC month that is
+missing or reads other than 0 or 1 stops the script with ``error: ...``
+and exit code 1; a bad ``--start`` or ``--end``, or a ``--start`` after
+``--end``, is a usage error, exit code 2.
 
 Usage:
     python scripts/assemble_dataset.py --raw ~/Downloads/fred --out data
@@ -98,7 +99,10 @@ def _open_text(path: str) -> Iterator[TextIO]:
 
 
 def read_fred_monthly(path: str) -> dict[Month, float]:
-    """FRED two-column CSV -> {month: value}; missing markers dropped."""
+    """FRED two-column CSV -> {month: value}; missing markers dropped.
+
+    A month holds one value: a second row in it (a daily or weekly file, or
+    a doubled row) is a MalformedRow naming its line."""
     out: dict[Month, float] = {}
     with _open_text(path) as fh:
         header = fh.readline()
@@ -116,7 +120,10 @@ def read_fred_monthly(path: str) -> dict[Month, float]:
             if value_str in MISSING:
                 continue
             day = _day(path, lineno, cells[0].strip().strip('"'))
-            out[Month(day.year, day.month)] = _value(path, lineno, name, value_str)
+            month = Month(day.year, day.month)
+            if month in out:
+                raise MalformedRow(f"{path}:{lineno}: second value for {month}")
+            out[month] = _value(path, lineno, name, value_str)
     return out
 
 
@@ -231,6 +238,8 @@ def read_and_check(raw: str, start: Month, end: Month) -> list[tuple[str, Iterat
     for m in rec_months:
         if m not in rec:
             raise CoverageError(f"{rec_path}: no value for {m}")
+        if rec[m] not in (0.0, 1.0):
+            raise DomainError(f"{rec_path}: {m} reads {rec[m]:g}, not 0 or 1")
 
     def table(codes: tuple[str, ...], months: list[Month]) -> Iterator[str]:
         yield ",".join(("date", *codes))

@@ -6,7 +6,6 @@ from .data import (
     align_dataset,
     load_recession_series,
     load_yield_panel,
-    split_views,
 )
 from .evaluation import auc, avg_log_likelihood, ebf
 from .experiment import ExperimentConfig, ExperimentResult, emit_all, run_experiment

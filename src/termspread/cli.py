@@ -41,8 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command != "run":  # pragma: no cover - argparse enforces this
-        return 1
     try:
         config = ExperimentConfig.from_json(args.config)
         out_dir = args.out if args.out is not None else config.output_dir

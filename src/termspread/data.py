@@ -203,14 +203,6 @@ class AlignedDataset:
         return len(self.predictor_dates)
 
 
-@dataclass(frozen=True)
-class SplitView:
-    """One side of a train/test partition: its rows of the parent dataset."""
-
-    features: np.ndarray
-    targets: np.ndarray
-
-
 def _parse_csv(path: str) -> tuple[list[str], list[Month], np.ndarray]:
     """Parse one schema CSV into (column names, months, values).
 
@@ -400,9 +392,3 @@ def align_dataset(
         split_index=split_index,
         feature_names=names,
     )
-
-
-def split_views(ds: AlignedDataset) -> tuple[SplitView, SplitView]:
-    """Disjoint, exhaustive (train, test) row partitions at ``split_index``."""
-    k = ds.split_index
-    return SplitView(ds.features[:k], ds.targets[:k]), SplitView(ds.features[k:], ds.targets[k:])

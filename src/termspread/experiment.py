@@ -29,7 +29,6 @@ from .data import (
     align_dataset,
     load_recession_series,
     load_yield_panel,
-    split_views,
 )
 from .errors import ConfigError, CoverageError, IoError, MissingSeries, TermSpreadError
 from .evaluation import (
@@ -206,36 +205,38 @@ def run_horizon(
 ) -> HorizonArtifacts:
     """Selection, the three nested fits, and every model's scores for one horizon.
 
-    The train/test split and the class weights are derived once here and
-    shared by the sweep, the fits and the scoring. Class weights use the
-    training recession ratio on the test rows too. A partition holding one
-    class only, or a feature that is constant over the training rows, is a
-    CoverageError naming the horizon, the partition and its row count.
+    The dataset's ``split_index`` is the one train/test split: the checks,
+    the class weights, the sweep and the scores all slice the dataset's rows
+    and the forecasts at it. Class weights use the training recession ratio
+    on the test rows too. A partition holding one class only, or a feature
+    that is constant over the training rows, is a CoverageError naming the
+    horizon, the partition and its row count.
     """
     feature_names = config.maturities + config.forced_controls
     ds = align_dataset(panel, recessions, horizon, config.split, feature_names)
-    train, test = split_views(ds)
-    for name, part in (("training", train), ("test", test)):
-        if np.count_nonzero(part.targets) in (0, len(part.targets)):
+    split = ds.split_index
+    X_train, y_train, y_test = ds.features[:split], ds.targets[:split], ds.targets[split:]
+    for name, part in (("training", y_train), ("test", y_test)):
+        if np.count_nonzero(part) in (0, len(part)):
             raise CoverageError(
-                f"[horizon={horizon}] the {name} partition's {len(part.targets)} rows "
-                f"all have recession={int(part.targets[0])}; both classes are needed"
+                f"[horizon={horizon}] the {name} partition's {len(part)} rows "
+                f"all have recession={int(part[0])}; both classes are needed"
             )
-    constant = np.flatnonzero((train.features == train.features[0]).all(axis=0))
+    constant = np.flatnonzero((X_train == X_train[0]).all(axis=0))
     if constant.size:
         j = int(constant[0])
         raise CoverageError(
-            f"[horizon={horizon}] the training partition's {len(train.targets)} rows "
-            f"all have {feature_names[j]}={train.features[0, j]:g}; every feature must vary"
+            f"[horizon={horizon}] the training partition's {split} rows "
+            f"all have {feature_names[j]}={X_train[0, j]:g}; every feature must vary"
         )
     if config.weighting:
-        cw = ClassWeights.from_targets(train.targets)
-        w_train, w_test = cw.per_row(train.targets), cw.per_row(test.targets)
+        cw = ClassWeights.from_targets(y_train)
+        w_train, w_test = cw.per_row(y_train), cw.per_row(y_test)
     else:
         w_train = w_test = None
 
     try:
-        path = sweep_path(train.features, train.targets, feature_names, weights=w_train)
+        path = sweep_path(X_train, y_train, feature_names, weights=w_train)
         selection = select_pair(path)
     except TermSpreadError as exc:
         raise _annotate(exc, horizon, "panel A selection")
@@ -253,20 +254,17 @@ def run_horizon(
             raise _annotate(exc, horizon, f"panel {letter}")
 
     forecasts = {letter: forecast_series(models[letter], ds) for letter in PANELS}
-    split = ds.split_index
     probs = {p: forecasts[p].probabilities for p in PANELS}
-    log_ppl = {
-        p: avg_log_likelihood(test.targets, probs[p][split:], w_test) for p in PANELS
-    }
+    log_ppl = {p: avg_log_likelihood(y_test, probs[p][split:], w_test) for p in PANELS}
     reports: dict[str, EvalReport] = {}
     for letter in PANELS:
         reports[letter] = EvalReport(
-            log_l_train=avg_log_likelihood(train.targets, probs[letter][:split], w_train),
+            log_l_train=avg_log_likelihood(y_train, probs[letter][:split], w_train),
             log_ppl_test=log_ppl[letter],
             ebf=ebf(log_ppl[letter], log_ppl["D"]),
-            auc_train=auc(train.targets, probs[letter][:split]),
-            auc_test=auc(test.targets, probs[letter][split:]),
-            rm=relative_mse(test.targets, probs[letter][split:], probs["D"][split:]),
+            auc_train=auc(y_train, probs[letter][:split]),
+            auc_test=auc(y_test, probs[letter][split:]),
+            rm=relative_mse(y_test, probs[letter][split:], probs["D"][split:]),
             avg_weight=posterior_weight(log_ppl[letter] - log_ppl["D"]),
         )
     return HorizonArtifacts(

@@ -18,8 +18,9 @@ exempt individual features. A ``LogitProblem`` holds the data and builds
 argument of each fit. ``fit_l1(start, lam)`` minimizes J by active-orthant
 Newton (after OWL-QN, Andrew & Gao 2007): every iteration makes one fused
 evaluation of J, its gradient and the curvature weights w*p*(1-p), all from
-one product [1 | X] b, which give the KKT residual, the Newton system on
-the active orthant and the certificate stored in ``LogitFit``;
+one product [1 | X] b, which give the KKT residual and the Newton system
+on the active orthant. The residual at the optimum is the one certificate a
+``LogitFit`` stores: it is converged when that is at most KKT_TOL;
 coefficients that cross zero are clipped to exactly zero, a clipped step
 that fails is retried at the first zero crossing before it halves, and a
 proximal-gradient step is taken only when the Newton step fails to
@@ -131,7 +132,7 @@ class LogitProblem:
 
     The solver's constants are built here, once per problem: the design
     ``[1 | X]`` (``features`` is its view without the intercept column, so
-    the data are held once), its transpose, 2y - 1, and the penalty mask
+    the data are held once), 2y - 1, and the penalty mask
     extended by the never-penalized intercept, as an array (``pen``) and as
     a list (``penalized``).
     """
@@ -141,7 +142,6 @@ class LogitProblem:
     weights: np.ndarray | None = None
     penalty_mask: np.ndarray | None = None
     design: np.ndarray = field(init=False, repr=False, compare=False)
-    design_t: np.ndarray = field(init=False, repr=False, compare=False)
     signs: np.ndarray = field(init=False, repr=False, compare=False)
     pen: np.ndarray = field(init=False, repr=False, compare=False)
     penalized: list[bool] = field(init=False, repr=False, compare=False)
@@ -171,14 +171,9 @@ class LogitProblem:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "penalty_mask", mask)
         object.__setattr__(self, "design", design)
-        object.__setattr__(self, "design_t", design.T)
         object.__setattr__(self, "signs", 2.0 * y - 1.0)
         object.__setattr__(self, "pen", pen)
         object.__setattr__(self, "penalized", pen.tolist())
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
 
 
 @dataclass(frozen=True)
@@ -189,7 +184,8 @@ class LogitFit:
 
     ``evaluations`` counts the fused evaluations of J the fit made: every
     line-search and proximal trial, and the start point unless it was
-    carried from the previous fit of a path.
+    carried from the previous fit of a path. ``kkt_residual`` is the fit's
+    optimality certificate, and ``converged`` is read from it.
     """
 
     intercept_std: float
@@ -197,8 +193,11 @@ class LogitFit:
     objective_value: float
     iterations: int
     evaluations: int
-    converged: bool
     kkt_residual: float
+
+    @property
+    def converged(self) -> bool:
+        return self.kkt_residual <= KKT_TOL
 
 
 def _logistic(eta: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -341,7 +340,7 @@ class _FusedObjective:
         self.lam = float(lam)
         self.design = problem.design
         self.pen = problem.pen if lam > 0.0 else np.zeros_like(problem.pen)
-        self.penalized = self.pen.tolist()
+        self.penalized = problem.penalized if lam > 0.0 else [False] * len(problem.penalized)
         self._prox_step = 1.0
         self.evaluations = 0
 
@@ -359,7 +358,7 @@ class _FusedObjective:
         softplus *= weights
         residual = problem.targets - p
         residual *= weights
-        return self._priced(beta, p, float(softplus.sum()), problem.design_t @ residual)
+        return self._priced(beta, p, float(softplus.sum()), problem.design.T @ residual)
 
     def carried(self, pt: _Point) -> _Point:
         """``pt``, found at another lambda, priced at this one.
@@ -486,16 +485,13 @@ class _FusedObjective:
         return None
 
 
-def _make_fit(
-    pt: _Point, objective: _FusedObjective, iterations: int, converged: bool
-) -> LogitFit:
+def _make_fit(pt: _Point, objective: _FusedObjective, iterations: int) -> LogitFit:
     return LogitFit(
         intercept_std=float(pt.beta[0]),
         coefs_std=pt.beta[1:].copy(),
         objective_value=pt.objective,
         iterations=iterations,
         evaluations=objective.evaluations,
-        converged=converged,
         kkt_residual=pt.kkt,
     )
 
@@ -527,7 +523,7 @@ class PathStart:
 
     def __init__(self, problem: LogitProblem, fit: LogitFit | None = None) -> None:
         self.problem = problem
-        self.beta = np.zeros(problem.n_features + 1)
+        self.beta = np.zeros(problem.design.shape[1])
         if fit is not None:
             self.beta[0], self.beta[1:] = fit.intercept_std, fit.coefs_std
         self.point: _Point | None = None
@@ -592,7 +588,7 @@ def fit_l1(start: PathStart, lam: float) -> LogitFit:
     proximal-gradient step instead, so no fit raises Singular. Crossings are
     clipped to exact zeros. Convergence is the certificate ``kkt_residual <=
     KKT_TOL``; after MAX_ITER_L1 iterations, or when no step can move, the
-    fit is returned with ``converged=False``.
+    fit is returned uncertified, so its ``converged`` reads False.
     """
     if lam < 0.0:
         raise ValueError("lambda must be non-negative")
@@ -611,7 +607,7 @@ def fit_l1(start: PathStart, lam: float) -> LogitFit:
         pt = nxt
         iterations += 1
     start.record(pt, lam, pt.kkt <= KKT_TOL)
-    return _make_fit(pt, objective, iterations, pt.kkt <= KKT_TOL)
+    return _make_fit(pt, objective, iterations)
 
 
 def fit_mle(problem: LogitProblem) -> LogitFit:
@@ -630,7 +626,7 @@ def fit_mle(problem: LogitProblem) -> LogitFit:
     if np.count_nonzero(problem.targets) in (0, len(problem.targets)):
         raise SingleClass("logistic MLE needs both classes in the training targets")
     objective = _FusedObjective(problem, 0.0)
-    pt = objective.at(np.zeros(problem.n_features + 1))
+    pt = objective.at(np.zeros(problem.design.shape[1]))
     iterations = 0
     while pt.kkt > MLE_GRAD_TOL and iterations < MAX_ITER_MLE:
         nxt = objective.newton_step(pt)
@@ -651,7 +647,7 @@ def fit_mle(problem: LogitProblem) -> LogitFit:
         raise Separation(
             "fit saturated to a perfect classification; data appears linearly separable"
         )
-    return _make_fit(pt, objective, iterations, True)
+    return _make_fit(pt, objective, iterations)
 
 
 def null_model_lambda_bound(problem: LogitProblem) -> float:
@@ -667,7 +663,7 @@ def null_model_lambda_bound(problem: LogitProblem) -> float:
         return 0.0
     free = np.flatnonzero(~mask)
     base = fit_mle(LogitProblem(problem.features[:, free], problem.targets, problem.weights))
-    beta = np.zeros(problem.n_features + 1)
+    beta = np.zeros(problem.design.shape[1])
     beta[0], beta[1 + free] = base.intercept_std, base.coefs_std
     g = _FusedObjective(problem, 0.0).at(beta).grad[1:]
     return float(np.max(np.abs(g[mask])))

@@ -19,7 +19,7 @@ import pytest
 import scipy.optimize
 
 from termspread.cli import main as cli_main
-from termspread.data import Month, SplitConfig, align_dataset, split_views
+from termspread.data import Month, SplitConfig, align_dataset
 from termspread.errors import Separation, Singular
 from termspread.evaluation import auc, ebf, posterior_weight, roc_curve
 from termspread.experiment import ExperimentConfig, run_experiment
@@ -357,8 +357,7 @@ def test_acceptance_6_robustness_protocols():
 
     weighted = run_experiment(golden_config("1995-12", weighting=True))
     art = weighted.artifacts[12]
-    train, _ = split_views(art.dataset)
-    cw = ClassWeights.from_targets(train.targets)
+    cw = ClassWeights.from_targets(art.dataset.targets[: art.dataset.split_index])
     assert cw.recession_ratio == pytest.approx(0.14, abs=0.01)
     oversampling = (1.0 - cw.recession_ratio) / cw.recession_ratio
     assert oversampling == pytest.approx(6.0, abs=0.5)
@@ -384,14 +383,14 @@ def test_acceptance_7_nesting_invariant(market):
     for split in splits:
         for horizon in horizons:
             ds = align_dataset(panel, recessions, horizon, split, MATS)
-            train, _ = split_views(ds)
-            path = sweep_path(train.features, train.targets, feature_names=MATS)
+            k = ds.split_index
+            path = sweep_path(ds.features[:k], ds.targets[:k], feature_names=MATS)
             pair = select_pair(path).pair
 
             def train_ll(spec):
                 model = fit_spec(ds, spec)
-                probs = forecast_series(model, ds).probabilities[: ds.split_index]
-                y = train.targets
+                probs = forecast_series(model, ds).probabilities[:k]
+                y = ds.targets[:k]
                 return float(np.mean(y * np.log(probs) + (1 - y) * np.log1p(-probs)))
 
             gen_ml = train_ll(ModelSpec(pair, simple=False))

@@ -299,9 +299,10 @@ def _delete_line(path, lineno):
          "bad date '1961-13-40': month must be in 1..12"),
         ("feds200628.csv", 7, "1961-06-20,9.99,4.0,x5", "cannot parse SVENY07='x5'"),
         ("feds200628.csv", 8, "1961-06-21,9.99,inf,5.0", "non-finite SVENY02='inf'"),
+        ("GS1.csv", 3, "1961-06-15,3.1", "second value for 1961-06"),
     ],
     ids=["fred-one-cell", "fred-bad-date", "fred-bad-value",
-         "daily-bad-date", "daily-bad-value", "daily-non-finite"],
+         "daily-bad-date", "daily-bad-value", "daily-non-finite", "fred-two-in-one-month"],
 )
 def test_malformed_raw_file_is_an_error_line(raw_dir, tmp_path, file, lineno, text, what):
     path = raw_dir / file
@@ -329,14 +330,16 @@ def test_malformed_raw_file_is_an_error_line(raw_dir, tmp_path, file, lineno, te
         ("USREC.csv", lambda path: _delete_line(path, 7), "no value for 1961-11"),
         ("USREC.csv", lambda path: path.write_text("observation_date,USREC\n"),
          "no value for 1961-06"),
+        ("USREC.csv", lambda path: _replace_line(path, 2, "1961-06-01,0.5"),
+         "1961-06 reads 0.5, not 0 or 1"),
         ("GS1.csv", lambda path: path.write_bytes(b"\xff\xfe" + path.read_bytes()),
          "input file is not UTF-8 text: invalid start byte"),
         ("feds200628.csv", lambda path: path.write_bytes(path.read_bytes() + b"2020-07-31,\xff\n"),
          "input file is not UTF-8 text: invalid start byte"),
     ],
     ids=["missing-file", "fred-header", "daily-header", "daily-column-empty",
-         "bill-rate-negative", "usrec-month-missing", "usrec-empty", "fred-not-utf8",
-         "daily-not-utf8"],
+         "bill-rate-negative", "usrec-month-missing", "usrec-empty", "usrec-not-binary",
+         "fred-not-utf8", "daily-not-utf8"],
 )
 def test_bad_download_is_one_error_line_before_any_write(raw_dir, tmp_path, file, damage, named):
     path = raw_dir / file

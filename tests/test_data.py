@@ -21,7 +21,6 @@ from termspread.data import (
     load_recession_series,
     load_yield_panel,
     monthly_average,
-    split_views,
 )
 from termspread.errors import (
     CoverageError,
@@ -332,17 +331,18 @@ def test_recession_span_names_the_first_uncovered_month(market):
         recessions.span(last + 5, 1)
 
 
-def test_split_views_partition(market, split95):
+def test_split_index_partition(market, split95):
     panel, recessions = market
     ds = align_dataset(panel, recessions, 12, split95, MATS)
-    train, test = split_views(ds)
-    assert len(train.targets) == ds.split_index
-    assert len(train.targets) + len(test.targets) == ds.n_rows
-    assert np.array_equal(np.vstack([train.features, test.features]), ds.features)
-    assert np.array_equal(np.concatenate([train.targets, test.targets]), ds.targets)
+    k = ds.split_index
+    train_y, test_y = ds.targets[:k], ds.targets[k:]
+    assert len(train_y) == ds.split_index
+    assert len(train_y) + len(test_y) == ds.n_rows
+    assert np.array_equal(np.vstack([ds.features[:k], ds.features[k:]]), ds.features)
+    assert np.array_equal(np.concatenate([train_y, test_y]), ds.targets)
 
 
-def test_split_views_arithmetic_matches_stated_counts():
+def test_split_index_arithmetic_matches_stated_counts():
     # 710 rows split at 414 -> 414 train, 296 test
     dates = tuple(Month(1961, 6) + i for i in range(710))
     values = np.linspace(1.0, 2.0, 710)[:, None]
@@ -353,12 +353,12 @@ def test_split_views_arithmetic_matches_stated_counts():
         split_index=414,
         feature_names=("10y",),
     )
-    train, test = split_views(ds)
-    assert len(train.targets) == train.features.shape[0] == 414
-    assert len(test.targets) == test.features.shape[0] == 296
+    k = ds.split_index
+    assert len(ds.targets[:k]) == ds.features[:k].shape[0] == 414
+    assert len(ds.targets[k:]) == ds.features[k:].shape[0] == 296
 
 
-def test_split_views_single_row_test_boundary():
+def test_split_index_single_row_test_boundary():
     dates = tuple(Month(2000, 1) + i for i in range(5))
     ds = AlignedDataset(
         predictor_dates=dates,
@@ -367,8 +367,7 @@ def test_split_views_single_row_test_boundary():
         split_index=4,
         feature_names=("10y",),
     )
-    _, test = split_views(ds)
-    assert len(test.targets) == 1
+    assert len(ds.targets[ds.split_index:]) == 1
 
 
 def test_dataset_rejects_empty_partitions():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termspread import logit
-from termspread.errors import Separation, SingleClass, Singular
+from termspread.errors import NotConverged, Separation, SingleClass, Singular
 from termspread.logit import (
     ClassWeights,
     LogitProblem,
@@ -281,6 +281,9 @@ def test_singular_newton_system_raises_in_mle_and_falls_back_in_l1(monkeypatch):
     def singular(a, b):
         raise np.linalg.LinAlgError("Singular matrix")
 
+    def non_finite(a, b):
+        return np.full(len(b), np.nan)
+
     proximal_steps = []
     proximal_step = logit._FusedObjective.proximal_step
 
@@ -289,16 +292,38 @@ def test_singular_newton_system_raises_in_mle_and_falls_back_in_l1(monkeypatch):
         return proximal_step(self, pt)
 
     prob = random_problem(np.random.default_rng(3), 40, 2)
-    monkeypatch.setattr(np.linalg, "solve", singular)
     monkeypatch.setattr(logit._FusedObjective, "proximal_step", counted)
-    with pytest.raises(Singular, match="^Hessian is singular; features may be collinear$"):
-        fit_mle(prob)
-    assert proximal_steps == []
-    for lam in (0.0, 0.5):
+    for solve, message in (
+        (singular, "^Hessian is singular; features may be collinear$"),
+        (non_finite, "^Newton step is non-finite$"),
+    ):
+        monkeypatch.setattr(np.linalg, "solve", solve)
         proximal_steps.clear()
-        fit = fit_l1(PathStart(prob), lam)
-        assert fit.converged and fit.kkt_residual <= logit.KKT_TOL
-        assert len(proximal_steps) == fit.iterations > 0
+        with pytest.raises(Singular, match=message):
+            fit_mle(prob)
+        assert proximal_steps == []
+        for lam in (0.0, 0.5):
+            proximal_steps.clear()
+            fit = fit_l1(PathStart(prob), lam)
+            assert fit.converged and fit.kkt_residual <= logit.KKT_TOL
+            assert len(proximal_steps) == fit.iterations > 0
+
+
+def test_mle_whose_line_search_fails_is_not_converged_after_0_iterations(monkeypatch):
+    prob = random_problem(np.random.default_rng(3), 40, 2)
+    monkeypatch.setattr(logit._FusedObjective, "line_search", lambda self, *args: None)
+    with pytest.raises(NotConverged, match="^MLE did not converge after 0 iterations; "):
+        fit_mle(prob)
+
+
+def test_line_search_gives_up_after_max_halvings_when_no_trial_descends():
+    prob = random_problem(np.random.default_rng(3), 40, 2)
+    objective = logit._FusedObjective(prob, 0.0)
+    pt = objective.at(np.zeros(3))
+    ascent = -100.0 * pt.grad  # beta - t * step climbs the gradient at every t > 0
+    before = objective.evaluations
+    assert objective.line_search(pt, [0, 1, 2], ascent, [0, 0, 0]) is None
+    assert objective.evaluations - before == logit.MAX_HALVINGS
 
 
 def test_mle_beats_random_probes():

@@ -14,7 +14,6 @@ from termspread.data import (
     SplitConfig,
     YieldPanel,
     align_dataset,
-    split_views,
 )
 from termspread.errors import MissingSeries
 from termspread.logit import ClassWeights, Standardizer, destandardize, predict_proba
@@ -130,12 +129,11 @@ def test_weighting_identity_on_balanced_targets(market, split95):
 
 
 def test_nesting_generalized_at_least_simple(ds12):
-    train, _ = split_views(ds12)
     n_train = ds12.split_index
 
     def train_avg_ll(model: FittedModel) -> float:
         probs = forecast_series(model, ds12).probabilities[:n_train]
-        y = train.targets
+        y = ds12.targets[:n_train]
         return float(np.mean(y * np.log(probs) + (1 - y) * np.log1p(-probs)))
 
     gen_c = fit_spec(ds12, ModelSpec(CONVENTIONAL_PAIR, simple=False))
@@ -214,8 +212,8 @@ def test_forecast_covers_all_rows_with_split(ds12):
 
 
 def test_selection_model_reduction_preserves_probabilities(ds12):
-    train, _ = split_views(ds12)
-    path = sweep_path(train.features, train.targets, feature_names=ALL)
+    k = ds12.split_index
+    path = sweep_path(ds12.features[:k], ds12.targets[:k], feature_names=ALL)
     sel = select_pair(path)
     model = fitted_model_from_selection(path, sel)
     fc = forecast_series(model, ds12)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from termspread import logit, selection
-from termspread.data import align_dataset, split_views
+from termspread.data import align_dataset
 from termspread.errors import CountNeverAttained, NotConverged
 from termspread.logit import (
     ClassWeights,
@@ -111,13 +111,36 @@ def test_sweep_not_converged_names_lambda_k_iterations_and_kkt(monkeypatch):
     assert "after 2 iterations" in msg and "last KKT residual" in msg
 
 
+def test_fit_that_cannot_step_is_returned_uncertified_and_the_sweep_names_it(monkeypatch):
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(60, 3))
+    y = np.tile([0.0, 1.0], 30)  # balanced: the null model's MLE starts certified
+    monkeypatch.setattr(logit._FusedObjective, "newton_step", lambda self, pt: None)
+    monkeypatch.setattr(logit._FusedObjective, "proximal_step", lambda self, pt: None)
+    fit = logit.fit_l1(logit.PathStart(LogitProblem(X, y)), 0.5)
+    assert fit.converged is False
+    assert fit.kkt_residual > logit.KKT_TOL and fit.iterations == 0
+    with pytest.raises(NotConverged, match=r"lambda=0.000976562 \(k=-100\) after 0 iterations"):
+        sweep_path(X, y, NAMES[:3])
+
+
+def test_sweep_without_a_maturity_column_is_one_point_at_k_start():
+    X, y = make_instance(seed=5)
+    path = sweep_path(X[:, :1], y, ["lead_idx"])
+    assert null_model_lambda_bound(path.problem) == 0.0
+    assert path.k_values.tolist() == [K_START]
+    assert path.lambdas.tolist() == [lambda_at(K_START)]
+    assert len(path.fits) == 1 and path.fits[0].converged
+    assert path.nonzero_counts.tolist() == [0]
+
+
 def test_solver_work_on_the_reference_market_is_pinned(market, split95):
     # h=12 on make_market(42): the proximal-gradient solver this replaced
     # needed about 3,400 iterations over the grid
     panel, recessions = market
     ds = align_dataset(panel, recessions, 12, split95, MATURITY_CODES)
-    train, _ = split_views(ds)
-    path = sweep_path(train.features, train.targets, MATURITY_CODES)
+    k = ds.split_index
+    path = sweep_path(ds.features[:k], ds.targets[:k], MATURITY_CODES)
     assert all(f.converged for f in path.fits)
     assert sum(f.iterations for f in path.fits) <= 1000
 
@@ -137,11 +160,12 @@ def test_sweep_evaluations_on_the_reference_market(market, split95):
         names = MATURITY_CODES + controls
         fits = []
         for h in (3, 6, 9, 12, 15, 18, 21, 24):
-            train, _ = split_views(align_dataset(panel, recessions, h, split95, names))
+            ds = align_dataset(panel, recessions, h, split95, names)
+            X_train, y_train = ds.features[: ds.split_index], ds.targets[: ds.split_index]
             weights = None
             if weighted:
-                weights = ClassWeights.from_targets(train.targets).per_row(train.targets)
-            fits += sweep_path(train.features, train.targets, names, weights=weights).fits
+                weights = ClassWeights.from_targets(y_train).per_row(y_train)
+            fits += sweep_path(X_train, y_train, names, weights=weights).fits
         assert len(fits) == n_fits
         iterations = sum(f.iterations for f in fits)
         evaluations = sum(f.evaluations for f in fits)
