@@ -216,18 +216,18 @@ def _parse_csv(path: str) -> tuple[list[str], list[Month], np.ndarray]:
         raise UnreadableInput(f"{path}: cannot read input file: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise UnreadableInput(f"{path}: input file is not UTF-8 text: {exc.reason}") from None
-    lines = [ln for ln in lines if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(lines, start=1) if ln.strip()]  # file line numbers
     if not lines:
         raise MalformedRow(f"{path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in lines[0][1].split(",")]
     if not header or header[0] != "date":
-        raise MalformedRow(f"{path}: header must start with 'date', got {lines[0]!r}")
+        raise MalformedRow(f"{path}: header must start with 'date', got {lines[0][1]!r}")
     cols = header[1:]
     if len(set(cols)) != len(cols):
         raise MalformedRow(f"{path}: duplicate column names in header")
     months: list[Month] = []
     rows: list[list[float]] = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(header):
             raise MalformedRow(f"{path}:{lineno}: expected {len(header)} cells, got {len(parts)}")

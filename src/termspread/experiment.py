@@ -47,7 +47,6 @@ from .models import (
     ForecastSeries,
     ModelSpec,
     fit_spec,
-    fitted_model_from_selection,
     forecast_series,
 )
 from .selection import (
@@ -123,7 +122,7 @@ class ExperimentConfig:
     def from_json(cls, path: str) -> "ExperimentConfig":
         try:
             with open(path, "r", encoding="utf-8-sig") as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, object_pairs_hook=_unique_keys)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
         except json.JSONDecodeError as exc:
@@ -165,6 +164,15 @@ class ExperimentConfig:
         return cls(**values)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose keys are each named once, at any depth."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        twice = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
+        raise ConfigError(f"config names the key {twice!r} twice")
+    return obj
+
+
 def _string_tuple(name: str, value: object) -> tuple[str, ...]:
     """An array of strings as a tuple; a bare string is refused, not split."""
     if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
@@ -203,7 +211,7 @@ def run_horizon(
     horizon: int,
     config: ExperimentConfig,
 ) -> HorizonArtifacts:
-    """Selection, the three nested fits, and every model's scores for one horizon.
+    """Selection (panel A), the three nested fits, and every model's scores for one horizon.
 
     The dataset's ``split_index`` is the one train/test split: the checks,
     the class weights, the sweep and the scores all slice the dataset's rows
@@ -241,7 +249,7 @@ def run_horizon(
     except TermSpreadError as exc:
         raise _annotate(exc, horizon, "panel A selection")
 
-    models = {"A": fitted_model_from_selection(path, selection)}
+    models = {"A": selection.model}
     for letter in ("B", "C", "D"):
         spec = ModelSpec(
             selection.pair if letter == "B" else CONVENTIONAL_PAIR,

@@ -3,8 +3,9 @@
 A specification is a maturity pair (long leg first) and a form: the
 generalized form puts separate coefficients on the long and short yields;
 the simple form constrains them to equal magnitude with opposite signs by
-regressing on the difference. The paper's panels use the pair chosen on the
-regularization path (A, B) or the conventional (10y, 3m) pair (C, D).
+regressing on the difference. Panel A is the generalized model that
+``select_pair`` builds from the L1 selection fit; panels B-D are MLE fits of
+the selected pair's simple form (B) and the conventional (10y, 3m) pair (C, D).
 Optional control series (e.g. a leading indicator) are appended to any
 specification and are exempt from the L1 penalty.
 """
@@ -18,7 +19,6 @@ import numpy as np
 from .data import AlignedDataset
 from .errors import MissingSeries
 from .logit import LogitFit, LogitProblem, Standardizer, destandardize, fit_mle, predict_proba
-from .selection import CoefficientPath, SelectionResult
 
 CONVENTIONAL_PAIR = ("10y", "3m")
 
@@ -111,29 +111,6 @@ def fit_spec(
     )
     fit = fit_mle(problem)
     return FittedModel(spec, fit, *destandardize(fit.intercept_std, fit.coefs_std, standardizer))
-
-
-def fitted_model_from_selection(
-    path: CoefficientPath, selection: SelectionResult
-) -> FittedModel:
-    """Panel A: the selection fit as the generalized model of the selected pair.
-
-    The selection fit carries one coefficient per path column, almost all
-    exactly zero. Its full vector is mapped to the original scale, then
-    reduced to the surviving pair plus the path's unpenalized columns (the
-    forced controls), which leaves every predicted probability unchanged;
-    ``fit`` stays the unreduced selection fit.
-    """
-    controls = tuple(
-        name
-        for name, penalized in zip(path.feature_names, path.problem.penalty_mask)
-        if not penalized
-    )
-    spec = ModelSpec(selection.pair, simple=False, controls=controls)
-    idx = [path.feature_names.index(name) for name in spec.yield_feature_names + controls]
-    fit = selection.fit
-    intercept, coefs = destandardize(fit.intercept_std, fit.coefs_std, path.standardizer)
-    return FittedModel(spec, fit, intercept, coefs[idx])
 
 
 def forecast_series(model: FittedModel, ds: AlignedDataset) -> ForecastSeries:

@@ -5,7 +5,7 @@ for integer k, starting from a large negative k (lambda ~ 1e-3) and
 ascending until the null model is reached. The selected lambda is the first
 grid value at which exactly two penalized coefficients survive; if the
 survivor count jumps past two between adjacent grid points, the interval is
-refined by bisection in k (fractional k allowed).
+refined by bisection in k (fractional k allowed); the fit there is panel A.
 """
 
 from __future__ import annotations
@@ -24,9 +24,11 @@ from .logit import (
     LogitProblem,
     PathStart,
     Standardizer,
+    destandardize,
     fit_l1,
     null_model_lambda_bound,
 )
+from .models import FittedModel, ModelSpec
 
 
 K_START = -100  # lambda = 2^-10, about 1e-3
@@ -68,16 +70,21 @@ class CoefficientPath:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """The first lambda with two surviving maturities, and its fit.
-
-    ``pair`` orders the two maturities positive-coefficient first (the long
-    leg on all observed data).
-    """
+    """The first lambda with two surviving maturities, and panel A there:
+    ``model``, whose ``pair`` puts the positive coefficient first (the long
+    leg on all observed data) and whose ``fit`` is the unreduced selection fit."""
 
     lambda_selected: float
     k_selected: float
-    pair: tuple[str, str]
-    fit: LogitFit
+    model: FittedModel
+
+    @property
+    def pair(self) -> tuple[str, str]:
+        return self.model.spec.pair
+
+    @property
+    def fit(self) -> LogitFit:
+        return self.model.fit
 
 
 def _certified(fit: LogitFit, k: float) -> LogitFit:
@@ -150,17 +157,19 @@ def sweep_path(
 def _result_from_fit(
     path: CoefficientPath, k: float, lam: float, fit: LogitFit
 ) -> SelectionResult:
-    support = _support(fit, path.problem.penalty_mask)
-    stds = path.standardizer.stds
-    long, short = (
-        path.feature_names[j]
-        for j in sorted(support, key=lambda j: -fit.coefs_std[j] / stds[j])  # positive first
-    )
-    return SelectionResult(lambda_selected=lam, k_selected=k, pair=(long, short), fit=fit)
+    # keep the pair (positive first) and the controls; the rest are exact zeros
+    intercept, coefs = destandardize(fit.intercept_std, fit.coefs_std, path.standardizer)
+    mask, names = path.problem.penalty_mask, path.feature_names
+    pair = sorted(_support(fit, mask), key=lambda j: -coefs[j])
+    controls = np.flatnonzero(~mask)
+    spec = ModelSpec(tuple(names[j] for j in pair), False, tuple(names[j] for j in controls))
+    model = FittedModel(spec, fit, intercept, coefs[[*pair, *controls]])
+    return SelectionResult(lambda_selected=lam, k_selected=k, model=model)
 
 
 def select_pair(path: CoefficientPath) -> SelectionResult:
-    """First lambda along the ascending path with exactly two survivors.
+    """First lambda along the ascending path with exactly two survivors,
+    and panel A's model there.
 
     If the survivor count skips two between adjacent grid points, the
     interval is bisected in k (refitting, warm-started) until the count is

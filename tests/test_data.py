@@ -107,14 +107,36 @@ def test_load_malformed_cell(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "cell",
-    ["1_000", " 4.5", "4.5 ", "1e0", "+4.5", "4.", ".5", "", "inf", "nan", "0x1p0", "\u0663"],
+    "cell, lineno",
+    [
+        *(pytest.param(cell, 3, id=cell) for cell in
+          ["1_000", " 4.5", "4.5 ", "1e0", "+4.5", "4.", ".5", "", "inf", "nan", "0x1p0", "\u0663"]),
+        # below two blank lines, which keep their file line numbers
+        pytest.param("x", 5, id="x-below-blank-lines"),
+    ],
 )
-def test_load_rejects_cells_outside_the_decimal_grammar(tmp_path, cell):
-    path = write(tmp_path, "cells.csv", f"date,10y\n2001-01,-0.25\n2001-02,{cell}\n")
+def test_load_rejects_cells_outside_the_decimal_grammar(tmp_path, cell, lineno):
+    blank = "\n" * (lineno - 3)
+    path = write(tmp_path, "cells.csv", f"date,10y\n2001-01,-0.25\n{blank}2001-02,{cell}\n")
     with pytest.raises(MalformedRow) as info:
         load_yield_panel([path], ["10y"])
-    assert f"cells.csv:3: cannot parse 10y={cell!r}" in str(info.value)
+    assert f"cells.csv:{lineno}: cannot parse 10y={cell!r}" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("date,recession\n1961-06,0,1\n", ":2: expected 2 cells, got 3"),
+        ("date,recession\n\n1961-06,0,1\n", ":3: expected 2 cells, got 3"),
+        ("date,recession\n1961-06,0\n\n\n1961-07\n", ":5: expected 2 cells, got 1"),
+    ],
+    ids=["no-blank-line", "below-a-blank-line", "below-two-blank-lines"],
+)
+def test_load_rejects_a_row_with_the_wrong_cell_count(tmp_path, text, message):
+    path = write(tmp_path, "r.csv", text)
+    with pytest.raises(MalformedRow) as info:
+        load_recession_series(path)
+    assert str(info.value) == path + message
 
 
 @pytest.mark.parametrize(

@@ -87,7 +87,7 @@ def test_config_rejects_unknown_keys(tmp_path, data_files):
         ExperimentConfig.from_json(str(path))
 
 
-def test_config_rejects_missing_and_malformed(tmp_path, data_files):
+def test_config_rejects_missing_and_malformed(tmp_path, data_files, capsys):
     path = tmp_path / "m.json"
     raw = base_config_dict(data_files)
     del raw["split"]
@@ -97,6 +97,21 @@ def test_config_rejects_missing_and_malformed(tmp_path, data_files):
     path.write_text("{not json", "utf-8")
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json(str(path))
+    # a key named twice, at the top or in split, is refused before any input is read
+    missing = str(tmp_path / "absent.csv")
+    text = json.dumps(base_config_dict({"yields": missing, "recessions": missing}, horizons=[3]))
+    out = tmp_path / "o"
+    for twice, key in [
+        (text[:-1] + ', "horizons": [6]}', "horizons"),
+        (text.replace('"split": {', '"split": {"train_end": "1990-12", '), "train_end"),
+    ]:
+        path.write_text(twice, "utf-8")
+        message = f"config names the key '{key}' twice"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_json(str(path))
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_config_validates_horizons(tmp_path, data_files):
@@ -480,6 +495,32 @@ def test_cli_unconverged_mle_exit_2(tmp_path, data_files, capsys, monkeypatch):
     assert err.startswith("computation failed: [horizon=3 ")
     assert "MLE did not converge after 1 iterations; largest gradient entry" in err
     assert not (tmp_path / "m").exists()
+
+
+SEPARABLE = "data appears linearly separable"
+
+
+@pytest.mark.parametrize(
+    "seed, horizon, message",
+    [
+        (8, 24, f"[horizon=24 panel B] fit saturated to a perfect classification; {SEPARABLE}"),
+        (13, 9, f"[horizon=9 panel C] coefficient norm exceeded 1e4; {SEPARABLE}"),
+        # the null-model bound's MLE on lead_idx, before any L1 fit
+        (10, 9, f"[horizon=9 panel A selection] fit saturated to a perfect classification; "
+                f"{SEPARABLE}"),
+    ],
+    ids=["saturated-panel-B", "norm-panel-C", "saturated-null-model"],
+)
+def test_cli_separation_exit_2(tmp_path, capsys, seed, horizon, message):
+    # weighted reseeds with the lead_idx control that separate at one horizon
+    files = write_market(str(tmp_path), *make_market(seed))
+    cfg_path = write_config(
+        tmp_path, files, horizons=[horizon], weighting=True, forced_controls=["lead_idx"]
+    )
+    out = tmp_path / "s"
+    assert cli_main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"computation failed: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_single_survivor_target_rejected(tmp_path, data_files, capsys):

@@ -23,7 +23,6 @@ from termspread.models import (
     ModelSpec,
     _aligned_columns,
     fit_spec,
-    fitted_model_from_selection,
     forecast_series,
 )
 from termspread.selection import select_pair, sweep_path
@@ -215,7 +214,7 @@ def test_selection_model_reduction_preserves_probabilities(ds12):
     k = ds12.split_index
     path = sweep_path(ds12.features[:k], ds12.targets[:k], feature_names=ALL)
     sel = select_pair(path)
-    model = fitted_model_from_selection(path, sel)
+    model = sel.model
     fc = forecast_series(model, ds12)
     # the dropped exact zeros cannot change the linear combination
     intercept, coefs = destandardize(sel.fit.intercept_std, sel.fit.coefs_std, path.standardizer)
