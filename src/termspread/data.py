@@ -8,6 +8,10 @@ schemas (UTF-8, LF, dot decimals, no thousands separators):
   where a decimal is an optional ``-``, digits, then optionally ``.digits``
 * recessions: ``date,recession`` with rows ``YYYY-MM,0|1``
 
+Rows hold one month each, in ascending order, with no gaps: a skipped month
+is a GapInDates and a repeated or earlier month a MalformedRow, both naming
+the file line.
+
 All types are immutable after construction; operations are pure functions.
 """
 
@@ -74,11 +78,14 @@ class Month:
         return f"{self.year:04d}-{self.month:02d}"
 
 
-def _check_contiguous(dates: Sequence[Month], origin: str) -> None:
-    for prev, cur in zip(dates, dates[1:]):
+def _check_contiguous(dates: Sequence[Month], origin: str, lines: Sequence[int] = ()) -> None:
+    """Raise unless each month follows the one before: GapInDates for a skip,
+    MalformedRow for a repeat or step back, at file line ``lines[i]`` if given."""
+    for i, (prev, cur) in enumerate(zip(dates, dates[1:]), start=1):
         if cur - prev != 1:
-            missing = prev + 1
-            raise GapInDates(f"{origin}: missing month {missing} (between {prev} and {cur})")
+            where = f"{origin}:{lines[i]}" if lines else origin
+            error = GapInDates if cur > prev else MalformedRow
+            raise error(f"{where}: month {cur} follows {prev}, expected {prev + 1}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -206,8 +213,8 @@ class AlignedDataset:
 def _parse_csv(path: str) -> tuple[list[str], list[Month], np.ndarray]:
     """Parse one schema CSV into (column names, months, values).
 
-    The months come back sorted and contiguous; ``values[i, j]`` is column
-    ``j`` in month ``months[i]``.
+    Each row holds one month, the month after the row above; ``values[i, j]``
+    is column ``j`` in month ``months[i]``.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -247,13 +254,8 @@ def _parse_csv(path: str) -> tuple[list[str], list[Month], np.ndarray]:
         rows.append(vals)
     if not months:
         raise MalformedRow(f"{path}: no data rows")
-    order = sorted(range(len(months)), key=lambda i: months[i])
-    months = [months[i] for i in order]
-    if len(set(months)) != len(months):
-        raise MalformedRow(f"{path}: duplicate month rows")
-    _check_contiguous(months, path)
-    values = np.array(rows, dtype=float).reshape(len(rows), len(cols))[order]
-    return cols, months, values
+    _check_contiguous(months, path, [lineno for lineno, _ in lines[1:]])
+    return cols, months, np.array(rows, dtype=float).reshape(len(rows), len(cols))
 
 
 def load_yield_panel(paths: Sequence[str], maturities: Sequence[str]) -> YieldPanel:
@@ -274,10 +276,11 @@ def load_yield_panel(paths: Sequence[str], maturities: Sequence[str]) -> YieldPa
             raise ValueError(f"unknown maturity code: {code!r}")
 
     files = [_parse_csv(path) for path in paths]
-    lo = max(months[0] for _, months, _ in files)
-    hi = min(months[-1] for _, months, _ in files)
+    starts, ends = [months[0] for _, months, _ in files], [months[-1] for _, months, _ in files]
+    lo, hi = max(starts), min(ends)
     if hi < lo:
-        raise CoverageError("input files have no overlapping months")
+        late, early = paths[starts.index(lo)], paths[ends.index(hi)]
+        raise CoverageError(f"{late}: starts {lo}, after {early} ends {hi}")
 
     found: dict[str, np.ndarray] = {}
     for cols, months, values in files:
@@ -296,10 +299,10 @@ def load_recession_series(path: str) -> RecessionSeries:
     cols, months, values = _parse_csv(path)
     if cols != ["recession"]:
         raise MalformedRow(f"{path}: expected header 'date,recession', got columns {cols}")
-    ind = values[:, 0]
-    if not np.all(np.isin(ind, (0.0, 1.0))):
-        raise MalformedRow(f"{path}: recession values must be 0 or 1")
-    return RecessionSeries(dates=tuple(months), indicator=ind)
+    for month, v in zip(months, values[:, 0]):
+        if v not in (0.0, 1.0):
+            raise MalformedRow(f"{path}: {month} reads {v:g}, not 0 or 1")
+    return RecessionSeries(dates=tuple(months), indicator=values[:, 0])
 
 
 def monthly_average(

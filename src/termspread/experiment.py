@@ -182,9 +182,11 @@ def _string_tuple(name: str, value: object) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class HorizonArtifacts:
-    """Everything computed for one horizon; per-model maps are keyed by panel letter."""
+    """Everything computed for one horizon; per-model maps are keyed by panel
+    letter. ``is_recession`` flags each dataset row's own predictor month."""
 
     dataset: AlignedDataset
+    is_recession: np.ndarray
     path: CoefficientPath
     selection: SelectionResult
     models: Mapping[str, FittedModel]
@@ -196,7 +198,6 @@ class HorizonArtifacts:
 class ExperimentResult:
     config: ExperimentConfig
     artifacts: Mapping[int, HorizonArtifacts]
-    recessions: RecessionSeries
 
 
 def _annotate(exc: TermSpreadError, horizon: int, where: str) -> TermSpreadError:
@@ -218,10 +219,12 @@ def run_horizon(
     and the forecasts at it. Class weights use the training recession ratio
     on the test rows too. A partition holding one class only, or a feature
     that is constant over the training rows, is a CoverageError naming the
-    horizon, the partition and its row count.
+    horizon, the partition and its row count; so is a recession series
+    missing a predictor month. All of these are checked before any fit.
     """
     feature_names = config.maturities + config.forced_controls
     ds = align_dataset(panel, recessions, horizon, config.split, feature_names)
+    is_recession = recessions.span(ds.predictor_dates[0], ds.n_rows)
     split = ds.split_index
     X_train, y_train, y_test = ds.features[:split], ds.targets[:split], ds.targets[split:]
     for name, part in (("training", y_train), ("test", y_test)):
@@ -277,6 +280,7 @@ def run_horizon(
         )
     return HorizonArtifacts(
         dataset=ds,
+        is_recession=is_recession,
         path=path,
         selection=selection,
         models=models,
@@ -299,7 +303,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             raise MissingSeries(f"forced control {name!r} not present in the data")
     recessions = load_recession_series(config.recession_file)
     artifacts = {h: run_horizon(panel, recessions, h, config) for h in config.horizons}
-    return ExperimentResult(config=config, artifacts=artifacts, recessions=recessions)
+    return ExperimentResult(config=config, artifacts=artifacts)
 
 
 # --- emitters ---------------------------------------------------------------
@@ -394,13 +398,12 @@ def _outputs(result: ExperimentResult, ext: str) -> Iterator[tuple[str, Iterator
         # panel A's spread and probability per row; is_recession flags the
         # row's own date (for shading), is_test the rows past the split
         forecast = art.forecasts["A"]
-        is_recession = result.recessions.span(ds.predictor_dates[0], ds.n_rows)
         is_test = np.arange(ds.n_rows) >= ds.split_index
         yield f"spread_series_h{h}.csv", _number_lines(
             ["date", "spread", "probability", "is_recession", "is_test"],
             ["%s", "%.10g", "%.10g", "%d", "%d"],
             [list(map(str, ds.predictor_dates)), forecast.spread.tolist(),
-             forecast.probabilities.tolist(), is_recession.astype(int).tolist(),
+             forecast.probabilities.tolist(), art.is_recession.astype(int).tolist(),
              is_test.astype(int).tolist()],
         )
         # test-period ROC points, the AUC on a metadata line

@@ -137,7 +137,8 @@ _PANELS = {"A": "generalized_ml", "B": "simple_ml",
 def per_cell_outputs(result, markdown: bool) -> dict[str, str]:
     """The text of every output file of a run, by file name: each number
     cell formatted on its own (``format(v, ".10g")``, three decimals in the
-    tables) and every csv row passed through ``csv.writer``."""
+    tables), the recession flags read from the config's file, and every csv
+    row passed through ``csv.writer``."""
     def g(v):
         return format(v, ".10g")
 
@@ -179,6 +180,8 @@ def per_cell_outputs(result, markdown: bool) -> dict[str, str]:
         + [[str(h), kind, *map(f3, astuple(art.reports[letter]))]
            for h, art in result.artifacts.items() for letter, kind in _PANELS.items()]
     )
+    with open(result.config.recession_file, encoding="utf-8") as fh:
+        recession = {Month.parse(date): flag for date, flag in list(csv.reader(fh))[1:]}
     for h, art in result.artifacts.items():
         path, ds = art.path, art.dataset
         keep = np.flatnonzero(path.problem.penalty_mask)
@@ -188,12 +191,11 @@ def per_cell_outputs(result, markdown: bool) -> dict[str, str]:
                for lam, coefs in zip(path.lambdas, path.coef_matrix[:, keep])]
         )
         forecast = art.forecasts["A"]
-        is_recession = result.recessions.span(ds.predictor_dates[0], ds.n_rows)
         files[f"spread_series_h{h}.csv"] = as_csv(
             [["date", "spread", "probability", "is_recession", "is_test"]]
-            + [[str(date), g(spread), g(prob), str(int(rec)), str(int(i >= ds.split_index))]
-               for i, (date, spread, prob, rec) in enumerate(zip(
-                   ds.predictor_dates, forecast.spread, forecast.probabilities, is_recession))]
+            + [[str(date), g(spread), g(prob), recession[date], str(int(i >= ds.split_index))]
+               for i, (date, spread, prob) in enumerate(zip(
+                   ds.predictor_dates, forecast.spread, forecast.probabilities))]
         )
         for letter in _PANELS:
             points = roc_curve(ds.targets[ds.split_index:],

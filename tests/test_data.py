@@ -150,6 +150,48 @@ def test_load_rejects_date_cells_outside_the_month_grammar(tmp_path, date):
     assert f"dates.csv:3: not a YYYY-MM token: {date!r}" in str(info.value)
 
 
+def _yields(paths):
+    return load_yield_panel(paths, ["10y"])
+
+
+def _recessions(paths):
+    (path,) = paths
+    return load_recession_series(path)
+
+
+@pytest.mark.parametrize(
+    "load, texts, error, where, message",
+    [
+        pytest.param(_yields, [""], MalformedRow, "", "empty file", id="empty-file"),
+        pytest.param(_yields, ["month,10y\n2001-01,5\n"], MalformedRow, "",
+                     "header must start with 'date', got 'month,10y'", id="header-not-date"),
+        pytest.param(_yields, ["date,10y,10y\n2001-01,5,5\n"], MalformedRow, "",
+                     "duplicate column names in header", id="repeated-column"),
+        pytest.param(_yields, ["date,10y\n\n"], MalformedRow, "", "no data rows",
+                     id="header-only"),
+        pytest.param(_yields, ["date,10y\n2001-01," + "9" * 400 + "\n"], MalformedRow, ":2",
+                     f"non-finite 10y='{'9' * 400}'", id="overflows-to-inf"),
+        pytest.param(_yields, ["date,10y\n2001-01,5\n2001-02,5\n", "date,3m\n2001-03,3\n"],
+                     CoverageError, "", "starts 2001-03, after {0} ends 2001-02",
+                     id="no-common-month"),
+        pytest.param(_recessions, ["date,recession\n1961-06,0\n1961-07,1\n1961-06,1\n"],
+                     MalformedRow, ":4", "month 1961-06 follows 1961-07, expected 1961-08",
+                     id="repeated-month"),
+        pytest.param(_yields, ["date,10y\n2001-01,5\n2001-02,5\n2000-12,5\n"], MalformedRow,
+                     ":4", "month 2000-12 follows 2001-02, expected 2001-03", id="month-goes-back"),
+        pytest.param(_yields, ["date,10y\n2001-01,5\n\n2001-03,5\n"], GapInDates, ":4",
+                     "month 2001-03 follows 2001-01, expected 2001-02", id="skipped-month"),
+    ],
+)
+def test_load_rejects_bad_input_at_its_path_and_line(
+    tmp_path, load, texts, error, where, message
+):
+    paths = [write(tmp_path, f"in{i}.csv", text) for i, text in enumerate(texts)]
+    with pytest.raises(error) as info:
+        load(paths)
+    assert str(info.value) == f"{paths[-1]}{where}: " + message.format(*paths)
+
+
 def test_load_merges_files_on_date_intersection(tmp_path):
     a = write(tmp_path, "a.csv", "date,10y\n2001-01,5.0\n2001-02,5.1\n2001-03,5.2\n")
     b = write(tmp_path, "b.csv", "date,3m\n2001-02,3.0\n2001-03,3.1\n2001-04,3.2\n")
@@ -175,9 +217,10 @@ def test_recession_loader_validates_values(tmp_path):
     ok = write(tmp_path, "r.csv", "date,recession\n2001-01,0\n2001-02,1\n")
     series = load_recession_series(ok)
     assert series.indicator.tolist() == [0.0, 1.0]
-    bad = write(tmp_path, "rb.csv", "date,recession\n2001-01,2\n")
-    with pytest.raises(MalformedRow):
+    bad = write(tmp_path, "rb.csv", "date,recession\n1961-06,0\n1961-07,2\n1961-08,3\n")
+    with pytest.raises(MalformedRow) as info:
         load_recession_series(bad)
+    assert str(info.value) == f"{bad}: 1961-07 reads 2, not 0 or 1"
 
 
 # --- monthly averaging --------------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from termspread import cli, errors, logit
+from termspread import cli, errors, logit, selection
 from termspread.cli import main as cli_main
 from termspread.data import YieldPanel
 from termspread.errors import ConfigError, IoError
@@ -581,6 +581,25 @@ def test_cli_constant_training_feature_exit_1(tmp_path, market, capsys):
     assert err.startswith("error: [horizon=3] the training partition's ")
     assert "rows all have lead_idx=1.5; every feature must vary" in err
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_recession_file_missing_the_first_predictor_months_fails_before_any_fit(
+    tmp_path, data_files, capsys, monkeypatch
+):
+    # it covers every 3-month target from 1961-09 on, but the spread series
+    # flags each predictor month from 1961-06 on
+    with open(data_files["recessions"], encoding="utf-8") as fh:
+        lines = fh.readlines()
+    late = tmp_path / "late.csv"
+    late.write_text(lines[0] + "".join(lines[4:]), "utf-8")
+    fits = []
+    monkeypatch.setattr(selection, "fit_l1", lambda *args: fits.append(args))
+    cfg_path = write_config(tmp_path, data_files, horizons=[3], recession_file=str(late))
+    out = tmp_path / "late"
+    assert cli_main(["run", "--config", cfg_path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: recession series does not cover 1961-06\n"
+    assert fits == []
     assert not out.exists()
 
 
