@@ -230,8 +230,9 @@ def _parse_csv(path: str) -> tuple[list[str], list[Month], np.ndarray]:
     if not header or header[0] != "date":
         raise MalformedRow(f"{path}: header must start with 'date', got {lines[0][1]!r}")
     cols = header[1:]
-    if len(set(cols)) != len(cols):
-        raise MalformedRow(f"{path}: duplicate column names in header")
+    twice = next((c for i, c in enumerate(cols) if c in cols[:i]), None)
+    if twice is not None:
+        raise MalformedRow(f"{path}: header names the column {twice!r} twice")
     months: list[Month] = []
     rows: list[list[float]] = []
     for lineno, ln in lines[1:]:

@@ -40,7 +40,7 @@ from .evaluation import (
     relative_mse,
     roc_curve,
 )
-from .logit import ClassWeights
+from .logit import ClassWeights, LogitFit
 from .models import (
     CONVENTIONAL_PAIR,
     FittedModel,
@@ -200,6 +200,18 @@ class ExperimentResult:
     artifacts: Mapping[int, HorizonArtifacts]
 
 
+def fits(result: ExperimentResult) -> Iterator[tuple[int, str, float | None, LogitFit]]:
+    """Every fit of a run as (horizon, role, k, fit) in run order: per horizon
+    "null_bound" (the null model's MLE), "path" and "bisect" at their k, then
+    "panel_B" to "panel_D" (k None). Panel A's fit is a path or bisect fit."""
+    for h, art in result.artifacts.items():
+        if art.path.null_fit is not None:
+            yield h, "null_bound", None, art.path.null_fit
+        yield from ((h, "path", k, f) for k, f in zip(art.path.k_values.tolist(), art.path.fits))
+        yield from ((h, "bisect", k, f) for k, f in art.selection.trials)
+        yield from ((h, f"panel_{p}", None, art.models[p].fit) for p in "BCD")
+
+
 def _annotate(exc: TermSpreadError, horizon: int, where: str) -> TermSpreadError:
     note = f"[horizon={horizon} {where}] "
     exc.args = (note + str(exc),) + exc.args[1:]
@@ -219,12 +231,16 @@ def run_horizon(
     and the forecasts at it. Class weights use the training recession ratio
     on the test rows too. A partition holding one class only, or a feature
     that is constant over the training rows, is a CoverageError naming the
-    horizon, the partition and its row count; so is a recession series
-    missing a predictor month. All of these are checked before any fit.
+    horizon, the partition and its row count. A recession series missing a
+    predictor or target month is one naming the horizon and the recession
+    file. All of these are checked before any fit.
     """
     feature_names = config.maturities + config.forced_controls
-    ds = align_dataset(panel, recessions, horizon, config.split, feature_names)
-    is_recession = recessions.span(ds.predictor_dates[0], ds.n_rows)
+    try:
+        ds = align_dataset(panel, recessions, horizon, config.split, feature_names)
+        is_recession = recessions.span(ds.predictor_dates[0], ds.n_rows)
+    except CoverageError as exc:
+        raise CoverageError(f"[horizon={horizon}] {config.recession_file}: {exc}") from None
     split = ds.split_index
     X_train, y_train, y_test = ds.features[:split], ds.targets[:split], ds.targets[split:]
     for name, part in (("training", y_train), ("test", y_test)):

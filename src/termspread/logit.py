@@ -34,21 +34,22 @@ prediction when it keeps the sign pattern and lowers J below the carried
 point's. ``fit_mle`` solves the unpenalized problem with the same Newton
 step, taken at lambda = 0; only it lets a singular Hessian raise.
 
-NumPy does the work that touches the rows: the fused evaluation, the
-Hessian product and ``np.linalg.solve``. The bookkeeping over the ten or so
-coefficients (the pseudo-gradient and KKT residual of a point, the orthant
-and active set of a Newton step, the line search's trial points, the sign
-patterns and the prediction of a ``PathStart``) runs on Python floats from
-``tolist()``, because at that size a NumPy call costs a fixed dispatch
-larger than its arithmetic. Each scalar operation is the array form's IEEE
-operation in the same order, so the iterates are the same bit for bit; the
-sums whose order NumPy fixes (the penalty, the descent test pg.step) stay
-in NumPy.
+NumPy does only the work that touches the rows: the fused evaluation,
+the Hessian product over the active columns (the design itself when all
+are active) and ``np.linalg.solve``. Everything over the ten or so
+coefficients (the pseudo-gradient, penalty and KKT residual of a point,
+the orthant, active set, finiteness and descent test of a Newton step, the
+line search's trial points, and the sign patterns, log lambdas and
+prediction of a ``PathStart``) runs on Python floats from ``tolist()``,
+because at that size a NumPy call costs a fixed dispatch larger than its
+arithmetic. Sums run in index order, so J can differ from NumPy's in its
+last bit; the design stays row-major, which keeps identical columns tied.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -203,7 +204,7 @@ class LogitFit:
 def _logistic(eta: np.ndarray, e: np.ndarray) -> np.ndarray:
     """phi(-eta) from e = exp(-|eta|), clamped to [1e-300, 1 - 1e-16]:
     1/(1 + e) where eta <= 0 and e/(1 + e) elsewhere, so nothing overflows."""
-    p = np.where(eta <= 0.0, 1.0, e)
+    p = np.maximum(e, eta <= 0.0)  # 1 where eta <= 0, as e <= 1; e elsewhere
     p /= 1.0 + e
     np.maximum(p, PROB_FLOOR, out=p)
     return np.minimum(p, PROB_CEIL, out=p)
@@ -303,11 +304,6 @@ class _Point(NamedTuple):
     kkt: float
 
 
-def _sign(v: float) -> int:
-    """The sign of ``v`` as -1, 0 or 1, with -0.0 read as 0."""
-    return (v > 0.0) - (v < 0.0)
-
-
 def _first_crossing(
     b: list[float], step: list[float], orthant: list[int], idx: list[int]
 ) -> tuple[float, list[int]]:
@@ -347,7 +343,7 @@ class _FusedObjective:
     def at(self, beta: np.ndarray) -> _Point:
         self.evaluations += 1
         problem, weights = self.problem, self.problem.weights
-        eta = self.design @ beta
+        eta = self.design.dot(beta)
         e = np.abs(eta)
         np.negative(e, out=e)
         np.exp(e, out=e)
@@ -355,10 +351,9 @@ class _FusedObjective:
         softplus = problem.signs * eta
         np.maximum(softplus, 0.0, out=softplus)
         softplus += np.log1p(e, out=e)
-        softplus *= weights
         residual = problem.targets - p
         residual *= weights
-        return self._priced(beta, p, float(softplus.sum()), problem.design.T @ residual)
+        return self._priced(beta, p, float(weights.dot(softplus)), self.design.T.dot(residual))
 
     def carried(self, pt: _Point) -> _Point:
         """``pt``, found at another lambda, priced at this one.
@@ -372,28 +367,22 @@ class _FusedObjective:
         """The point with J and the minimum-norm subgradient of J: g_j for
         the intercept and unpenalized entries, g_j + lambda*sign(b_j) where
         b_j != 0, else g_j shrunk toward zero by lambda."""
-        lam = self.lam
-        objective = nll + lam * float(np.abs(beta[self.pen]).sum())
-        pg = []
+        lam, pg, penalty = self.lam, [], 0.0
         for gj, bj, penalized in zip(g.tolist(), beta.tolist(), self.penalized):
             if not penalized:
                 pg.append(gj)
-            elif bj > 0.0 or bj == 0.0 and gj < -lam:
+                continue
+            penalty += abs(bj)
+            if bj > 0.0 or bj == 0.0 and gj < -lam:
                 pg.append(gj + lam)
             elif bj < 0.0 or gj > lam:
                 pg.append(gj - lam)
             else:
                 pg.append(0.0)
-        return _Point(beta, p, nll, objective, g, pg, max(map(abs, pg)))
-
-    def hessian(self, s: np.ndarray, idx: list[int]) -> np.ndarray:
-        """NLL Hessian over the entries ``idx`` of beta, from the curvature
-        weights s = w*p*(1-p) of a point."""
-        A = self.design[:, idx]
-        return A.T @ (s[:, None] * A)
+        return _Point(beta, p, nll, nll + lam * penalty, g, pg, max(map(abs, pg)))
 
     def line_search(
-        self, pt: _Point, idx: list[int], step: np.ndarray, orthant: list[int]
+        self, pt: _Point, idx: list[int], steps: list[float], orthant: list[int]
     ) -> _Point | None:
         """First of beta - t*step that does not raise J.
 
@@ -406,7 +395,7 @@ class _FusedObjective:
         for nothing.
         """
         limit = pt.objective + DESCENT_SLACK * abs(pt.objective)
-        b, steps = pt.beta.tolist(), step.tolist()
+        b = pt.beta.tolist()
         t, first_zeros = 1.0, []
         for trial in range(MAX_HALVINGS):
             beta = b.copy()
@@ -438,24 +427,24 @@ class _FusedObjective:
         finite; ``fit_mle`` lets it propagate, ``fit_l1`` takes a proximal step.
         """
         b, pg, flags = pt.beta.tolist(), pt.pseudo_grad, self.penalized
-        orthant = [(_sign(bj) or -_sign(gj)) if pen else 0 for bj, gj, pen in zip(b, pg, flags)]
+        orthant = [((bj > 0.0) - (bj < 0.0) or (gj < 0.0) - (gj > 0.0)) if pen else 0
+                   for bj, gj, pen in zip(b, pg, flags)]
         idx = [j for j, pen in enumerate(flags) if not pen or b[j] != 0.0 or pg[j] != 0.0]
-        s = self.problem.weights * pt.prob * (1.0 - pt.prob)
+        s = self.problem.weights * pt.prob * (1.0 - pt.prob)  # curvature weights
         while True:
-            rhs = np.array([pg[j] for j in idx])
+            rhs = [pg[j] for j in idx]
+            A = self.design if len(idx) == len(b) else self.design[:, idx]
             try:
-                step = np.linalg.solve(self.hessian(s, idx), rhs)
+                step = np.linalg.solve(A.T.dot(s[:, None] * A), rhs).tolist()
             except np.linalg.LinAlgError:
                 raise Singular("Hessian is singular; features may be collinear") from None
-            staying = [
-                j for j, d in zip(idx, step.tolist()) if b[j] != 0.0 or not orthant[j] * d > 0.0
-            ]
+            staying = [j for j, d in zip(idx, step) if b[j] != 0.0 or not orthant[j] * d > 0.0]
             if len(staying) == len(idx):
                 break
             idx = staying
-        if not np.isfinite(step).all():
+        if not all(map(math.isfinite, step)):
             raise Singular("Newton step is non-finite")
-        if not rhs @ step > 0.0:
+        if not sum(map(operator.mul, rhs, step)) > 0.0:
             return None  # a numerically singular system gave no descent direction
         return self.line_search(pt, idx, step, orthant)
 
@@ -527,6 +516,7 @@ class PathStart:
         if fit is not None:
             self.beta[0], self.beta[1:] = fit.intercept_std, fit.coefs_std
         self.point: _Point | None = None
+        # (log lambda, beta, sign pattern) of each of the last three optima
         self.optima: list[tuple[float, list[float], tuple[int, ...]]] = []
 
     def first_point(self, objective: _FusedObjective) -> _Point:
@@ -547,13 +537,11 @@ class PathStart:
         """The last three optima extrapolated quadratically in log lambda to
         ``lam`` (3 b1 - 3 b2 + b3 on the grid), or None unless they and the
         extrapolation share one sign pattern of the penalized entries."""
-        if len(self.optima) < 3:
+        if len(self.optima) < 3 or lam <= 0.0:
             return None
-        (l3, b3, s3), (l2, b2, s2), (l1, b1, s1) = self.optima
-        if not s1 == s2 == s3 or min(lam, l1, l2, l3) <= 0.0:
-            return None
-        x, x1, x2, x3 = (math.log(v) for v in (lam, l1, l2, l3))
-        if len({x, x1, x2, x3}) < 4:
+        (x3, b3, s3), (x2, b2, s2), (x1, b1, s1) = self.optima
+        x = math.log(lam)
+        if not s1 == s2 == s3 or len({x, x1, x2, x3}) < 4:
             return None
         c1 = (x - x2) * (x - x3) / ((x1 - x2) * (x1 - x3))
         c2 = (x - x1) * (x - x3) / ((x2 - x1) * (x2 - x3))
@@ -563,15 +551,16 @@ class PathStart:
 
     def _signs_of(self, beta: list[float]) -> tuple[int, ...]:
         """The sign pattern of the penalized entries, -0.0 read as 0."""
-        return tuple(_sign(b) for b, pen in zip(beta, self.problem.penalized) if pen)
+        return tuple((b > 0.0) - (b < 0.0) for b, pen in zip(beta, self.problem.penalized) if pen)
 
     def record(self, pt: _Point, lam: float, certified: bool) -> None:
         """Carry ``pt`` to the next fit; keep it as one of the last three
-        optima if it is certified, else forget them."""
-        self.point = pt
-        beta = pt.beta.tolist()
-        optimum = (lam, beta, self._signs_of(beta))
-        self.optima = (self.optima + [optimum])[-3:] if certified else []
+        optima if it is certified at a positive lambda, else forget them."""
+        self.point, beta = pt, pt.beta.tolist()
+        if certified and lam > 0.0:  # the prediction extrapolates in log lambda
+            self.optima = (self.optima + [(math.log(lam), beta, self._signs_of(beta))])[-3:]
+        else:
+            self.optima = []
 
 
 def fit_l1(start: PathStart, lam: float) -> LogitFit:
@@ -650,8 +639,9 @@ def fit_mle(problem: LogitProblem) -> LogitFit:
     return _make_fit(pt, objective, iterations)
 
 
-def null_model_lambda_bound(problem: LogitProblem) -> float:
-    """Smallest lambda at which every penalized coefficient can sit at zero.
+def null_model_lambda_bound(problem: LogitProblem) -> tuple[float, LogitFit | None]:
+    """Smallest lambda at which every penalized coefficient can sit at zero,
+    and the null model's fit that gives it; (0.0, None) if nothing is penalized.
 
     The "null model" is the MLE of the intercept and any unpenalized
     features (the intercept alone when every feature is penalized); the KKT
@@ -660,10 +650,10 @@ def null_model_lambda_bound(problem: LogitProblem) -> float:
     """
     mask = problem.penalty_mask
     if not mask.any():
-        return 0.0
+        return 0.0, None
     free = np.flatnonzero(~mask)
     base = fit_mle(LogitProblem(problem.features[:, free], problem.targets, problem.weights))
     beta = np.zeros(problem.design.shape[1])
     beta[0], beta[1 + free] = base.intercept_std, base.coefs_std
     g = _FusedObjective(problem, 0.0).at(beta).grad[1:]
-    return float(np.max(np.abs(g[mask])))
+    return float(np.max(np.abs(g[mask]))), base

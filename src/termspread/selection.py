@@ -47,7 +47,8 @@ class CoefficientPath:
     ``problem`` is the standardized training problem that every fit of the
     path solved, each at its own lambda; a refit starts a ``PathStart`` on
     it. Its penalty mask marks the columns named by maturity codes. The
-    fits are in its scale; ``standardizer`` maps them back.
+    fits are in its scale; ``standardizer`` maps them back. ``null_fit`` is
+    the null model's MLE that set the grid's end (None if nothing is penalized).
     """
 
     k_values: np.ndarray
@@ -56,6 +57,7 @@ class CoefficientPath:
     problem: LogitProblem
     standardizer: Standardizer
     feature_names: tuple[str, ...]
+    null_fit: LogitFit | None
 
     @property
     def coef_matrix(self) -> np.ndarray:
@@ -65,18 +67,21 @@ class CoefficientPath:
     @property
     def nonzero_counts(self) -> np.ndarray:
         """Surviving penalized coefficients per lambda."""
-        return np.array([_support(f, self.problem.penalty_mask).size for f in self.fits])
+        survives = np.abs([f.coefs_std for f in self.fits]) > NONZERO_TOL
+        return np.count_nonzero(survives & self.problem.penalty_mask, axis=1)
 
 
 @dataclass(frozen=True)
 class SelectionResult:
     """The first lambda with two surviving maturities, and panel A there:
     ``model``, whose ``pair`` puts the positive coefficient first (the long
-    leg on all observed data) and whose ``fit`` is the unreduced selection fit."""
+    leg on all observed data) and whose ``fit`` is the unreduced selection fit.
+    ``trials`` are the bisection's (k, fit) in order, the last one selected."""
 
     lambda_selected: float
     k_selected: float
     model: FittedModel
+    trials: tuple[tuple[float, LogitFit], ...] = ()
 
     @property
     def pair(self) -> tuple[str, str]:
@@ -132,7 +137,7 @@ def sweep_path(
         weights=weights,
         penalty_mask=[name in MATURITY_CODES for name in names],
     )
-    bound = null_model_lambda_bound(problem)
+    bound, null_fit = null_model_lambda_bound(problem)
     k_end = K_START
     if bound > 0.0:
         k_end = max(int(np.ceil(10.0 * np.log2(bound))) + 1, K_START)
@@ -142,7 +147,8 @@ def sweep_path(
     lambdas = 2.0 ** (k_values / 10.0)
 
     carry = PathStart(problem)
-    fits = [_certified(fit_l1(carry, lam), k) for k, lam in zip(k_values, lambdas)]
+    grid = zip(k_values.tolist(), lambdas.tolist())
+    fits = [_certified(fit_l1(carry, lam), k) for k, lam in grid]
 
     return CoefficientPath(
         k_values=k_values,
@@ -151,11 +157,12 @@ def sweep_path(
         problem=problem,
         standardizer=standardizer,
         feature_names=names,
+        null_fit=null_fit,
     )
 
 
 def _result_from_fit(
-    path: CoefficientPath, k: float, lam: float, fit: LogitFit
+    path: CoefficientPath, k: float, lam: float, fit: LogitFit, trials: tuple = ()
 ) -> SelectionResult:
     # keep the pair (positive first) and the controls; the rest are exact zeros
     intercept, coefs = destandardize(fit.intercept_std, fit.coefs_std, path.standardizer)
@@ -164,7 +171,7 @@ def _result_from_fit(
     controls = np.flatnonzero(~mask)
     spec = ModelSpec(tuple(names[j] for j in pair), False, tuple(names[j] for j in controls))
     model = FittedModel(spec, fit, intercept, coefs[[*pair, *controls]])
-    return SelectionResult(lambda_selected=lam, k_selected=k, model=model)
+    return SelectionResult(lambda_selected=lam, k_selected=k, model=model, trials=trials)
 
 
 def select_pair(path: CoefficientPath) -> SelectionResult:
@@ -194,13 +201,15 @@ def _bisect(path: CoefficientPath, lo_idx: int, hi_idx: int) -> SelectionResult:
     k_lo, k_hi = float(path.k_values[lo_idx]), float(path.k_values[hi_idx])
     fit_lo = path.fits[lo_idx]
     count_lo, count_hi = path.nonzero_counts[[lo_idx, hi_idx]]
+    trials = []
     while k_hi - k_lo >= 1e-6:
         k_mid = 0.5 * (k_lo + k_hi)
         lam = lambda_at(k_mid)
         fit = _certified(fit_l1(PathStart(path.problem, fit_lo), lam), k_mid)
+        trials.append((k_mid, fit))
         count = _support(fit, path.problem.penalty_mask).size
         if count == TARGET_NONZERO:
-            return _result_from_fit(path, k_mid, lam, fit)
+            return _result_from_fit(path, k_mid, lam, fit, tuple(trials))
         if count > TARGET_NONZERO:
             k_lo, fit_lo, count_lo = k_mid, fit, count
         else:

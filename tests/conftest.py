@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from termspread.data import Month, RecessionSeries, SplitConfig, YieldPanel
+from termspread.experiment import ExperimentConfig, ExperimentResult, run_experiment
 
 MATURITY_CODES = ("3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y")
 TENOR_YEARS = np.array([3, 6, 12, 24, 36, 60, 84, 120, 240]) / 12.0
@@ -105,3 +106,27 @@ def write_market(
 @pytest.fixture(scope="session")
 def data_files(tmp_path_factory, market) -> dict[str, str]:
     return write_market(str(tmp_path_factory.mktemp("market")), *market)
+
+
+README_SPLIT = {"sample_start": "1961-06", "train_end": "1995-12", "sample_end": "2020-07"}
+RUNS = {  # the README config plain, and with class weights and a penalty-exempt control
+    "plain": {},
+    "weighted_lead": {"weighting": True, "forced_controls": ["lead_idx"]},
+}
+
+
+def run_config(data_files: dict[str, str], run: str) -> ExperimentConfig:
+    """The config of one of ``RUNS`` on a market written by ``write_market``."""
+    return ExperimentConfig.from_mapping({
+        "yield_files": [data_files["yields"]],
+        "recession_file": data_files["recessions"],
+        "maturities": list(MATURITY_CODES),
+        "split": README_SPLIT,
+        **RUNS[run],
+    })
+
+
+@pytest.fixture(scope="session")
+def seed42_runs(data_files) -> dict[str, ExperimentResult]:
+    """Both ``RUNS`` on ``make_market(42)``, by name."""
+    return {run: run_experiment(run_config(data_files, run)) for run in RUNS}

@@ -598,7 +598,9 @@ def test_cli_recession_file_missing_the_first_predictor_months_fails_before_any_
     cfg_path = write_config(tmp_path, data_files, horizons=[3], recession_file=str(late))
     out = tmp_path / "late"
     assert cli_main(["run", "--config", cfg_path, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: recession series does not cover 1961-06\n"
+    assert capsys.readouterr().err == (
+        f"error: [horizon=3] {late}: recession series does not cover 1961-06\n"
+    )
     assert fits == []
     assert not out.exists()
 

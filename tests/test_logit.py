@@ -322,7 +322,7 @@ def test_line_search_gives_up_after_max_halvings_when_no_trial_descends():
     pt = objective.at(np.zeros(3))
     ascent = -100.0 * pt.grad  # beta - t * step climbs the gradient at every t > 0
     before = objective.evaluations
-    assert objective.line_search(pt, [0, 1, 2], ascent, [0, 0, 0]) is None
+    assert objective.line_search(pt, [0, 1, 2], ascent.tolist(), [0, 0, 0]) is None
     assert objective.evaluations - before == logit.MAX_HALVINGS
 
 
@@ -349,7 +349,7 @@ def test_l1_null_model_at_high_lambda():
     prob_raw = random_problem(rng, 80, 4)
     st = Standardizer.fit(prob_raw.features)
     Z = st.transform(prob_raw.features)
-    bound = null_model_lambda_bound(LogitProblem(features=Z, targets=prob_raw.targets))
+    bound, _ = null_model_lambda_bound(LogitProblem(features=Z, targets=prob_raw.targets))
     prob = LogitProblem(features=Z, targets=prob_raw.targets)
     fit = fit_l1(PathStart(prob), bound * 1.01)
     assert np.all(fit.coefs_std == 0.0)
@@ -369,7 +369,9 @@ def test_null_model_bound_matches_intercept_only_closed_form():
                 weights=raw.weights,
             )
             closed_form = intercept_only_lambda_bound(prob.features, prob.targets, prob.weights)
-            assert null_model_lambda_bound(prob) == pytest.approx(closed_form, rel=1e-12)
+            bound, null_fit = null_model_lambda_bound(prob)
+            assert bound == pytest.approx(closed_form, rel=1e-12)
+            assert null_fit.coefs_std.size == 0 and null_fit.converged
 
 
 def test_l1_at_zero_matches_mle():
@@ -620,7 +622,10 @@ def test_point_pricing_matches_the_array_oracle(data):
     expected = array_pseudo_gradient(g, beta, prob.pen, lam)
     assert pt.pseudo_grad == expected.tolist()
     assert pt.kkt == float(np.abs(expected).max())
-    assert pt.objective == nll + lam * float(np.abs(beta[prob.pen]).sum())
+    penalty = 0.0  # summed in index order, as the pricing walks the entries
+    for v in np.abs(beta[prob.pen]).tolist():
+        penalty += v
+    assert pt.objective == nll + lam * penalty
     assert start._signs_of(beta.tolist()) == tuple((np.sign(beta[prob.pen]) + 0.0).tolist())
 
 

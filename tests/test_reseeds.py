@@ -5,9 +5,10 @@ with class weights and the penalty-exempt ``lead_idx`` control. A run that
 fails records its error class and the horizon the error names. A run that
 completes records per horizon the selected pair, whether panel A's log PPL
 beats panel D's, whether A's EBF is at least sqrt(10), and whether every
-fit of the horizon (the path, the selection and the three MLE fits) is
-certified. The summary holds strings, counts and flags, no floats, so it
-pins outcomes rather than digits. Failing reseeds stay in the set.
+fit of the horizon that ``experiment.fits`` walks (the null model's, the
+path's, the bisection's and the three MLE fits) is certified. The summary
+holds strings, counts and flags, no floats, so it pins outcomes rather
+than digits. Failing reseeds stay in the set.
 
 To rewrite the summary after a change of outcomes that is intended and
 explained:
@@ -23,44 +24,31 @@ import re
 import tempfile
 
 from termspread.errors import TermSpreadError
-from termspread.experiment import ExperimentConfig, run_experiment
-from termspread.logit import KKT_TOL
+from termspread.experiment import fits, run_experiment
 
-from conftest import make_market, write_market
+from conftest import RUNS, make_market, run_config, write_market
 from reference import exceeds_jeffreys
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "reseeds.json")
 SEEDS = range(1, 21)
-RUNS = {
-    "plain": {},
-    "weighted_lead": {"weighting": True, "forced_controls": ["lead_idx"]},
-}
 
 
 def outcome(data_files: dict[str, str], run: str) -> dict:
     """The error class and horizon of one run, or its per-horizon summary."""
-    config = ExperimentConfig.from_mapping({
-        "yield_files": [data_files["yields"]],
-        "recession_file": data_files["recessions"],
-        "maturities": ["3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y"],
-        "split": {"sample_start": "1961-06", "train_end": "1995-12", "sample_end": "2020-07"},
-        **RUNS[run],
-    })
     try:
-        result = run_experiment(config)
+        result = run_experiment(run_config(data_files, run))
     except TermSpreadError as exc:
         horizon = re.match(r"\[horizon=(\d+)", str(exc))
         return {"error": type(exc).__name__, "horizon": horizon and int(horizon.group(1))}
     horizons = {}
+    walked = list(fits(result))
     for h, art in result.artifacts.items():
         a, d = art.reports["A"], art.reports["D"]
-        fits = [*art.path.fits, art.selection.fit, *(m.fit for m in art.models.values())]
         horizons[str(h)] = {
             "pair": "-".join(art.selection.pair),
             "a_beats_d": a.log_ppl_test > d.log_ppl_test,
             "ebf_at_least_sqrt10": exceeds_jeffreys(a.ebf),
-            "certified": all(f.converged for f in fits)
-            and max(f.kkt_residual for f in art.path.fits) <= KKT_TOL,
+            "certified": all(f.converged for at, _, _, f in walked if at == h),
         }
     return {"horizons": horizons}
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +12,10 @@ import pytest
 from termspread import logit, selection
 from termspread.data import align_dataset
 from termspread.errors import CountNeverAttained, NotConverged
+from termspread.experiment import fits
 from termspread.logit import (
-    ClassWeights,
+    KKT_TOL,
+    NONZERO_TOL,
     LogitProblem,
     Standardizer,
     destandardize,
@@ -23,6 +26,7 @@ from termspread.logit import (
 from termspread.selection import K_START, lambda_at, select_pair, sweep_path
 
 from conftest import MATURITY_CODES
+from reference import coordinate_descent_l1
 from test_golden import ITERATE_ABS_TOL
 
 NAMES = ("10y", "3m", "5y", "1y")
@@ -63,7 +67,7 @@ def test_grid_covering_reaches_past_bound():
     X, y = make_instance(seed=0)
     path = sweep_path(X, y, NAMES)
     st = Standardizer.fit(X)
-    bound = null_model_lambda_bound(LogitProblem(features=st.transform(X), targets=y))
+    bound, _ = null_model_lambda_bound(LogitProblem(features=st.transform(X), targets=y))
     assert path.lambdas[-1] > bound
     assert path.lambdas[-2] <= bound * 2 ** (1 / 10)
 
@@ -127,7 +131,8 @@ def test_fit_that_cannot_step_is_returned_uncertified_and_the_sweep_names_it(mon
 def test_sweep_without_a_maturity_column_is_one_point_at_k_start():
     X, y = make_instance(seed=5)
     path = sweep_path(X[:, :1], y, ["lead_idx"])
-    assert null_model_lambda_bound(path.problem) == 0.0
+    assert null_model_lambda_bound(path.problem) == (0.0, None)
+    assert path.null_fit is None
     assert path.k_values.tolist() == [K_START]
     assert path.lambdas.tolist() == [lambda_at(K_START)]
     assert len(path.fits) == 1 and path.fits[0].converged
@@ -145,34 +150,60 @@ def test_solver_work_on_the_reference_market_is_pinned(market, split95):
     assert sum(f.iterations for f in path.fits) <= 1000
 
 
-def test_sweep_evaluations_on_the_reference_market(market, split95):
+def test_sweep_evaluations_on_the_reference_market(seed42_runs):
     # all eight horizons of make_market(42), unweighted and with class weights
     # and the penalty-exempt lead_idx: re-evaluating each warm start and
     # halving past clipped coefficients took 4,449 evaluations unweighted;
     # starting every fit from the carried optimum took 2,749 iterations and
     # 2,827 evaluations; the bounds are the counts of the predicted starts
-    panel, recessions = market
-    runs = [  # controls, class weights, fits, most iterations, most evaluations
-        ((), False, 1129, 1765, 2689),
-        (("lead_idx",), True, 1198, 1720, 2737),
-    ]
-    for controls, weighted, n_fits, max_iterations, max_evaluations in runs:
-        names = MATURITY_CODES + controls
-        fits = []
-        for h in (3, 6, 9, 12, 15, 18, 21, 24):
-            ds = align_dataset(panel, recessions, h, split95, names)
-            X_train, y_train = ds.features[: ds.split_index], ds.targets[: ds.split_index]
-            weights = None
-            if weighted:
-                weights = ClassWeights.from_targets(y_train).per_row(y_train)
-            fits += sweep_path(X_train, y_train, names, weights=weights).fits
-        assert len(fits) == n_fits
-        iterations = sum(f.iterations for f in fits)
-        evaluations = sum(f.evaluations for f in fits)
+    runs = {  # path fits, most iterations, most evaluations
+        "plain": (1129, 1765, 2689),
+        "weighted_lead": (1198, 1720, 2737),
+    }
+    for run, (n_fits, max_iterations, max_evaluations) in runs.items():
+        result = seed42_runs[run]
+        walked = list(fits(result))
+        roles = Counter(role for _, role, _, _ in walked)
+        # no bisection: every selection is on the grid
+        assert roles == {"path": n_fits, "null_bound": 8, "panel_B": 8, "panel_C": 8, "panel_D": 8}
+        for h, art in result.artifacts.items():
+            mine = [(role, k) for at, role, k, _ in walked if at == h]
+            grid = [("path", k) for k in art.path.k_values.tolist()]
+            assert mine == [("null_bound", None), *grid, *((f"panel_{p}", None) for p in "BCD")]
+        assert all(f.kkt_residual <= KKT_TOL for *_, f in walked)
+        path_fits = [f for _, role, _, f in walked if role == "path"]
+        iterations = sum(f.iterations for f in path_fits)
+        evaluations = sum(f.evaluations for f in path_fits)
         assert iterations <= max_iterations
         assert iterations <= evaluations <= max_evaluations
         # a fit that makes no step spends no evaluation on its carried start
-        assert all(f.iterations >= 1 or f.evaluations == 0 for f in fits)
+        assert all(f.iterations >= 1 or f.evaluations == 0 for f in path_fits)
+
+
+def test_path_fits_match_the_coordinate_descent_oracle(seed42_runs):
+    # each horizon's selection and the grid point on each side of it, solved
+    # by IRLS and coordinate descent, which share no code with the solver;
+    # each oracle fit after the first starts from the oracle's fit before it
+    for result in seed42_runs.values():
+        for art in result.artifacts.values():
+            path, sel, prob = art.path, art.selection, art.path.problem
+            i = int(np.searchsorted(path.k_values, sel.k_selected))
+            above = i + 1 if path.k_values[i] == sel.k_selected else i
+            points = [
+                (path.lambdas[above], path.fits[above]),
+                (sel.lambda_selected, sel.fit),
+                (path.lambdas[i - 1], path.fits[i - 1]),
+            ]
+            oracle = None
+            for lam, fit in points:
+                oracle = coordinate_descent_l1(
+                    prob.features, prob.targets, prob.weights, prob.penalty_mask, lam, oracle
+                )
+                intercept, coefs = oracle
+                support = np.abs(coefs) > NONZERO_TOL
+                assert np.array_equal(support, np.abs(fit.coefs_std) > NONZERO_TOL)
+                assert abs(intercept - fit.intercept_std) <= 1e-6
+                assert np.max(np.abs(coefs - fit.coefs_std)) <= 1e-6
 
 
 def test_carried_start_matches_a_warm_start_from_the_previous_fit():
@@ -235,6 +266,7 @@ def test_select_first_hit_rule():
     sel = select_pair(path)
     assert sel.lambda_selected == pytest.approx(path.lambdas[first])
     assert sel.fit is path.fits[first]
+    assert sel.trials == ()  # selected on the grid, without bisection
     long, short = (names.index(m) for m in sel.pair)
     coefs = destandardize(sel.fit.intercept_std, sel.fit.coefs_std, path.standardizer)[1]
     assert coefs[long] > 0 > coefs[short]
@@ -301,6 +333,9 @@ def test_bisection_finds_fractional_k_when_grid_skips():
 
     sel = select_pair(path)
     assert sel.k_selected != int(sel.k_selected)  # fractional refinement
+    k_last, fit_last = sel.trials[-1]  # the last trial is the selection
+    assert k_last == sel.k_selected and fit_last is sel.fit
+    assert all(f.converged for _, f in sel.trials)
     assert path.lambdas[skip_at - 1] < sel.lambda_selected < path.lambdas[skip_at]
     assert int((np.abs(sel.fit.coefs_std) > 1e-10).sum()) == 2
 
