@@ -359,17 +359,13 @@ def align_dataset(
     target date is <= train_end (so its predictor dates end ``horizon``
     months earlier). Raises HorizonTooLong if no rows or an empty partition
     remain, and CoverageError, naming the first target month it lacks, if
-    the recession series does not cover every target date.
+    the recession series misses a target month of those rows; months it
+    lacks past the last target month, up to sample_end, are not needed.
     """
     if horizon_months < 1:
         raise ValueError("horizon_months must be >= 1")
     names = tuple(feature_names)
     cols = [panel.series(name) for name in names]
-
-    if recessions.dates and recessions.dates[-1] < split.sample_end:
-        raise CoverageError(
-            f"recession series ends {recessions.dates[-1]}, before sample_end {split.sample_end}"
-        )
 
     # the panel's months are contiguous, so the usable rows are one range
     first = panel.dates[0] if panel.dates else split.sample_start

@@ -40,7 +40,7 @@ from .evaluation import (
     relative_mse,
     roc_curve,
 )
-from .logit import ClassWeights, LogitFit
+from .logit import ClassWeights, LogitFit, constant_mask
 from .models import (
     CONVENTIONAL_PAIR,
     FittedModel,
@@ -212,12 +212,6 @@ def fits(result: ExperimentResult) -> Iterator[tuple[int, str, float | None, Log
         yield from ((h, f"panel_{p}", None, art.models[p].fit) for p in "BCD")
 
 
-def _annotate(exc: TermSpreadError, horizon: int, where: str) -> TermSpreadError:
-    note = f"[horizon={horizon} {where}] "
-    exc.args = (note + str(exc),) + exc.args[1:]
-    return exc
-
-
 def run_horizon(
     panel: YieldPanel,
     recessions: RecessionSeries,
@@ -229,71 +223,72 @@ def run_horizon(
     The dataset's ``split_index`` is the one train/test split: the checks,
     the class weights, the sweep and the scores all slice the dataset's rows
     and the forecasts at it. Class weights use the training recession ratio
-    on the test rows too. A partition holding one class only, or a feature
-    that is constant over the training rows, is a CoverageError naming the
-    horizon, the partition and its row count. A recession series missing a
-    predictor or target month is one naming the horizon and the recession
-    file. All of these are checked before any fit.
+    on the test rows too. Before any fit, a CoverageError names a partition
+    holding one class only, a feature constant over the training rows, or
+    the recession file if it misses a predictor or target month. The message
+    of every TermSpreadError raised here starts ``[horizon=<h><stage>] ``:
+    the stage is `` panel A selection`` in the sweep and selection,
+    `` panel B`` to `` panel D`` in those fits, and empty elsewhere.
     """
     feature_names = config.maturities + config.forced_controls
+    # a coverage error is the recession file's until the dataset is aligned
+    stage, source = "", f"{config.recession_file}: "
     try:
         ds = align_dataset(panel, recessions, horizon, config.split, feature_names)
         is_recession = recessions.span(ds.predictor_dates[0], ds.n_rows)
-    except CoverageError as exc:
-        raise CoverageError(f"[horizon={horizon}] {config.recession_file}: {exc}") from None
-    split = ds.split_index
-    X_train, y_train, y_test = ds.features[:split], ds.targets[:split], ds.targets[split:]
-    for name, part in (("training", y_train), ("test", y_test)):
-        if np.count_nonzero(part) in (0, len(part)):
+        source = ""
+        split = ds.split_index
+        X_train, y_train, y_test = ds.features[:split], ds.targets[:split], ds.targets[split:]
+        for name, part in (("training", y_train), ("test", y_test)):
+            if np.count_nonzero(part) in (0, len(part)):
+                raise CoverageError(
+                    f"the {name} partition's {len(part)} rows "
+                    f"all have recession={int(part[0])}; both classes are needed"
+                )
+        constant = np.flatnonzero(constant_mask(X_train))
+        if constant.size:
+            j = int(constant[0])
             raise CoverageError(
-                f"[horizon={horizon}] the {name} partition's {len(part)} rows "
-                f"all have recession={int(part[0])}; both classes are needed"
+                f"the training partition's {split} rows "
+                f"all have {feature_names[j]}={X_train[0, j]:g}; every feature must vary"
             )
-    constant = np.flatnonzero((X_train == X_train[0]).all(axis=0))
-    if constant.size:
-        j = int(constant[0])
-        raise CoverageError(
-            f"[horizon={horizon}] the training partition's {split} rows "
-            f"all have {feature_names[j]}={X_train[0, j]:g}; every feature must vary"
-        )
-    if config.weighting:
-        cw = ClassWeights.from_targets(y_train)
-        w_train, w_test = cw.per_row(y_train), cw.per_row(y_test)
-    else:
-        w_train = w_test = None
+        if config.weighting:
+            cw = ClassWeights.from_targets(y_train)
+            w_train, w_test = cw.per_row(y_train), cw.per_row(y_test)
+        else:
+            w_train = w_test = None
 
-    try:
+        stage = " panel A selection"
         path = sweep_path(X_train, y_train, feature_names, weights=w_train)
         selection = select_pair(path)
-    except TermSpreadError as exc:
-        raise _annotate(exc, horizon, "panel A selection")
-
-    models = {"A": selection.model}
-    for letter in ("B", "C", "D"):
-        spec = ModelSpec(
-            selection.pair if letter == "B" else CONVENTIONAL_PAIR,
-            simple=letter != "C",
-            controls=config.forced_controls,
-        )
-        try:
+        models = {"A": selection.model}
+        for letter in ("B", "C", "D"):
+            stage = f" panel {letter}"
+            spec = ModelSpec(
+                selection.pair if letter == "B" else CONVENTIONAL_PAIR,
+                simple=letter != "C",
+                controls=config.forced_controls,
+            )
             models[letter] = fit_spec(ds, spec, weights=w_train)
-        except TermSpreadError as exc:
-            raise _annotate(exc, horizon, f"panel {letter}")
-
-    forecasts = {letter: forecast_series(models[letter], ds) for letter in PANELS}
-    probs = {p: forecasts[p].probabilities for p in PANELS}
-    log_ppl = {p: avg_log_likelihood(y_test, probs[p][split:], w_test) for p in PANELS}
-    reports: dict[str, EvalReport] = {}
-    for letter in PANELS:
-        reports[letter] = EvalReport(
-            log_l_train=avg_log_likelihood(y_train, probs[letter][:split], w_train),
-            log_ppl_test=log_ppl[letter],
-            ebf=ebf(log_ppl[letter], log_ppl["D"]),
-            auc_train=auc(y_train, probs[letter][:split]),
-            auc_test=auc(y_test, probs[letter][split:]),
-            rm=relative_mse(y_test, probs[letter][split:], probs["D"][split:]),
-            avg_weight=posterior_weight(log_ppl[letter] - log_ppl["D"]),
-        )
+        stage = ""
+        forecasts = {letter: forecast_series(models[letter], ds) for letter in PANELS}
+        probs = {p: forecasts[p].probabilities for p in PANELS}
+        log_ppl = {p: avg_log_likelihood(y_test, probs[p][split:], w_test) for p in PANELS}
+        reports: dict[str, EvalReport] = {}
+        for letter in PANELS:
+            reports[letter] = EvalReport(
+                log_l_train=avg_log_likelihood(y_train, probs[letter][:split], w_train),
+                log_ppl_test=log_ppl[letter],
+                ebf=ebf(log_ppl[letter], log_ppl["D"]),
+                auc_train=auc(y_train, probs[letter][:split]),
+                auc_test=auc(y_test, probs[letter][split:]),
+                rm=relative_mse(y_test, probs[letter][split:], probs["D"][split:]),
+                avg_weight=posterior_weight(log_ppl[letter] - log_ppl["D"]),
+            )
+    except TermSpreadError as exc:
+        context = source if isinstance(exc, CoverageError) else ""
+        exc.args = (f"[horizon={horizon}{stage}] {context}{exc}", *exc.args[1:])
+        raise
     return HorizonArtifacts(
         dataset=ds,
         is_recession=is_recession,

@@ -70,12 +70,18 @@ SEPARATION_NORM = 1e4
 NONZERO_TOL = 1e-10
 
 
+def constant_mask(X: np.ndarray) -> np.ndarray:
+    """Flags the columns of the 2-D ``X`` whose rows are all equal."""
+    return (X == X[:1]).all(axis=0)
+
+
 @dataclass(frozen=True)
 class Standardizer:
     """Per-feature z-score transform fitted on training rows only.
 
-    Uses the population standard deviation (divide by n). Constant features
-    are rejected at fit time.
+    Uses the population standard deviation (divide by n). ``fit`` rejects a
+    column whose rows are all equal, whatever rounding leaves in its
+    standard deviation, and one whose standard deviation is 0.
     """
 
     means: np.ndarray
@@ -96,9 +102,9 @@ class Standardizer:
         X = np.atleast_2d(np.asarray(features, dtype=float))
         means = X.mean(axis=0)
         stds = X.std(axis=0)  # population variance, ddof=0
-        if np.any(stds == 0.0):
-            bad = [int(j) for j in np.flatnonzero(stds == 0.0)]
-            raise ValueError(f"constant feature column(s): {bad}")
+        bad = np.flatnonzero(constant_mask(X) | (stds == 0.0))
+        if bad.size:
+            raise ValueError(f"constant feature column(s): {bad.tolist()}")
         return cls(means=means, stds=stds)
 
     def transform(self, X: np.ndarray) -> np.ndarray:

@@ -190,17 +190,17 @@ def select_pair(path: CoefficientPath) -> SelectionResult:
                 path, float(path.k_values[i]), float(path.lambdas[i]), path.fits[i]
             )
         if i > 0 and counts[i - 1] > TARGET_NONZERO > count:
-            return _bisect(path, i - 1, i)
+            return _bisect(path, counts, i - 1, i)
     raise CountNeverAttained(
         f"no lambda on the grid yields exactly {TARGET_NONZERO} nonzero coefficients "
         f"(counts ranged {counts.min()}..{counts.max()})"
     )
 
 
-def _bisect(path: CoefficientPath, lo_idx: int, hi_idx: int) -> SelectionResult:
+def _bisect(path: CoefficientPath, counts: np.ndarray, lo_idx: int, hi_idx: int) -> SelectionResult:
     k_lo, k_hi = float(path.k_values[lo_idx]), float(path.k_values[hi_idx])
     fit_lo = path.fits[lo_idx]
-    count_lo, count_hi = path.nonzero_counts[[lo_idx, hi_idx]]
+    count_lo, count_hi = counts[lo_idx], counts[hi_idx]
     trials = []
     while k_hi - k_lo >= 1e-6:
         k_mid = 0.5 * (k_lo + k_hi)

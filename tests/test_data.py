@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -364,7 +365,8 @@ def test_align_coverage_error(market, split95):
     short = RecessionSeries(
         dates=recessions.dates[:200], indicator=recessions.indicator[:200]
     )
-    with pytest.raises(CoverageError, match="ends 1978-01, before sample_end 2020-07"):
+    # h=12: the series ends 1978-01, so the first target month it lacks is 1978-02
+    with pytest.raises(CoverageError, match="does not cover 1978-02$"):
         align_dataset(panel, short, 12, split95, MATS)
     # h=12 from 1961-06: the first target month is 1962-06
     late = RecessionSeries(dates=recessions.dates[20:], indicator=recessions.indicator[20:])
@@ -375,6 +377,23 @@ def test_align_coverage_error(market, split95):
     ds = align_dataset(panel, on_time, 12, split95, MATS)
     full = align_dataset(panel, recessions, 12, split95, MATS)
     assert ds.targets.tobytes() == full.targets.tobytes()
+
+
+def test_align_needs_only_the_target_months_the_rows_use(market, split95):
+    # yields end 2019-12, so with h=3 the last target month is 2020-03; a
+    # recession series that ends 2020-06, before sample_end, covers every row
+    panel, recessions = market
+    n = Month(2019, 12) - panel.dates[0] + 1
+    short = YieldPanel(panel.dates[:n], {name: v[:n] for name, v in panel.columns.items()})
+    m = Month(2020, 6) - recessions.dates[0] + 1
+    recs = RecessionSeries(recessions.dates[:m], recessions.indicator[:m])
+    ds = align_dataset(short, recs, 3, split95, MATS)
+    early = dataclasses.replace(split95, sample_end=Month(2020, 3))
+    same = align_dataset(short, recs, 3, early, MATS)
+    assert ds.predictor_dates == same.predictor_dates and ds.predictor_dates[-1] == Month(2019, 12)
+    assert ds.split_index == same.split_index
+    assert ds.features.tobytes() == same.features.tobytes()
+    assert ds.targets.tobytes() == same.targets.tobytes()
 
 
 def test_align_with_an_empty_recession_series_is_a_coverage_error(market, split95):

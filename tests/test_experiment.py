@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from termspread import cli, errors, logit, selection
+from termspread import cli, errors, experiment, logit, selection
 from termspread.cli import main as cli_main
 from termspread.data import YieldPanel
 from termspread.errors import ConfigError, IoError
@@ -544,8 +544,22 @@ def test_cli_empty_training_partition_exit_1(tmp_path, data_files, capsys):
     cfg_path = write_config(tmp_path, data_files, horizons=[3], split=split)
     assert cli_main(["run", "--config", cfg_path, "--out", str(tmp_path / "e")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: [horizon=3] horizon of 3 months leaves an empty partition: ")
     assert "horizon of 3 months" in err and "0 training rows and 707 test rows" in err
+
+
+def test_cli_scoring_error_names_the_horizon(tmp_path, data_files, capsys, monkeypatch):
+    def zero_benchmark(*args):
+        raise errors.ZeroBenchmark("benchmark forecast has zero mean squared error")
+
+    monkeypatch.setattr(experiment, "relative_mse", zero_benchmark)
+    cfg_path = write_config(tmp_path, data_files, horizons=[3])
+    out = tmp_path / "r"
+    assert cli_main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "computation failed: [horizon=3] benchmark forecast has zero mean squared error\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -171,6 +171,14 @@ def test_standardizer_rejects_constant_feature():
         Standardizer.fit(X)
 
 
+@pytest.mark.parametrize("value, rows", [(5.123456, 415), (0.7, 403)])
+def test_standardizer_rejects_equal_rows_whose_std_rounds_above_zero(value, rows):
+    X = np.column_stack([np.arange(float(rows)), np.full(rows, value)])
+    assert X.std(axis=0)[1] > 0.0  # the mean rounds, so the deviations do not cancel
+    with pytest.raises(ValueError, match=r"constant feature column\(s\): \[1\]$"):
+        Standardizer.fit(X)
+
+
 def test_destandardize_identity():
     st = Standardizer(means=np.zeros(2), stds=np.ones(2))
     i, c = destandardize(0.7, np.array([1.0, -2.0]), st)
