@@ -13,12 +13,16 @@ is a GapInDates and a repeated or earlier month a MalformedRow, both naming
 the file line.
 
 All types are immutable after construction; operations are pure functions.
+``Month`` and ``SplitConfig`` compare and hash by value. Records that hold
+arrays, here and in every module, compare and hash by identity, as objects
+do, so ``==``, ``in``, ``list.index``, sets and dict keys work on them.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import math
+import operator
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -68,7 +72,7 @@ class Month:
         return self.year * 12 + (self.month - 1)
 
     def __add__(self, months: int) -> "Month":
-        i = self.index + int(months)
+        i = self.index + operator.index(months)
         return Month(i // 12, i % 12 + 1)
 
     def __sub__(self, other: "Month") -> int:
@@ -94,7 +98,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class YieldPanel:
     """Monthly series by name: maturity yields (percent p.a.) and controls.
 
@@ -126,7 +130,7 @@ class YieldPanel:
             raise MissingSeries(f"no series named {name!r} in panel") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecessionSeries:
     """Monthly binary recession indicator (1 = recession month)."""
 
@@ -165,6 +169,9 @@ class SplitConfig:
     sample_end: Month
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not isinstance(value, Month):
+                raise TypeError(f"{name} must be a Month, got {value!r}")
         if not (self.sample_start < self.train_end < self.sample_end):
             raise ValueError(
                 f"need sample_start < train_end < sample_end, got "
@@ -172,7 +179,7 @@ class SplitConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignedDataset:
     """(predictor, target) rows for one forecasting horizon.
 

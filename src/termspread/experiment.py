@@ -91,6 +91,8 @@ class ExperimentConfig:
         ):
             raise ConfigError(f"horizons must be an array of integers, got {self.horizons!r}")
         object.__setattr__(self, "horizons", tuple(self.horizons))
+        if not isinstance(self.split, SplitConfig):
+            raise ConfigError(f"split must be a SplitConfig, got {self.split!r}")
         if type(self.weighting) is not bool:
             raise ConfigError(f"weighting must be true or false, got {self.weighting!r}")
         if not self.yield_files:
@@ -180,7 +182,7 @@ def _string_tuple(name: str, value: object) -> tuple[str, ...]:
     return tuple(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HorizonArtifacts:
     """Everything computed for one horizon; per-model maps are keyed by panel
     letter. ``is_recession`` flags each dataset row's own predictor month."""
@@ -194,7 +196,7 @@ class HorizonArtifacts:
     reports: Mapping[str, EvalReport]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
     config: ExperimentConfig
     artifacts: Mapping[int, HorizonArtifacts]

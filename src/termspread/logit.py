@@ -75,7 +75,7 @@ def constant_mask(X: np.ndarray) -> np.ndarray:
     return (X == X[:1]).all(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Standardizer:
     """Per-feature z-score transform fitted on training rows only.
 
@@ -133,7 +133,7 @@ class ClassWeights:
         return np.where(y == 1.0, self.w_pos, self.w_neg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogitProblem:
     """A weighted, penalized logistic fit problem on standardized features.
 
@@ -148,10 +148,10 @@ class LogitProblem:
     targets: np.ndarray
     weights: np.ndarray | None = None
     penalty_mask: np.ndarray | None = None
-    design: np.ndarray = field(init=False, repr=False, compare=False)
-    signs: np.ndarray = field(init=False, repr=False, compare=False)
-    pen: np.ndarray = field(init=False, repr=False, compare=False)
-    penalized: list[bool] = field(init=False, repr=False, compare=False)
+    design: np.ndarray = field(init=False, repr=False)
+    signs: np.ndarray = field(init=False, repr=False)
+    pen: np.ndarray = field(init=False, repr=False)
+    penalized: list[bool] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         X = np.atleast_2d(np.asarray(self.features, dtype=float))
@@ -183,7 +183,7 @@ class LogitProblem:
         object.__setattr__(self, "penalized", pen.tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogitFit:
     """A fitted logistic model in the scale of the problem it solved: the
     standardized one when the features were z-scored, which

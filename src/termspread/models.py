@@ -42,7 +42,7 @@ class ModelSpec:
         return (long, short)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FittedModel:
     """A specification with its estimated parameters in the original scale.
 
@@ -71,7 +71,7 @@ class FittedModel:
         return (float(self.coefs[0]), float(self.coefs[1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForecastSeries:
     """Generalized spread and implied probability, one per dataset row."""
 

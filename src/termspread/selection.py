@@ -40,7 +40,7 @@ def lambda_at(k: float) -> float:
     return float(2.0 ** (k / 10.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientPath:
     """Certified fits along an ascending lambda grid, one per k.
 
@@ -71,7 +71,7 @@ class CoefficientPath:
         return np.count_nonzero(survives & self.problem.penalty_mask, axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionResult:
     """The first lambda with two surviving maturities, and panel A there:
     ``model``, whose ``pair`` puts the positive coefficient first (the long

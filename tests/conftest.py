@@ -115,13 +115,16 @@ RUNS = {  # the README config plain, and with class weights and a penalty-exempt
 }
 
 
-def run_config(data_files: dict[str, str], run: str) -> ExperimentConfig:
-    """The config of one of ``RUNS`` on a market written by ``write_market``."""
+def run_config(
+    data_files: dict[str, str], run: str, train_end: str = README_SPLIT["train_end"]
+) -> ExperimentConfig:
+    """The config of one of ``RUNS`` on a market written by ``write_market``,
+    with the README split or the same sample ending training at ``train_end``."""
     return ExperimentConfig.from_mapping({
         "yield_files": [data_files["yields"]],
         "recession_file": data_files["recessions"],
         "maturities": list(MATURITY_CODES),
-        "split": README_SPLIT,
+        "split": {**README_SPLIT, "train_end": train_end},
         **RUNS[run],
     })
 

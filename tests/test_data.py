@@ -47,6 +47,21 @@ def test_month_arithmetic_and_order():
     assert str(Month(2020, 7)) == "2020-07"
 
 
+def test_month_adds_integers_only():
+    assert Month(2001, 1) + np.int64(13) == Month(2002, 2)
+    for months in (1.7, np.float64(1.0)):
+        with pytest.raises(TypeError):
+            Month(2001, 1) + months
+
+
+def test_split_config_takes_months_only():
+    # as text, "1961-06" < "1995-12" < "2020-07" would pass the order check
+    with pytest.raises(TypeError, match="train_end must be a Month, got '1995-12'"):
+        SplitConfig("1995-12", "1961-06", "2020-07")
+    with pytest.raises(TypeError, match="sample_end must be a Month, got '2020-07'"):
+        SplitConfig(Month(1995, 12), Month(1961, 6), "2020-07")
+
+
 def test_month_rejects_bad_tokens():
     with pytest.raises(ValueError):
         Month.parse("1994/12")

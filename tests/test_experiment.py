@@ -202,6 +202,14 @@ def test_config_rejects_split_dates_that_are_not_month_strings(tmp_path, data_fi
         ExperimentConfig.from_json(write_config(tmp_path, data_files, split=split))
 
 
+def test_config_constructed_directly_rejects_a_split_that_is_not_a_split_config(data_files):
+    # from_mapping builds the SplitConfig; a direct caller must pass one
+    raw = base_config_dict(data_files, split={"train_end": "1995-12"})
+    message = "split must be a SplitConfig, got {'train_end': '1995-12'}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentConfig(**raw)
+
+
 # --- running ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")

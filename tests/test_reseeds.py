@@ -26,17 +26,19 @@ import tempfile
 from termspread.errors import TermSpreadError
 from termspread.experiment import fits, run_experiment
 
-from conftest import RUNS, make_market, run_config, write_market
+from conftest import README_SPLIT, RUNS, make_market, run_config, write_market
 from reference import exceeds_jeffreys
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "reseeds.json")
 SEEDS = range(1, 21)
 
 
-def outcome(data_files: dict[str, str], run: str) -> dict:
+def outcome(
+    data_files: dict[str, str], run: str, train_end: str = README_SPLIT["train_end"]
+) -> dict:
     """The error class and horizon of one run, or its per-horizon summary."""
     try:
-        result = run_experiment(run_config(data_files, run))
+        result = run_experiment(run_config(data_files, run, train_end))
     except TermSpreadError as exc:
         horizon = re.match(r"\[horizon=(\d+)", str(exc))
         return {"error": type(exc).__name__, "horizon": horizon and int(horizon.group(1))}
