@@ -56,7 +56,8 @@ class Month:
     month: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.month <= 12:
+        operator.index(self.year)  # an int or a NumPy integer, never a float
+        if not 1 <= operator.index(self.month) <= 12:
             raise ValueError(f"month out of range: {self.month}")
 
     @classmethod

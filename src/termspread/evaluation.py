@@ -9,6 +9,13 @@ against the benchmark's:
 
 i.e. the geometric-mean predictive-likelihood ratio. EBFs at or above
 sqrt(10) count as substantial evidence under Jeffreys' criterion.
+
+The four metrics that take targets share one input rule: targets are 0 or
+1, and each forecast, score or weight vector is finite and of the targets'
+shape. A shape that differs raises LengthMismatch; any other breach,
+ValueError. ``auc`` is the exact trapezoidal area under ``roc_curve``'s
+points, so the ``auc=`` header of each ``roc_h*`` file is the area of the
+points written below it.
 """
 
 from __future__ import annotations
@@ -36,6 +43,23 @@ class EvalReport:
     avg_weight: float
 
 
+def _checked(targets: np.ndarray, **vectors: np.ndarray) -> list[np.ndarray]:
+    """The targets and each named vector as float arrays, after the module's
+    input rule."""
+    y = np.asarray(targets, dtype=float)
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError("targets must be 0 or 1")
+    out = [y]
+    for name, v in vectors.items():
+        a = np.asarray(v, dtype=float)
+        if a.shape != y.shape:
+            raise LengthMismatch(f"targets {y.shape} vs {name} {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} must be finite")
+        out.append(a)
+    return out
+
+
 def avg_log_likelihood(
     targets: np.ndarray,
     probabilities: np.ndarray,
@@ -46,13 +70,8 @@ def avg_log_likelihood(
     Weights default to one; for class-weighted runs pass per-row weights
     built from the TRAINING recession ratio, even when scoring test rows.
     """
-    y = np.asarray(targets, dtype=float)
-    p = np.asarray(probabilities, dtype=float)
-    if y.shape != p.shape:
-        raise LengthMismatch(f"targets {y.shape} vs probabilities {p.shape}")
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != y.shape:
-        raise LengthMismatch(f"targets {y.shape} vs weights {w.shape}")
+    w = np.ones(np.shape(targets)) if weights is None else weights
+    y, p, w = _checked(targets, probabilities=probabilities, weights=w)
     p = np.clip(p, PROB_FLOOR, PROB_CEIL)
     ll = w * (y * np.log(p) + (1.0 - y) * np.log1p(-p))
     return float(ll.mean())
@@ -77,24 +96,18 @@ def posterior_weight(log_ebf: float) -> float:
     return e / (1.0 + e)
 
 
-def _roc_inputs(
-    targets: np.ndarray, scores: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Targets and scores as float arrays, with the positive and negative
-    counts: the checks that ``roc_curve`` and ``auc`` share, so that the two
-    accept the same inputs. The shapes must match, every score must be
-    finite and both classes must be present."""
-    y = np.asarray(targets, dtype=float)
-    s = np.asarray(scores, dtype=float)
-    if y.shape != s.shape:
-        raise LengthMismatch(f"targets {y.shape} vs scores {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("scores must be finite")
-    n_pos = int(np.sum(y == 1.0))
-    n_neg = int(np.sum(y == 0.0))
-    if n_pos == 0 or n_neg == 0:
+def _roc_counts(targets: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """False and true positive counts at (0, 0) and then at each threshold
+    of ``roc_curve``, from one sort: the last row of each tie group."""
+    y, s = _checked(targets, scores=scores)
+    if y.all() or not y.any():
         raise SingleClass("ROC statistics need both classes present")
-    return y, s, n_pos, n_neg
+    order = np.argsort(-s, kind="stable")
+    y = y[order]
+    last = np.append(np.diff(s[order]) != 0.0, True)
+    fp = np.concatenate(([0.0], np.cumsum(1.0 - y)[last]))
+    tp = np.concatenate(([0.0], np.cumsum(y)[last]))
+    return fp, tp
 
 
 def roc_curve(targets: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -106,36 +119,19 @@ def roc_curve(targets: np.ndarray, scores: np.ndarray) -> np.ndarray:
     threshold classifies every row positive. Returns an array of shape
     (m, 2) ordered along the curve.
     """
-    y, s, n_pos, n_neg = _roc_inputs(targets, scores)
-
-    order = np.argsort(-s, kind="stable")
-    y_sorted = y[order]
-    s_sorted = s[order]
-    tp = np.cumsum(y_sorted)
-    fp = np.cumsum(1.0 - y_sorted)
-    # last index of each tie group marks the threshold at that score
-    idx = np.flatnonzero(np.append(np.diff(s_sorted) != 0.0, True))
-    points = np.zeros((len(idx) + 1, 2))
-    points[1:, 0] = fp[idx] / n_neg
-    points[1:, 1] = tp[idx] / n_pos
-    return points
+    fp, tp = _roc_counts(targets, scores)
+    return np.column_stack((fp / fp[-1], tp / tp[-1]))
 
 
 def auc(targets: np.ndarray, scores: np.ndarray) -> float:
     """Mann-Whitney AUC: (#{pos>neg} + 0.5 #{ties}) / (n_pos * n_neg).
 
-    Computed from average ranks, so ties get half credit; this equals the
-    trapezoidal area under ``roc_curve``.
+    The trapezoid over ``roc_curve``'s counts, so ties get half credit.
+    Every term and partial sum is a whole count below 2**53, so the sum is
+    exact and the one rounding is the final division.
     """
-    y, s, n_pos, n_neg = _roc_inputs(targets, scores)
-
-    # each tie group of c scores ending at 1-based rank r shares the
-    # average rank r - (c - 1)/2
-    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
-    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[group]
-    rank_sum_pos = float(np.sum(ranks[y == 1.0]))
-    u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    fp, tp = _roc_counts(targets, scores)
+    return float(0.5 * np.dot(np.diff(fp), tp[1:] + tp[:-1]) / (fp[-1] * tp[-1]))
 
 
 def relative_mse(
@@ -144,11 +140,7 @@ def relative_mse(
     probs_benchmark: np.ndarray,
 ) -> float:
     """MSE(alternative) / MSE(benchmark), both against the binary targets."""
-    y = np.asarray(targets, dtype=float)
-    a = np.asarray(probs_alt, dtype=float)
-    b = np.asarray(probs_benchmark, dtype=float)
-    if y.shape != a.shape or y.shape != b.shape:
-        raise LengthMismatch("targets and forecast vectors must share a length")
+    y, a, b = _checked(targets, probs_alt=probs_alt, probs_benchmark=probs_benchmark)
     mse_bench = float(np.mean((y - b) ** 2))
     if mse_bench == 0.0:
         raise ZeroBenchmark("benchmark forecast has zero mean squared error")

@@ -81,7 +81,7 @@ class Standardizer:
 
     Uses the population standard deviation (divide by n). ``fit`` rejects a
     column whose rows are all equal, whatever rounding leaves in its
-    standard deviation, and one whose standard deviation is 0.
+    standard deviation, and one whose standard deviation is 0 or NaN.
     """
 
     means: np.ndarray
@@ -92,7 +92,7 @@ class Standardizer:
         stds = np.asarray(self.stds, dtype=float)
         if means.shape != stds.shape or means.ndim != 1:
             raise ValueError("means and stds must be matching 1-D arrays")
-        if np.any(stds <= 0.0):
+        if not np.all(stds > 0.0):
             raise ValueError("standard deviations must be strictly positive")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "stds", stds)
@@ -157,13 +157,15 @@ class LogitProblem:
         X = np.atleast_2d(np.asarray(self.features, dtype=float))
         y = np.asarray(self.targets, dtype=float)
         n, p = X.shape
+        if not np.all(np.isfinite(X)):
+            raise ValueError("features must be finite")
         if y.shape != (n,):
             raise ValueError("targets length does not match features")
         if not np.all(np.isin(y, (0.0, 1.0))):
             raise ValueError("targets must be binary")
         w = np.ones(n) if self.weights is None else np.asarray(self.weights, dtype=float)
-        if w.shape != (n,) or np.any(w <= 0.0):
-            raise ValueError("weights must be positive, one per row")
+        if w.shape != (n,) or not np.all((w > 0.0) & np.isfinite(w)):
+            raise ValueError("weights must be positive and finite, one per row")
         mask = (
             np.ones(p, dtype=bool)
             if self.penalty_mask is None
@@ -585,7 +587,7 @@ def fit_l1(start: PathStart, lam: float) -> LogitFit:
     KKT_TOL``; after MAX_ITER_L1 iterations, or when no step can move, the
     fit is returned uncertified, so its ``converged`` reads False.
     """
-    if lam < 0.0:
+    if not lam >= 0.0:  # NaN included
         raise ValueError("lambda must be non-negative")
     objective = _FusedObjective(start.problem, lam)
     pt = start.first_point(objective)
@@ -633,7 +635,7 @@ def fit_mle(problem: LogitProblem) -> LogitFit:
             raise Separation(
                 "coefficient norm exceeded 1e4; data appears linearly separable"
             )
-    if pt.kkt > MLE_GRAD_TOL:
+    if not pt.kkt <= MLE_GRAD_TOL:  # a NaN gradient certifies nothing
         raise NotConverged(
             f"MLE did not converge after {iterations} iterations; largest gradient "
             f"entry {pt.kkt:.3g} > {MLE_GRAD_TOL:g}"

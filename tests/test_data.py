@@ -54,6 +54,14 @@ def test_month_adds_integers_only():
             Month(2001, 1) + months
 
 
+def test_month_fields_are_integers():
+    # a float field would construct, and str() of it raise ValueError
+    assert str(Month(np.int64(2001), np.int32(3))) == "2001-03"
+    for year, month in ((2001, 1.5), (2001.0, 1), (2001, np.float64(1.0))):
+        with pytest.raises(TypeError):
+            Month(year, month)
+
+
 def test_split_config_takes_months_only():
     # as text, "1961-06" < "1995-12" < "2020-07" would pass the order check
     with pytest.raises(TypeError, match="train_end must be a Month, got '1995-12'"):

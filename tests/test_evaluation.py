@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,11 +150,41 @@ def test_roc_single_class_error():
         roc_curve(np.ones(4), np.linspace(0, 1, 4))
 
 
+def on_one_forecast(metric, targets, forecast):
+    """``metric`` of one forecast; relative_mse also gets a finite benchmark."""
+    benchmark = [np.full(np.shape(targets), 0.5)] if metric is relative_mse else []
+    return metric(targets, forecast, *benchmark)
+
+
+TARGET_METRICS = [roc_curve, auc, avg_log_likelihood, relative_mse]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("score", [roc_curve, auc])
+@pytest.mark.parametrize("score", TARGET_METRICS)
 def test_roc_and_auc_reject_a_score_that_is_not_finite(score, bad):
-    with pytest.raises(ValueError, match="scores must be finite"):
-        score(np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.1, bad, 0.3, 0.9]))
+    # one input rule for every metric that takes targets, each naming its
+    # own forecast argument: "scores", "probabilities" or "probs_alt"
+    name = list(inspect.signature(score).parameters)[1]
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        on_one_forecast(score, np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.1, bad, 0.3, 0.9]))
+
+
+@pytest.mark.parametrize(
+    "targets", [[0.0, 0.5, 1.0, 0.0], [0.0, np.nan, 1.0, 0.0]], ids=["half", "nan"]
+)
+@pytest.mark.parametrize("metric", TARGET_METRICS)
+def test_every_metric_rejects_targets_other_than_0_and_1(metric, targets):
+    # unchecked, a target of 0.5 gives an AUC above 1 and a TPR of 1.5
+    with pytest.raises(ValueError, match="^targets must be 0 or 1$"):
+        on_one_forecast(metric, np.array(targets), np.array([0.1, 0.2, 0.3, 0.4]))
+
+
+def test_weights_and_benchmark_forecast_must_be_finite():
+    y, p = np.array([0.0, 1.0]), np.array([0.3, 0.6])
+    with pytest.raises(ValueError, match="^weights must be finite$"):
+        avg_log_likelihood(y, p, np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="^probs_benchmark must be finite$"):
+        relative_mse(y, p, np.array([0.5, np.inf]))
 
 
 # --- AUC -----------------------------------------------------------------------------
@@ -240,5 +272,5 @@ def test_relative_mse_zero_benchmark():
 
 
 def test_relative_mse_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(LengthMismatch, match=r"^targets \(3,\) vs probs_benchmark \(2,\)$"):
         relative_mse(np.ones(3), np.ones(3), np.ones(2))

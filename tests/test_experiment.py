@@ -803,7 +803,8 @@ def test_benchmark_trace_targets_resolve():
 
 def test_a_run_does_not_import_numpy_ma(tmp_path, data_files):
     # numpy 2 imports numpy.ma, 1.25 MB and 10-14 ms, on the first
-    # np.unique without return_* arguments; numpy 1 imports it with numpy
+    # np.unique without return_* arguments; numpy 1 imports it with numpy.
+    # The run calls np.unique nowhere; this guards against a new call
     cfg_path = write_config(tmp_path, data_files)
     script = (
         "import sys\n"

@@ -171,6 +171,26 @@ def test_standardizer_rejects_constant_feature():
         Standardizer.fit(X)
 
 
+def test_standardizer_rejects_a_column_with_a_nan():
+    X = np.column_stack([np.arange(10.0), np.arange(10.0)])
+    X[3, 1] = np.nan
+    with pytest.raises(ValueError, match="strictly positive"):
+        Standardizer.fit(X)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("features", np.nan), ("features", np.inf), ("features", -np.inf),
+    ("weights", np.nan), ("weights", np.inf),
+])
+def test_problem_rejects_features_and_weights_that_are_not_finite(field, bad):
+    prob = random_problem(np.random.default_rng(5), 20, 2, weighted=True)
+    arrays = {"features": prob.features.copy(), "targets": prob.targets,
+              "weights": prob.weights.copy()}
+    arrays[field].flat[3] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be .*finite"):
+        LogitProblem(**arrays)
+
+
 @pytest.mark.parametrize("value, rows", [(5.123456, 415), (0.7, 403)])
 def test_standardizer_rejects_equal_rows_whose_std_rounds_above_zero(value, rows):
     X = np.column_stack([np.arange(float(rows)), np.full(rows, value)])
@@ -321,6 +341,14 @@ def test_mle_whose_line_search_fails_is_not_converged_after_0_iterations(monkeyp
     prob = random_problem(np.random.default_rng(3), 40, 2)
     monkeypatch.setattr(logit._FusedObjective, "line_search", lambda self, *args: None)
     with pytest.raises(NotConverged, match="^MLE did not converge after 0 iterations; "):
+        fit_mle(prob)
+
+
+def test_mle_whose_gradient_is_not_a_number_is_not_converged():
+    # NaN > tolerance is false: the check must not read a NaN gradient as certified
+    prob = random_problem(np.random.default_rng(3), 40, 2)
+    prob.design[0, 1] = np.nan  # written past the constructor's check
+    with pytest.raises(NotConverged, match=r"^MLE did not converge after 0 iterations; .* nan "):
         fit_mle(prob)
 
 
@@ -595,6 +623,12 @@ def test_fit_l1_rejects_a_negative_lambda():
     prob = random_problem(rng, 30, 2, weighted=True)
     with pytest.raises(ValueError, match="non-negative"):
         fit_l1(PathStart(prob), -1.0)
+
+
+def test_fit_l1_rejects_a_lambda_that_is_not_a_number():
+    prob = random_problem(np.random.default_rng(53), 30, 2, weighted=True)
+    with pytest.raises(ValueError, match="non-negative"):
+        fit_l1(PathStart(prob), float("nan"))
 
 
 def test_l1_numerically_singular_newton_system_falls_back_quickly():
