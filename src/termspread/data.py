@@ -238,6 +238,8 @@ def _parse_csv(path: str) -> tuple[list[str], list[Month], np.ndarray]:
     if not header or header[0] != "date":
         raise MalformedRow(f"{path}: header must start with 'date', got {lines[0][1]!r}")
     cols = header[1:]
+    if "" in cols:
+        raise MalformedRow(f"{path}: header column {cols.index('') + 1} has no name")
     twice = next((c for i, c in enumerate(cols) if c in cols[:i]), None)
     if twice is not None:
         raise MalformedRow(f"{path}: header names the column {twice!r} twice")

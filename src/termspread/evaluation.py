@@ -10,12 +10,15 @@ against the benchmark's:
 i.e. the geometric-mean predictive-likelihood ratio. EBFs at or above
 sqrt(10) count as substantial evidence under Jeffreys' criterion.
 
-The four metrics that take targets share one input rule: targets are 0 or
-1, and each forecast, score or weight vector is finite and of the targets'
-shape. A shape that differs raises LengthMismatch; any other breach,
-ValueError. ``auc`` is the exact trapezoidal area under ``roc_curve``'s
-points, so the ``auc=`` header of each ``roc_h*`` file is the area of the
-points written below it.
+The four metrics that take targets share one input rule: targets are a
+non-empty vector of 0s and 1s, and each forecast, score or weight vector is
+finite and of the targets' shape; probabilities (``probabilities``,
+``probs_alt``, ``probs_benchmark``) lie in [0, 1], and weights are positive,
+while ``scores`` may be any finite real. A shape that differs raises
+LengthMismatch; any other breach, a ValueError naming its argument.
+``auc`` is the exact trapezoidal area under ``roc_curve``'s points, so the
+``auc=`` header of each ``roc_h*`` file is the area of the points written
+below it.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ def _checked(targets: np.ndarray, **vectors: np.ndarray) -> list[np.ndarray]:
     """The targets and each named vector as float arrays, after the module's
     input rule."""
     y = np.asarray(targets, dtype=float)
+    if y.size == 0:
+        raise ValueError("targets must not be empty")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("targets must be 0 or 1")
     out = [y]
@@ -56,6 +61,10 @@ def _checked(targets: np.ndarray, **vectors: np.ndarray) -> list[np.ndarray]:
             raise LengthMismatch(f"targets {y.shape} vs {name} {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError(f"{name} must be finite")
+        if name == "weights" and not np.all(a > 0.0):
+            raise ValueError("weights must be positive")
+        if name not in ("scores", "weights") and not np.all((a >= 0.0) & (a <= 1.0)):
+            raise ValueError(f"{name} must be in [0, 1]")
         out.append(a)
     return out
 

@@ -1,21 +1,35 @@
-"""Shared fixtures: a synthetic yield market and its on-disk CSV form.
+"""Shared fixtures, and the one definition of a pinned run.
 
 The synthetic market mimics the real data's shape: 710 months of nine
 correlated maturities driven by level/slope/curvature factors, recessions
 drawn from a logistic rule on a lagged long-short spread (so the data is
 informative but never separable), and a leading-indicator control column.
+
+Every pinned run is the README's JSON config block with its data paths, its
+``output_dir``, one of ``RUNS``, its ``train_end`` and a test's own keys
+substituted (``readme_config``). An outcome summary (``outcome``) records
+per horizon the selected pair and three flags, or the error and the horizon
+it names. Under ``--rewrite-goldens`` every golden test writes what it got
+to ``tests/golden/`` instead of comparing with it.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from termspread.data import Month, RecessionSeries, SplitConfig, YieldPanel
-from termspread.experiment import ExperimentConfig, ExperimentResult, run_experiment
+from termspread.errors import TermSpreadError
+from termspread.experiment import ExperimentConfig, ExperimentResult, fits, run_experiment
 
+from reference import exceeds_jeffreys
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN_DIR = os.path.join(REPO_ROOT, "tests", "golden")
 MATURITY_CODES = ("3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y")
 TENOR_YEARS = np.array([3, 6, 12, 24, 36, 60, 84, 120, 240]) / 12.0
 
@@ -108,28 +122,123 @@ def data_files(tmp_path_factory, market) -> dict[str, str]:
     return write_market(str(tmp_path_factory.mktemp("market")), *market)
 
 
-README_SPLIT = {"sample_start": "1961-06", "train_end": "1995-12", "sample_end": "2020-07"}
+def readme_block(lang: str) -> str:
+    """The README's first code block in ``lang``."""
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+        return re.search(rf"```{lang}\n(.*?)```", fh.read(), re.S).group(1)
+
+
+README_CONFIG = readme_block("json")
 RUNS = {  # the README config plain, and with class weights and a penalty-exempt control
     "plain": {},
     "weighted_lead": {"weighting": True, "forced_controls": ["lead_idx"]},
 }
+ITERATE_ABS_TOL = 1e-5  # 100 x the KKT tolerance: two certified fits may differ by this
 
 
-def run_config(
-    data_files: dict[str, str], run: str, train_end: str = README_SPLIT["train_end"]
-) -> ExperimentConfig:
-    """The config of one of ``RUNS`` on a market written by ``write_market``,
-    with the README split or the same sample ending training at ``train_end``."""
-    return ExperimentConfig.from_mapping({
-        "yield_files": [data_files["yields"]],
-        "recession_file": data_files["recessions"],
-        "maturities": list(MATURITY_CODES),
-        "split": {**README_SPLIT, "train_end": train_end},
+def readme_config(
+    data_files: dict[str, str], run: str = "plain", train_end: str | None = None, **overrides
+) -> dict:
+    """The README config as a JSON object, reading ``data_files["yields"]`` and
+    ``data_files["recessions"]`` and writing next to them, with the keys of
+    ``RUNS[run]``, training ending at ``train_end`` if one is given, and then
+    ``overrides``."""
+    config = json.loads(README_CONFIG)
+    config.update(
+        yield_files=[data_files["yields"]],
+        recession_file=data_files["recessions"],
+        output_dir=os.path.join(os.path.dirname(data_files["yields"]), "out"),
         **RUNS[run],
-    })
+    )
+    if train_end is not None:
+        config["split"]["train_end"] = train_end
+    config.update(overrides)
+    return config
+
+
+def run_config(data_files: dict[str, str], run: str = "plain", **kwargs) -> ExperimentConfig:
+    return ExperimentConfig.from_mapping(readme_config(data_files, run, **kwargs))
 
 
 @pytest.fixture(scope="session")
 def seed42_runs(data_files) -> dict[str, ExperimentResult]:
     """Both ``RUNS`` on ``make_market(42)``, by name."""
     return {run: run_experiment(run_config(data_files, run)) for run in RUNS}
+
+
+def robustness_runs(data_files: dict[str, str]) -> dict[str, ExperimentResult]:
+    """The paper's protocol on one (yields, recessions) pair: the plain run
+    with training ending 1995-12, 2005-12 and 2015-12, and the 1995-12 run
+    with class weights (oversampled recessions) and no control."""
+    runs = {
+        end: run_experiment(run_config(data_files, train_end=end))
+        for end in ("1995-12", "2005-12", "2015-12")
+    }
+    runs["1995-12/weighted"] = run_experiment(
+        run_config(data_files, train_end="1995-12", weighting=True)
+    )
+    return runs
+
+
+def summary(result: ExperimentResult) -> dict:
+    """Per horizon: the selected pair, whether panel A's log PPL beats panel
+    D's, whether A's EBF is at least sqrt(10), and whether every fit of the
+    horizon that ``experiment.fits`` walks is certified."""
+    walked = list(fits(result))
+    return {"horizons": {
+        str(h): {
+            "pair": "-".join(art.selection.pair),
+            "a_beats_d": art.reports["A"].log_ppl_test > art.reports["D"].log_ppl_test,
+            "ebf_at_least_sqrt10": exceeds_jeffreys(art.reports["A"].ebf),
+            "certified": all(f.converged for at, _, _, f in walked if at == h),
+        }
+        for h, art in result.artifacts.items()
+    }}
+
+
+def outcome(config: ExperimentConfig) -> dict:
+    """The error class and horizon of one run, or its ``summary``."""
+    try:
+        result = run_experiment(config)
+    except TermSpreadError as exc:
+        horizon = re.match(r"\[horizon=(\d+)", str(exc))
+        return {"error": type(exc).__name__, "horizon": horizon and int(horizon.group(1))}
+    return summary(result)
+
+
+def compare_outcomes(name: str, got: dict) -> None:
+    """Assert that ``got`` holds the outcomes of ``tests/golden/<name>.json``."""
+    with open(os.path.join(GOLDEN_DIR, f"{name}.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)
+    problems = [
+        f"{key}: {got.get(key)} differs from golden {golden.get(key)}"
+        for key in sorted(golden.keys() | got.keys())
+        if got.get(key) != golden.get(key)
+    ]
+    assert not problems, "\n".join(problems)
+
+
+def rewrite_outcomes(name: str, got: dict) -> None:
+    path = os.path.join(GOLDEN_DIR, f"{name}.json")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(got, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--rewrite-goldens", action="store_true",
+        help="write tests/golden/ from this run instead of comparing with it",
+    )
+
+
+@pytest.fixture
+def rewrite_goldens(request) -> bool:
+    return request.config.getoption("--rewrite-goldens")
+
+
+@pytest.fixture
+def pin_outcomes(rewrite_goldens):
+    """``pin_outcomes(name, got)``: compare ``got`` with the golden ``name``,
+    or write it there under ``--rewrite-goldens``."""
+    return rewrite_outcomes if rewrite_goldens else compare_outcomes

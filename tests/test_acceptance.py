@@ -35,9 +35,9 @@ from termspread.logit import (
 from termspread.models import CONVENTIONAL_PAIR, ModelSpec, fit_spec, forecast_series
 from termspread.selection import select_pair, sweep_path
 
+from conftest import MATURITY_CODES as MATS
+from conftest import REPO_ROOT, readme_config, robustness_runs
 from reference import exceeds_jeffreys, trapezoid_auc
-
-MATS = ("3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y")
 
 
 # --- shared helpers ---------------------------------------------------------------
@@ -191,17 +191,7 @@ def test_acceptance_4_balanced_weight_identity(market, data_files, tmp_path):
         for i in range(n + 24):
             fh.write(f"{Month(1961, 6) + i},{i % 2}\n")
 
-    base = {
-        "yield_files": [data_files["yields"]],
-        "recession_file": str(rec_path),
-        "maturities": list(MATS),
-        "split": {
-            "sample_start": "1961-06",
-            "train_end": "1995-12",
-            "sample_end": "2020-07",
-        },
-        "horizons": [13],
-    }
+    base = readme_config(data_files, recession_file=str(rec_path), horizons=[13])
     plain = run_experiment(ExperimentConfig.from_mapping(base))
     weighted = run_experiment(
         ExperimentConfig.from_mapping({**base, "weighting": True})
@@ -263,33 +253,21 @@ COEF_TOL = 0.05
 PPL_TOL = 0.005
 
 
-def golden_dir():
-    return os.environ.get(
-        "TERMSPREAD_DATA_DIR",
-        os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data"),
-    )
-
-
-def golden_config(train_end, weighting=False):
-    root = golden_dir()
-    yields = os.path.join(root, "yields_monthly.csv")
-    recessions = os.path.join(root, "recessions.csv")
-    if not (os.path.exists(yields) and os.path.exists(recessions)):
+@pytest.fixture(scope="module")
+def published_runs():
+    """``robustness_runs`` on the assembled public dataset, and their time."""
+    root = os.environ.get("TERMSPREAD_DATA_DIR", os.path.join(REPO_ROOT, "data"))
+    files = {
+        "yields": os.path.join(root, "yields_monthly.csv"),
+        "recessions": os.path.join(root, "recessions.csv"),
+    }
+    if not all(os.path.exists(path) for path in files.values()):
         pytest.skip(
             "assembled public dataset not present; place yields_monthly.csv and "
             f"recessions.csv under {root} or set TERMSPREAD_DATA_DIR (see README)"
         )
-    return ExperimentConfig(
-        yield_files=(yields,),
-        recession_file=recessions,
-        maturities=MATS,
-        split=SplitConfig(
-            train_end=Month.parse(train_end),
-            sample_start=Month(1961, 6),
-            sample_end=Month(2020, 7),
-        ),
-        weighting=weighting,
-    )
+    start_time = time.time()
+    return robustness_runs(files), time.time() - start_time
 
 
 def check_pairs(result, published, label):
@@ -304,10 +282,9 @@ def check_pairs(result, published, label):
     return mismatches
 
 
-def test_acceptance_5_published_baseline_reproduction():
-    start_time = time.time()
-    config = golden_config("1995-12")
-    result = run_experiment(config)
+def test_acceptance_5_published_baseline_reproduction(published_runs):
+    runs, elapsed = published_runs
+    result = runs["1995-12"]
 
     mismatches = check_pairs(result, PAIRS_1995, "split-1995")
     mismatched_horizons = {h for h, _, _ in mismatches}
@@ -341,28 +318,25 @@ def test_acceptance_5_published_baseline_reproduction():
     assert not any(
         exceeds_jeffreys(r.ebf) for art in result.artifacts.values() for r in art.reports.values()
     )
-    elapsed = time.time() - start_time
-    assert elapsed < 300.0
+    assert elapsed < 300.0  # all four runs of the protocol
     print(f"\nACCEPTANCE 5 (published baseline, split 1995): PASS [{elapsed:.0f}s]")
 
 
-def test_acceptance_6_robustness_protocols():
-    start_time = time.time()
+def test_acceptance_6_robustness_protocols(published_runs):
+    runs, elapsed = published_runs
     for train_end, published, label in (
         ("2005-12", PAIRS_2005, "split-2005"),
         ("2015-12", PAIRS_2015, "split-2015"),
     ):
-        result = run_experiment(golden_config(train_end))
-        check_pairs(result, published, label)
+        check_pairs(runs[train_end], published, label)
 
-    weighted = run_experiment(golden_config("1995-12", weighting=True))
+    weighted = runs["1995-12/weighted"]
     art = weighted.artifacts[12]
     cw = ClassWeights.from_targets(art.dataset.targets[: art.dataset.split_index])
     assert cw.recession_ratio == pytest.approx(0.14, abs=0.01)
     oversampling = (1.0 - cw.recession_ratio) / cw.recession_ratio
     assert oversampling == pytest.approx(6.0, abs=0.5)
     assert all(art.reports["D"].ebf == 1.0 for art in weighted.artifacts.values())
-    elapsed = time.time() - start_time
     print(
         f"\nACCEPTANCE 6 (robustness protocols): PASS "
         f"[r={cw.recession_ratio:.3f}, oversampling={oversampling:.1f}, "
@@ -406,18 +380,7 @@ def test_acceptance_7_nesting_invariant(market):
 # --- criterion 8: determinism ----------------------------------------------------------
 
 def test_acceptance_8_byte_identical_reruns(data_files, tmp_path):
-    config = {
-        "yield_files": [data_files["yields"]],
-        "recession_file": data_files["recessions"],
-        "maturities": list(MATS),
-        "split": {
-            "sample_start": "1961-06",
-            "train_end": "1995-12",
-            "sample_end": "2020-07",
-        },
-        "horizons": [3, 12],
-        "forced_controls": ["lead_idx"],
-    }
+    config = readme_config(data_files, horizons=[3, 12], forced_controls=["lead_idx"])
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), "utf-8")
     out1, out2 = tmp_path / "run1", tmp_path / "run2"

@@ -13,10 +13,10 @@ import pytest
 
 from termspread.data import Month, load_recession_series, load_yield_panel
 
+from conftest import MATURITY_CODES as MATS
 from reference import line_by_line_gsw_monthly
 
 SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "assemble_dataset.py")
-MATS = ["3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y"]
 
 START, END = Month(1961, 6), Month(1963, 5)  # two-year toy sample
 
@@ -174,7 +174,7 @@ def test_extended_file_with_optional_columns(raw_dir, tmp_path):
     assert proc.returncode == 0, proc.stderr
     core = load_yield_panel([str(out / "yields_monthly.csv")], MATS)
     assert core.dates[0] == START  # full core range kept
-    ext = load_yield_panel([str(out / "yields_monthly_extended.csv")], MATS + ["30y"])
+    ext = load_yield_panel([str(out / "yields_monthly_extended.csv")], [*MATS, "30y"])
     assert ext.dates[0] == START + 4
     assert "lead_idx" in ext.columns
 

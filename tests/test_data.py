@@ -191,6 +191,8 @@ def _recessions(paths):
                      "header must start with 'date', got 'month,10y'", id="header-not-date"),
         pytest.param(_yields, ["date,10y,3m,10y\n2001-01,5,3,5\n"], MalformedRow, "",
                      "header names the column '10y' twice", id="repeated-column"),
+        pytest.param(_yields, ["date,10y,,3m\n2001-01,5,4,3\n"], MalformedRow, "",
+                     "header column 2 has no name", id="unnamed-column"),
         pytest.param(_yields, ["date,10y\n\n"], MalformedRow, "", "no data rows",
                      id="header-only"),
         pytest.param(_yields, ["date,10y\n2001-01," + "9" * 400 + "\n"], MalformedRow, ":2",

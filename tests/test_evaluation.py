@@ -159,24 +159,40 @@ def on_one_forecast(metric, targets, forecast):
 TARGET_METRICS = [roc_curve, auc, avg_log_likelihood, relative_mse]
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.7, -0.4])
 @pytest.mark.parametrize("score", TARGET_METRICS)
 def test_roc_and_auc_reject_a_score_that_is_not_finite(score, bad):
     # one input rule for every metric that takes targets, each naming its
-    # own forecast argument: "scores", "probabilities" or "probs_alt"
+    # own forecast argument: "scores", "probabilities" or "probs_alt";
+    # a probability also lies in [0, 1], while a score is any finite real
     name = list(inspect.signature(score).parameters)[1]
-    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-        on_one_forecast(score, np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.1, bad, 0.3, 0.9]))
+    y, forecast = np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.1, bad, 0.3, 0.9])
+    if not np.isfinite(bad):
+        rule = "must be finite"
+    elif name == "scores":
+        on_one_forecast(score, y, forecast)
+        return
+    else:  # unchecked, the clip scored [1.7, -0.4] on [1, 0] as near perfect
+        rule = r"must be in \[0, 1\]"
+    with pytest.raises(ValueError, match=f"^{name} {rule}$"):
+        on_one_forecast(score, y, forecast)
 
 
 @pytest.mark.parametrize(
-    "targets", [[0.0, 0.5, 1.0, 0.0], [0.0, np.nan, 1.0, 0.0]], ids=["half", "nan"]
+    "targets, message",
+    [
+        ([0.0, 0.5, 1.0, 0.0], "targets must be 0 or 1"),
+        ([0.0, np.nan, 1.0, 0.0], "targets must be 0 or 1"),
+        ([], "targets must not be empty"),  # unchecked, a mean of nothing: nan
+    ],
+    ids=["half", "nan", "empty"],
 )
 @pytest.mark.parametrize("metric", TARGET_METRICS)
-def test_every_metric_rejects_targets_other_than_0_and_1(metric, targets):
+def test_every_metric_rejects_targets_other_than_0_and_1(metric, targets, message):
     # unchecked, a target of 0.5 gives an AUC above 1 and a TPR of 1.5
-    with pytest.raises(ValueError, match="^targets must be 0 or 1$"):
-        on_one_forecast(metric, np.array(targets), np.array([0.1, 0.2, 0.3, 0.4]))
+    forecast = np.array([0.1, 0.2, 0.3, 0.4])[: len(targets)]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        on_one_forecast(metric, np.array(targets), forecast)
 
 
 def test_weights_and_benchmark_forecast_must_be_finite():
@@ -185,6 +201,12 @@ def test_weights_and_benchmark_forecast_must_be_finite():
         avg_log_likelihood(y, p, np.array([1.0, np.nan]))
     with pytest.raises(ValueError, match="^probs_benchmark must be finite$"):
         relative_mse(y, p, np.array([0.5, np.inf]))
+    # a weight of zero or below, refused as LogitProblem refuses it
+    for w in ([-1.0, 1.0], [0.0, 1.0]):
+        with pytest.raises(ValueError, match="^weights must be positive$"):
+            avg_log_likelihood(y, p, np.array(w))
+    with pytest.raises(ValueError, match=r"^probs_benchmark must be in \[0, 1\]$"):
+        relative_mse(y, p, np.array([0.5, 1.2]))
 
 
 # --- AUC -----------------------------------------------------------------------------

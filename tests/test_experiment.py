@@ -33,26 +33,14 @@ from termspread.experiment import (
 )
 from termspread.logit import ClassWeights, destandardize
 
-from conftest import make_market, write_market
+from conftest import MATURITY_CODES as MATS
+from conftest import REPO_ROOT, make_market, readme_block, readme_config, write_market
 from reference import per_cell_outputs
-
-MATS = ["3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y"]
 
 
 def base_config_dict(data_files, **overrides):
-    cfg = {
-        "yield_files": [data_files["yields"]],
-        "recession_file": data_files["recessions"],
-        "maturities": MATS,
-        "split": {
-            "sample_start": "1961-06",
-            "train_end": "1995-12",
-            "sample_end": "2020-07",
-        },
-        "horizons": [3, 12],
-    }
-    cfg.update(overrides)
-    return cfg
+    """The README config on ``data_files``, horizons 3 and 12 unless overridden."""
+    return readme_config(data_files, **{"horizons": [3, 12], **overrides})
 
 
 def write_config(tmp_path, data_files, **overrides):
@@ -64,17 +52,19 @@ def write_config(tmp_path, data_files, **overrides):
 # --- config parsing --------------------------------------------------------------
 
 def test_config_defaults(tmp_path, data_files):
-    cfg = ExperimentConfig.from_json(
-        write_config(tmp_path, data_files, horizons=list(DEFAULT_HORIZONS))
-    )
+    # the README's config less the keys it states at their defaults
+    explicit = base_config_dict(data_files)
+    raw = {k: v for k, v in explicit.items()
+           if k not in ("horizons", "weighting", "forced_controls", "target_nonzero")}
+    cfg = ExperimentConfig.from_mapping(raw)
     assert cfg.horizons == DEFAULT_HORIZONS
     assert cfg.weighting is False
     assert cfg.forced_controls == ()
-    # the README's "target_nonzero": 2 parses and changes nothing
-    explicit = write_config(
-        tmp_path, data_files, horizons=list(DEFAULT_HORIZONS), target_nonzero=2
-    )
-    assert ExperimentConfig.from_json(explicit) == cfg
+    # the README's horizons and "target_nonzero": 2 parse and change nothing
+    explicit["horizons"] = list(DEFAULT_HORIZONS)
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps(explicit), "utf-8")
+    assert ExperimentConfig.from_json(str(path)) == cfg
     assert not hasattr(cfg, "target_nonzero")
 
 
@@ -205,6 +195,7 @@ def test_config_rejects_split_dates_that_are_not_month_strings(tmp_path, data_fi
 def test_config_constructed_directly_rejects_a_split_that_is_not_a_split_config(data_files):
     # from_mapping builds the SplitConfig; a direct caller must pass one
     raw = base_config_dict(data_files, split={"train_end": "1995-12"})
+    del raw["target_nonzero"]  # a config key, not a field
     message = "split must be a SplitConfig, got {'train_end': '1995-12'}"
     with pytest.raises(ConfigError, match=re.escape(message)):
         ExperimentConfig(**raw)
@@ -369,7 +360,7 @@ def test_emit_all_plot_data(small_run, tmp_path):
     # coefficient path: lambda + one column per maturity; selection row present
     with open(out / "coefficient_path_h12.csv") as fh:
         header = fh.readline().strip().split(",")
-        assert header == ["lambda"] + MATS
+        assert header == ["lambda", *MATS]
         matrix = [line.strip().split(",") for line in fh]
     lambdas = [float(r[0]) for r in matrix]
     assert lambdas == sorted(lambdas)
@@ -396,22 +387,11 @@ def test_emit_all_plot_data(small_run, tmp_path):
     assert pts[0] == (0.0, 0.0) and pts[-1] == (1.0, 1.0)
 
 
-@pytest.fixture(scope="module")
-def full_runs(data_files):
-    """The plain and the weighted + lead_idx run, every default horizon."""
-    variants = {"plain": {}, "weighted_lead": {"weighting": True, "forced_controls": ["lead_idx"]}}
-    return {
-        name: run_experiment(ExperimentConfig.from_mapping(
-            base_config_dict(data_files, horizons=list(DEFAULT_HORIZONS), **overrides)))
-        for name, overrides in variants.items()
-    }
-
-
 @pytest.mark.parametrize("fmt", ["csv", "markdown"])
 @pytest.mark.parametrize("run", ["plain", "weighted_lead"])
-def test_emit_all_writes_the_bytes_of_the_per_cell_writer(full_runs, tmp_path, run, fmt):
+def test_emit_all_writes_the_bytes_of_the_per_cell_writer(seed42_runs, tmp_path, run, fmt):
     # both renderings format one in-process result, so this holds on any BLAS
-    result = full_runs[run]
+    result = seed42_runs[run]
     paths = emit_all(result, str(tmp_path / "out"), fmt=fmt)
     want = per_cell_outputs(result, markdown=fmt == "markdown")
     assert len(paths) == 53
@@ -479,7 +459,7 @@ def test_cli_config_that_is_not_utf8_exit_1(tmp_path, capsys):
 
 def test_cli_missing_data_exit_1(tmp_path, data_files, capsys):
     cfg_path = write_config(
-        tmp_path, data_files, maturities=MATS + ["30y"], horizons=[3]
+        tmp_path, data_files, maturities=[*MATS, "30y"], horizons=[3]
     )
     assert cli_main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
     assert "30y" in capsys.readouterr().err
@@ -781,8 +761,6 @@ def test_cli_exit_code_and_prefix_follow_the_error_class(
 
 # --- public surface ----------------------------------------------------------------
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
 
 def test_benchmark_trace_targets_resolve():
     # perfbench's --trace 1 wraps these names and crashes on a missing one
@@ -823,15 +801,12 @@ def test_a_run_does_not_import_numpy_ma(tmp_path, data_files):
     assert after == before
 
 
-def test_readme_library_sketch_runs(tmp_path, market, monkeypatch):
-    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
-        readme = fh.read()
-    sketch = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S).group(1)
-    (tmp_path / "data").mkdir()
-    files = write_market(str(tmp_path / "data"), *market)
-    os.rename(files["yields"], tmp_path / "data" / "yields_monthly.csv")
-    monkeypatch.chdir(tmp_path)
+def test_readme_library_sketch_runs(data_files):
+    sketch = readme_block("python")
+    for path, key in (("data/yields_monthly.csv", "yields"), ("data/recessions.csv", "recessions")):
+        assert sketch.count(f'"{path}"') == 1
+        sketch = sketch.replace(f'"{path}"', repr(data_files[key]))
     namespace: dict = {}
     exec(sketch, namespace)
-    assert len(namespace["selection"].pair) == 2
+    assert namespace["selection"].pair == ("7y", "3m")
     assert namespace["probs"].shape == (namespace["ds"].n_rows,)

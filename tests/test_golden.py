@@ -11,12 +11,8 @@ numeric tokens and the text between them. The text must match exactly
 each number must match to 1e-6 relative. ``coefficient_path_*`` and
 ``spread_series_*`` print solver iterates to 10 digits; their cells may
 also pass within 1e-5 absolute (100 x the 1e-7 KKT tolerance), because a
-correct solver may stop at another point inside its certificate.
-
-To rewrite the snapshot after a change of numbers that is intended and
-explained:
-
-    PYTHONPATH=src python tests/test_golden.py
+correct solver may stop at another point inside its certificate. Under
+``--rewrite-goldens`` the test writes the snapshot instead of comparing.
 """
 
 from __future__ import annotations
@@ -27,21 +23,15 @@ import json
 import math
 import os
 import re
-import sys
-import tempfile
 
 import pytest
 
 from termspread.cli import main as cli_main
 
-GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-RUNS = {
-    "plain": {},
-    "weighted_lead": {"weighting": True, "forced_controls": ["lead_idx"]},
-}
+from conftest import GOLDEN_DIR, ITERATE_ABS_TOL, RUNS, readme_config
+
 REL_TOL = 1e-6
 ABS_TOL = 1e-12  # only lets signed zeros and denormal noise through
-ITERATE_ABS_TOL = 1e-5
 ITERATE_FILES = ("coefficient_path_", "spread_series_")
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -50,16 +40,9 @@ def run_outputs(
     data_files: dict[str, str], work_dir: str, run: str, fmt: str = "csv"
 ) -> dict[str, list[str]]:
     """Run the CLI once and return {file name: lines} of its output directory."""
-    config = {
-        "yield_files": [data_files["yields"]],
-        "recession_file": data_files["recessions"],
-        "maturities": ["3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y"],
-        "split": {"sample_start": "1961-06", "train_end": "1995-12", "sample_end": "2020-07"},
-        **RUNS[run],
-    }
     cfg_path = os.path.join(work_dir, f"{run}.json")
     with open(cfg_path, "w", encoding="utf-8") as fh:
-        json.dump(config, fh)
+        json.dump(readme_config(data_files, run), fh)
     out_dir = os.path.join(work_dir, f"{run}_{fmt}")
     assert cli_main(["run", "--config", cfg_path, "--out", out_dir, "--format", fmt]) == 0
     files = {}
@@ -108,10 +91,18 @@ def compare(files: dict[str, list[str]], golden: dict[str, list[str]]) -> list[s
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_run_matches_golden_snapshot(data_files, tmp_path, run):
+def test_run_matches_golden_snapshot(data_files, tmp_path, run, rewrite_goldens):
+    files = run_outputs(data_files, str(tmp_path), run)
+    if rewrite_goldens:
+        # mtime=0 keeps the archive byte-identical when regenerated
+        with open(snapshot_path(run), "wb") as raw, gzip.GzipFile(
+            fileobj=raw, mode="wb", mtime=0
+        ) as gz:
+            gz.write(json.dumps(files, indent=0, sort_keys=True).encode("utf-8"))
+        return
     golden = load_snapshot(run)
     assert len(golden) == 53
-    problems = compare(run_outputs(data_files, str(tmp_path), run), golden)
+    problems = compare(files, golden)
     assert not problems, "\n".join(problems[:10])
 
 
@@ -159,24 +150,3 @@ def test_golden_comparison_catches_changes():
     files = {k: list(v) for k, v in golden.items()}
     files["panel_D.csv"].pop()
     assert compare(files, golden)
-
-
-def _rewrite_snapshot() -> None:
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from conftest import make_market, write_market
-
-    os.makedirs(GOLDEN_DIR, exist_ok=True)
-    with tempfile.TemporaryDirectory() as work:
-        data_files = write_market(work, *make_market())
-        for run in sorted(RUNS):
-            files = run_outputs(data_files, work, run)
-            # mtime=0 keeps the archive byte-identical when regenerated
-            with open(snapshot_path(run), "wb") as raw, gzip.GzipFile(
-                fileobj=raw, mode="wb", mtime=0
-            ) as gz:
-                gz.write(json.dumps(files, indent=0, sort_keys=True).encode("utf-8"))
-            print(f"{snapshot_path(run)}: {len(files)} files")
-
-
-if __name__ == "__main__":
-    _rewrite_snapshot()

@@ -27,7 +27,7 @@ from termspread.models import (
 )
 from termspread.selection import select_pair, sweep_path
 
-ALL = ("3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y")
+from conftest import MATURITY_CODES as ALL
 
 
 def tiny_panel(values: dict[str, list[float]]) -> YieldPanel:

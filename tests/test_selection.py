@@ -25,9 +25,8 @@ from termspread.logit import (
 )
 from termspread.selection import K_START, lambda_at, select_pair, sweep_path
 
-from conftest import MATURITY_CODES
+from conftest import ITERATE_ABS_TOL, MATURITY_CODES
 from reference import coordinate_descent_l1
-from test_golden import ITERATE_ABS_TOL
 
 NAMES = ("10y", "3m", "5y", "1y")
 

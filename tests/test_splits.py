@@ -1,58 +1,55 @@
-"""Splits golden: the outcome of full runs that end training after 1995-12.
+"""Splits golden: the outcome of the paper's robustness protocol.
 
-The paper checks its selection against the sample period: besides the
-README split, whose training ends 1995-12, it ends training at 2005-12 and
-at 2015-12. This test runs both of those splits on ``make_market(42)``,
-plain and with class weights and the penalty-exempt ``lead_idx`` control,
-and compares each run's ``test_reseeds.outcome`` (the selected pair and
-three flags per horizon, or the error and its horizon) with the committed
-summary.
-
-To rewrite the summary after a change of outcomes that is intended and
-explained:
-
-    PYTHONPATH=src python tests/test_splits.py
+The paper checks its selection against the sample period and the class
+balance: besides the README split, whose training ends 1995-12, it ends
+training at 2005-12 and at 2015-12, and it reruns 1995-12 with oversampled
+recessions (``conftest.robustness_runs``). ``tests/golden/splits.json``
+holds ``conftest.outcome`` (the selected pair and three flags per horizon,
+or the error and its horizon) of the two later splits on ``make_market(42)``,
+plain and with class weights and the penalty-exempt ``lead_idx`` control.
+``tests/golden/assembled.json`` holds the protocol's four runs on
+``scripts/assemble_dataset.py``'s output for the benchmark's raw downloads
+of seed 42. Both hold pairs and flags, no digits, so they pin outcomes
+rather than numbers.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
+import runpy
+import subprocess
+import sys
 
-from conftest import RUNS, make_market, write_market
-from test_reseeds import outcome
+import pytest
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "splits.json")
-TRAIN_ENDS = ("2005-12", "2015-12")
+from conftest import REPO_ROOT, RUNS, outcome, robustness_runs, run_config, summary
 
 
-def summarize(data_files: dict[str, str]) -> dict[str, dict]:
-    return {
-        f"{train_end}/{run}": outcome(data_files, run, train_end)
-        for train_end in TRAIN_ENDS
+def test_splits_match_golden(data_files, pin_outcomes):
+    pin_outcomes("splits", {
+        f"{train_end}/{run}": outcome(run_config(data_files, run, train_end=train_end))
+        for train_end in ("2005-12", "2015-12")
         for run in RUNS
-    }
+    })
 
 
-def test_splits_match_golden(data_files):
-    with open(GOLDEN, encoding="utf-8") as fh:
-        golden = json.load(fh)
-    assert len(golden) == len(TRAIN_ENDS) * len(RUNS)
-    got = summarize(data_files)
-    problems = [
-        f"{key}: {got.get(key)} differs from golden {want}"
-        for key, want in golden.items()
-        if got.get(key) != want
-    ]
-    assert not problems, "\n".join(problems)
+@pytest.fixture(scope="session")
+def assembled_files(tmp_path_factory) -> dict[str, str]:
+    """The two files ``scripts/assemble_dataset.py`` makes of
+    ``perfbench/inputs.write_raw_downloads(42, ...)``."""
+    root = tmp_path_factory.mktemp("assembled")
+    inputs = runpy.run_path(os.path.join(REPO_ROOT, "perfbench", "inputs.py"))
+    inputs["write_raw_downloads"](42, str(root / "raw"))
+    script = os.path.join(REPO_ROOT, "scripts", "assemble_dataset.py")
+    done = subprocess.run(
+        [sys.executable, script, "--raw", str(root / "raw"), "--out", str(root)],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return {"yields": str(root / "yields_monthly.csv"), "recessions": str(root / "recessions.csv")}
 
 
-if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as work:
-        summary = summarize(write_market(work, *make_market(42)))
-    with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    errors = sum("error" in s for s in summary.values())
-    print(f"{GOLDEN}: {len(summary)} runs, {len(summary) - errors} complete, {errors} failed")
+def test_protocol_on_the_assembled_downloads_matches_golden(assembled_files, pin_outcomes):
+    # the downloads have no USSLIND.csv, so no run here carries lead_idx
+    runs = robustness_runs(assembled_files)
+    pin_outcomes("assembled", {name: summary(result) for name, result in runs.items()})
