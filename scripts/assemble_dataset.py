@@ -28,14 +28,20 @@ through 1981-08 and constant-maturity series afterwards; the 2y and 7y
 columns start on the zero-coupon curve and switch to CMT at 1976-06 and
 1969-07. Day counts for the bond-equivalent conversion are 91 and 182.
 
+Of the daily zero-curve file, only the lines dated before 1976-06 are
+parsed, and of those only the date and the SVENY02 and SVENY07 cells. A
+line that starts with a bare ``YYYY-MM-DD,`` date on or after 1976-06-01 is
+read and decoded but neither split nor checked; a line whose date is quoted
+or padded is parsed in full, and a day on or after 1976-06-01 is dropped.
+
 Every download is read and checked before anything is written; only then
 is ``--out`` made and are the files written. A missing or unreadable
 download, one that is not UTF-8 text, a malformed row, a second row in one
-month of a FRED file, an empty daily column, a bill rate outside [0, 100),
-a gap in a core column (one line per column), or a USREC month that is
-missing or reads other than 0 or 1 stops the script with ``error: ...``
-and exit code 1; a bad ``--start`` or ``--end``, or a ``--start`` after
-``--end``, is a usage error, exit code 2.
+month of a FRED file, a daily column with no observation before 1976-06, a
+bill rate outside [0, 100), a gap in a core column (one line per column), or
+a USREC month that is missing or reads other than 0 or 1 stops the script
+with ``error: ...`` and exit code 1; a bad ``--start`` or ``--end``, or a
+``--start`` after ``--end``, is a usage error, exit code 2.
 
 Usage:
     python scripts/assemble_dataset.py --raw ~/Downloads/fred --out data
@@ -47,6 +53,7 @@ import argparse
 import datetime as dt
 import math
 import os
+import re
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -67,6 +74,7 @@ GS2_FROM = Month(1976, 6)
 GS7_FROM = Month(1969, 7)
 GS20_GAP = (Month(1987, 1), Month(1993, 9))
 MISSING = ("", "NA", ".")  # cells that mark a value as not available
+_ISO_DAY_CELL = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2},")  # a bare date as a line's first cell
 CORE = ("3m", "6m", "1y", "2y", "3y", "5y", "7y", "10y", "20y")
 
 
@@ -127,12 +135,20 @@ def read_fred_monthly(path: str) -> dict[Month, float]:
     return out
 
 
-def read_gsw_monthly(path: str, columns: tuple[str, ...]) -> dict[str, dict[Month, float]]:
-    """Monthly averages of some columns of the daily GSW zero-curve file,
-    read in one pass; a missing cell drops that day from its own column only.
+def read_gsw_monthly(
+    path: str, columns: tuple[str, ...], until: Month
+) -> dict[str, dict[Month, float]]:
+    """Monthly averages of some columns of the daily GSW zero-curve file
+    before month ``until``, read in one pass; a missing cell drops that day
+    from its own column only.
 
-    A data line is split only up to the last column used, and only the date
-    and the used cells are parsed."""
+    A data line that starts with an ASCII ``DDDD-DD-DD,`` date whose text is
+    on or after the first day of ``until`` is skipped unsplit and unparsed.
+    Any other data line is split only up to the last column used, and only
+    its date and used cells are parsed; a day on or after ``until`` found
+    there is dropped, so the means do not depend on the order of the lines."""
+    first_dropped = dt.date(until.year, until.month, 1)
+    skip_from = first_dropped.isoformat()
     daily: dict[str, tuple[list[dt.date], list[float]]] = {c: ([], []) for c in columns}
     with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -144,6 +160,8 @@ def read_gsw_monthly(path: str, columns: tuple[str, ...]) -> dict[str, dict[Mont
         used = [(cells.index(c), c, *daily[c]) for c in columns]
         width = max(j for j, *_ in used) + 1
         for lineno, line in enumerate(fh, start=lineno + 1):
+            if line >= skip_from and _ISO_DAY_CELL.match(line):
+                continue
             cells = line.split(",", width)
             date = cells[0].strip().strip('"')
             if not date:
@@ -154,8 +172,10 @@ def read_gsw_monthly(path: str, columns: tuple[str, ...]) -> dict[str, dict[Mont
                 if raw in MISSING:
                     continue
                 day = day or _day(path, lineno, date)
-                dates.append(day)
-                values.append(_value(path, lineno, name, raw))
+                value = _value(path, lineno, name, raw)
+                if day < first_dropped:
+                    dates.append(day)
+                    values.append(value)
     for c, (dates, _) in daily.items():
         if not dates:
             raise EmptyInput(f"{path}: no daily observations of {c}")
@@ -193,7 +213,10 @@ def build_columns(raw: str) -> dict[str, dict[Month, float]]:
         columns[code] = splice(converted, fred(cmt), BILLS_UNTIL + 1)
 
     gsw_path = os.path.join(raw, "feds200628.csv")
-    gsw = read_gsw_monthly(gsw_path, ("SVENY02", "SVENY07")) if os.path.exists(gsw_path) else {}
+    gsw = (
+        read_gsw_monthly(gsw_path, ("SVENY02", "SVENY07"), max(GS2_FROM, GS7_FROM))
+        if os.path.exists(gsw_path) else {}
+    )
     columns["2y"] = splice(gsw.get("SVENY02", {}), fred("GS2"), GS2_FROM)
     columns["7y"] = splice(gsw.get("SVENY07", {}), fred("GS7"), GS7_FROM)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from termspread.data import Month, load_recession_series, load_yield_panel
+from termspread.errors import MalformedRow
 
 from conftest import MATURITY_CODES as MATS
 from reference import line_by_line_gsw_monthly
@@ -226,9 +227,21 @@ def generated_rows(n=400, seed=0):
     return rows
 
 
+CUT = Month(1961, 8)  # a cut-off inside the generated rows, which start 1961-06-14
+
+
+def before(means, until=CUT):
+    """``means`` restricted to the months before ``until``."""
+    return {c: {m: v for m, v in by_month.items() if m < until} for c, by_month in means.items()}
+
+
+def read_gsw(path, until=CUT):
+    return load_script().read_gsw_monthly(str(path), USED, until)
+
+
 def assert_reader_matches_oracle(path):
-    got = load_script().read_gsw_monthly(str(path), USED)
-    want = line_by_line_gsw_monthly(str(path), USED)
+    got = read_gsw(path)
+    want = before(line_by_line_gsw_monthly(str(path), USED))
     assert got == want
     assert all(len(want[c]) > 0 for c in USED)
     return got
@@ -273,6 +286,61 @@ def test_gsw_reader_never_parses_unused_cells(tmp_path):
         cells.update(BETA0="garbage", SVENY05="1961-13-40", TAU2="inf", SVENY30='"x,')
     wide_gsw(tmp_path / "f.csv", rows)
     assert_reader_matches_oracle(tmp_path / "f.csv")
+
+
+@pytest.mark.parametrize(
+    "late, early, what",
+    [
+        ({"SVENY07": "x5"}, {"SVENY07": "x5"}, "cannot parse SVENY07='x5'"),
+        ({"SVENY02": "inf"}, {"SVENY02": "inf"}, "non-finite SVENY02='inf'"),
+        # "1961-13-40" sorts after the cut-off as text, "1961-07-40" before it
+        ({"Date": "1961-13-40"}, {"Date": "1961-07-40"},
+         "bad date '1961-07-40': day is out of range for month"),
+    ],
+    ids=["bad-value", "non-finite", "bad-date"],
+)
+def test_gsw_reader_never_parses_lines_dated_from_the_cut_off(tmp_path, late, early, what):
+    rows = generated_rows(60)
+    clean = tmp_path / "clean.csv"
+    wide_gsw(clean, rows)
+    # every line from the cut-off on carries the bad cell: none is parsed
+    after = [i for i, cells in enumerate(rows) if cells["Date"] >= "1961-08-01"]
+    for i in after:
+        rows[i] = {**rows[i], **late}
+    wide_gsw(tmp_path / "late.csv", rows)
+    assert read_gsw(tmp_path / "late.csv") == before(line_by_line_gsw_monthly(str(clean), USED))
+    # the same cell on the last line before the cut-off still fails at its line
+    i = after[0] - 1
+    rows[i] = {**rows[i], **early}
+    path = tmp_path / "early.csv"
+    wide_gsw(path, rows)
+    with pytest.raises(MalformedRow) as err:
+        read_gsw(path)
+    assert str(err.value) == f"{path}:{i + 6}: {what}"  # data lines start at line 6
+
+
+@pytest.mark.parametrize("date", ['"1961-09-05"', " 1961-09-05"], ids=["quoted", "space-padded"])
+def test_gsw_reader_parses_a_padded_date_past_the_cut_off_and_drops_its_month(tmp_path, date):
+    rows = generated_rows(60) + [{"Date": date, "SVENY02": "7.5", "SVENY07": "8.5"}]
+    wide_gsw(tmp_path / "f.csv", rows)
+    assert Month(1961, 9) not in assert_reader_matches_oracle(tmp_path / "f.csv")["SVENY02"]
+    # the line takes the full path: its bad cell is still refused
+    rows[-1] = {**rows[-1], "SVENY02": "x5"}
+    path = tmp_path / "bad.csv"
+    wide_gsw(path, rows)
+    with pytest.raises(MalformedRow, match=r":66: cannot parse SVENY02='x5'$"):
+        read_gsw(path)
+
+
+def test_gsw_reader_averages_an_early_row_placed_after_later_rows(tmp_path):
+    wide_gsw(tmp_path / "f.csv", [
+        {"Date": "1961-06-14", "SVENY02": "2.0", "SVENY07": "3.0"},
+        {"Date": "1961-09-01", "SVENY02": "9.0", "SVENY07": "9.0"},
+        {"Date": "1961-06-15", "SVENY02": "4.0", "SVENY07": "5.0"},
+    ])
+    assert assert_reader_matches_oracle(tmp_path / "f.csv") == {
+        "SVENY02": {Month(1961, 6): 3.0}, "SVENY07": {Month(1961, 6): 4.0},
+    }
 
 
 # --- malformed raw downloads -----------------------------------------------------

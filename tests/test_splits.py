@@ -10,7 +10,8 @@ plain and with class weights and the penalty-exempt ``lead_idx`` control.
 ``tests/golden/assembled.json`` holds the protocol's four runs on
 ``scripts/assemble_dataset.py``'s output for the benchmark's raw downloads
 of seed 42. Both hold pairs and flags, no digits, so they pin outcomes
-rather than numbers.
+rather than numbers. The daily reader is checked there too, on the full-size
+zero-curve file of those downloads, against the line-by-line oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ import sys
 
 import pytest
 
+from termspread.data import Month
+
 from conftest import REPO_ROOT, RUNS, outcome, robustness_runs, run_config, summary
+from reference import line_by_line_gsw_monthly
+
+SCRIPT = os.path.join(REPO_ROOT, "scripts", "assemble_dataset.py")
 
 
 def test_splits_match_golden(data_files, pin_outcomes):
@@ -34,19 +40,35 @@ def test_splits_match_golden(data_files, pin_outcomes):
 
 
 @pytest.fixture(scope="session")
-def assembled_files(tmp_path_factory) -> dict[str, str]:
-    """The two files ``scripts/assemble_dataset.py`` makes of
-    ``perfbench/inputs.write_raw_downloads(42, ...)``."""
-    root = tmp_path_factory.mktemp("assembled")
+def raw_downloads(tmp_path_factory) -> str:
+    """The directory ``perfbench/inputs.write_raw_downloads(42, ...)`` fills."""
+    raw = str(tmp_path_factory.mktemp("raw"))
     inputs = runpy.run_path(os.path.join(REPO_ROOT, "perfbench", "inputs.py"))
-    inputs["write_raw_downloads"](42, str(root / "raw"))
-    script = os.path.join(REPO_ROOT, "scripts", "assemble_dataset.py")
+    inputs["write_raw_downloads"](42, raw)
+    return raw
+
+
+@pytest.fixture(scope="session")
+def assembled_files(raw_downloads, tmp_path_factory) -> dict[str, str]:
+    """The two files ``scripts/assemble_dataset.py`` makes of the raw downloads."""
+    root = tmp_path_factory.mktemp("assembled")
     done = subprocess.run(
-        [sys.executable, script, "--raw", str(root / "raw"), "--out", str(root)],
+        [sys.executable, SCRIPT, "--raw", raw_downloads, "--out", str(root)],
         capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
     return {"yields": str(root / "yields_monthly.csv"), "recessions": str(root / "recessions.csv")}
+
+
+def test_gsw_reader_on_the_full_size_daily_file_matches_oracle(raw_downloads):
+    # the 10.3 MB, 99-column file: every line from 1976-06 on is skipped
+    columns = ("SVENY02", "SVENY07")
+    until = Month(1976, 6)
+    path = os.path.join(raw_downloads, "feds200628.csv")
+    got = runpy.run_path(SCRIPT)["read_gsw_monthly"](path, columns, until)
+    want = line_by_line_gsw_monthly(path, columns)
+    assert got == {c: {m: v for m, v in want[c].items() if m < until} for c in columns}
+    assert min(got["SVENY02"]) == Month(1961, 6) and max(got["SVENY02"]) == Month(1976, 5)
 
 
 def test_protocol_on_the_assembled_downloads_matches_golden(assembled_files, pin_outcomes):
