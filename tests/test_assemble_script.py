@@ -304,7 +304,7 @@ def test_gsw_reader_never_parses_lines_dated_from_the_cut_off(tmp_path, late, ea
     clean = tmp_path / "clean.csv"
     wide_gsw(clean, rows)
     # every line from the cut-off on carries the bad cell: none is parsed
-    after = [i for i, cells in enumerate(rows) if cells["Date"] >= "1961-08-01"]
+    after = [i for i, cells in enumerate(rows) if cells["Date"] >= f"{CUT}-01"]
     for i in after:
         rows[i] = {**rows[i], **late}
     wide_gsw(tmp_path / "late.csv", rows)
@@ -328,8 +328,9 @@ def test_gsw_reader_parses_a_padded_date_past_the_cut_off_and_drops_its_month(tm
     rows[-1] = {**rows[-1], "SVENY02": "x5"}
     path = tmp_path / "bad.csv"
     wide_gsw(path, rows)
-    with pytest.raises(MalformedRow, match=r":66: cannot parse SVENY02='x5'$"):
+    with pytest.raises(MalformedRow) as err:
         read_gsw(path)
+    assert str(err.value) == f"{path}:{len(rows) + 5}: cannot parse SVENY02='x5'"
 
 
 def test_gsw_reader_averages_an_early_row_placed_after_later_rows(tmp_path):
