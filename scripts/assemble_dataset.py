@@ -35,13 +35,14 @@ read and decoded but neither split nor checked; a line whose date is quoted
 or padded is parsed in full, and a day on or after 1976-06-01 is dropped.
 
 Every download is read and checked before anything is written; only then
-is ``--out`` made and are the files written. A missing or unreadable
-download, one that is not UTF-8 text, a malformed row, a second row in one
-month of a FRED file, a daily column with no observation before 1976-06, a
-bill rate outside [0, 100), a gap in a core column (one line per column), or
-a USREC month that is missing or reads other than 0 or 1 stops the script
-with ``error: ...`` and exit code 1; a bad ``--start`` or ``--end``, or a
-``--start`` after ``--end``, is a usage error, exit code 2.
+is ``--out`` made, at its resolved path (``new/../data`` makes no ``new``),
+and are the files written. A missing or unreadable download, one that is
+not UTF-8 text, a malformed row, a second row in one month of a FRED file,
+a daily column with no observation before 1976-06, a bill rate outside
+[0, 100), a gap in a core column (one line per column), or a USREC month
+that is missing (from ``--start`` on) or reads other than 0 or 1 stops the
+script with ``error: ...`` and exit code 1; a bad ``--start`` or ``--end``,
+or a ``--start`` after ``--end``, is a usage error, exit code 2.
 
 Usage:
     python scripts/assemble_dataset.py --raw ~/Downloads/fred --out data
@@ -178,7 +179,7 @@ def read_gsw_monthly(
                     values.append(value)
     for c, (dates, _) in daily.items():
         if not dates:
-            raise EmptyInput(f"{path}: no daily observations of {c}")
+            raise EmptyInput(f"{path}: no daily observations of {c} before {until}")
     return {c: dict(zip(*monthly_average(dates, values))) for c, (dates, values) in daily.items()}
 
 
@@ -256,8 +257,8 @@ def read_and_check(raw: str, start: Month, end: Month) -> list[tuple[str, Iterat
         ) if gaps["20y"] else ""
         raise GapInDates("\nerror: ".join(report) + hint)
 
-    # an empty USREC file counts as missing the first month
-    rec_months = month_range(start, min(max(rec, default=start), end + 24))
+    # an empty USREC file, or one that ends before start, misses start
+    rec_months = month_range(start, min(max([start, *rec]), end + 24))
     for m in rec_months:
         if m not in rec:
             raise CoverageError(f"{rec_path}: no value for {m}")
@@ -304,10 +305,11 @@ def main() -> int:
 
     try:
         files = read_and_check(args.raw, args.start, args.end)
-        os.makedirs(args.out, exist_ok=True)
+        target = os.path.realpath(args.out) if args.out else args.out  # realpath('') is the cwd
+        os.makedirs(target, exist_ok=True)
         for name, lines in files:
             path = os.path.join(args.out, name)
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            with open(os.path.join(target, name), "w", encoding="utf-8", newline="\n") as fh:
                 for line in lines:
                     fh.write(line + "\n")
             print(f"wrote {path}")

@@ -325,26 +325,6 @@ def _fmt3(v: float) -> str:
     return f"{v:.3f}"
 
 
-def make_output_dir(out_dir: str) -> list[str]:
-    """Make ``out_dir`` and its missing parents, unless it is a directory
-    already. Returns the directories this call made, innermost first. The
-    path is resolved first, so ``new/../x`` makes no ``new``. A path that
-    cannot be made is an IoError."""
-    if os.path.isdir(out_dir):
-        return []
-    target = os.path.realpath(out_dir) if out_dir else out_dir
-    made, path = [], target
-    while path and not os.path.isdir(path):
-        made.append(path)
-        path = os.path.dirname(path)
-    try:
-        os.makedirs(target)
-    except OSError as exc:
-        reason = exc.strerror or exc
-        raise IoError(f"cannot create output directory {out_dir!r}: {reason}") from None
-    return made
-
-
 def _panel_rows(result: ExperimentResult, letter: str) -> Iterator[list[str]]:
     """One table panel: a header, then one row per horizon; 3 decimals."""
     controls, with_lambda = result.config.forced_controls, letter == "A"
@@ -435,19 +415,27 @@ def emit_all(result: ExperimentResult, out_dir: str, fmt: str = "csv") -> list[s
     series and the four ROC curves; returns the written paths in that order.
 
     The format and the horizons are checked before the filesystem is
-    touched, so a bad call leaves no file behind. Any OSError becomes an
-    IoError naming the file.
+    touched, so a bad call leaves nothing behind. Then ``out_dir`` is made
+    with its missing parents at its resolved path, so ``new/../x`` makes no
+    ``new``, and the files are written there; the returned paths keep
+    ``out_dir`` as given. Any OSError becomes an IoError naming the
+    directory or the file.
     """
     if fmt not in ("csv", "markdown"):
         raise ConfigError(f"unknown table format: {fmt!r}")
     if not result.artifacts:
         raise IoError("the result holds no horizons; refusing to write empty panels")
-    make_output_dir(out_dir)
+    target = os.path.realpath(out_dir) if out_dir else out_dir  # realpath('') is the cwd
+    try:
+        os.makedirs(target, exist_ok=True)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise IoError(f"cannot create output directory {out_dir!r}: {reason}") from None
     written = []
     for name, lines in _outputs(result, "csv" if fmt == "csv" else "md"):
         path = os.path.join(out_dir, name)
         try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
+            with open(os.path.join(target, name), "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(lines)
         except OSError as exc:
             raise IoError(f"cannot write {path}: {exc}") from None

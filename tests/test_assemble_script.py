@@ -393,11 +393,13 @@ def test_malformed_raw_file_is_an_error_line(raw_dir, tmp_path, file, lineno, te
          "no header row carrying ['SVENY02', 'SVENY07']"),
         ("feds200628.csv", lambda path: gsw_csv(path.parent, [
             (f"{m.year:04d}-{m.month:02d}-03", "NA", "5.0") for m in month_range(START, END)
-        ]), "no daily observations of SVENY02"),
+        ]), "no daily observations of SVENY02 before 1976-06"),
         ("TB3MS.csv", lambda path: _replace_line(path, 3, "1961-07-01,-0.5"),
          "discount rate out of range: -0.5"),
         ("USREC.csv", lambda path: _delete_line(path, 7), "no value for 1961-11"),
         ("USREC.csv", lambda path: path.write_text("observation_date,USREC\n"),
+         "no value for 1961-06"),
+        ("USREC.csv", lambda path: path.write_text("observation_date,USREC\n1960-12-01,0\n"),
          "no value for 1961-06"),
         ("USREC.csv", lambda path: _replace_line(path, 2, "1961-06-01,0.5"),
          "1961-06 reads 0.5, not 0 or 1"),
@@ -407,7 +409,8 @@ def test_malformed_raw_file_is_an_error_line(raw_dir, tmp_path, file, lineno, te
          "input file is not UTF-8 text: invalid start byte"),
     ],
     ids=["missing-file", "fred-header", "daily-header", "daily-column-empty",
-         "bill-rate-negative", "usrec-month-missing", "usrec-empty", "usrec-not-binary",
+         "bill-rate-negative", "usrec-month-missing", "usrec-empty", "usrec-before-start",
+         "usrec-not-binary",
          "fred-not-utf8", "daily-not-utf8"],
 )
 def test_bad_download_is_one_error_line_before_any_write(raw_dir, tmp_path, file, damage, named):
@@ -420,6 +423,15 @@ def test_bad_download_is_one_error_line_before_any_write(raw_dir, tmp_path, file
     assert line.startswith("error: ") and str(path) in line
     assert named is None or line.endswith(named)
     assert not out.exists()
+
+
+def test_out_is_made_at_its_resolved_path(raw_dir, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = os.path.join("new", "..", "data")
+    proc = run_script(raw_dir, out)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir("data")) == ["recessions.csv", "yields_monthly.csv"]
+    assert sorted(os.listdir(tmp_path)) == ["data", "raw"]
 
 
 @pytest.mark.parametrize(

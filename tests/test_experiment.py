@@ -643,51 +643,49 @@ def test_cli_unreadable_input_exit_1(tmp_path, data_files, capsys, key, kind):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("existing", ["", "kept"])
+@pytest.mark.parametrize("existing, interrupt", [
+    pytest.param("", False, id=""), pytest.param("kept", False, id="kept"),
+    pytest.param("", True, id="interrupt"), pytest.param("kept", True, id="kept-interrupt"),
+])
 def test_cli_failed_run_removes_every_directory_it_made(
-    tmp_path, data_files, capsys, monkeypatch, existing
+    tmp_path, data_files, capsys, monkeypatch, existing, interrupt
 ):
+    # the directory is made only after the run succeeds, so a run that fails
+    # on its input or is interrupted makes none and has none to remove
     monkeypatch.chdir(tmp_path)
     if existing:
         os.mkdir(existing)
     out = os.path.join(existing, "nest", "a", "b")
-    cfg_path = write_config(tmp_path, data_files, recession_file=str(tmp_path / "absent.csv"))
-    assert cli_main(["run", "--config", cfg_path, "--out", out]) == 1
-    assert "cannot read input file" in capsys.readouterr().err
+    if interrupt:
+        cfg_path = write_config(tmp_path, data_files, horizons=[3])
+
+        def interrupted(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_experiment", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli_main(["run", "--config", cfg_path, "--out", out])
+    else:
+        cfg_path = write_config(tmp_path, data_files, recession_file=str(tmp_path / "absent.csv"))
+        assert cli_main(["run", "--config", cfg_path, "--out", out]) == 1
+        assert "cannot read input file" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == sorted({"config.json", existing} - {""})
     if existing:
         assert os.listdir(existing) == []
 
 
-def test_cli_failed_run_keeps_what_another_run_wrote_into_its_new_parent(
-    tmp_path, data_files, capsys, monkeypatch
-):
-    # this run makes "shared"; a second run writes "shared/a" before this one fails
-    monkeypatch.chdir(tmp_path)
-    cfg_path = write_config(tmp_path, data_files, horizons=[3])
-
-    def other_run_finishes_then_this_one_fails(config):
-        os.mkdir(os.path.join("shared", "a"))
-        with open(os.path.join("shared", "a", "panel_A.csv"), "w", encoding="utf-8") as fh:
-            fh.write("horizon\n")
-        raise errors.Separation("[horizon=3] perfect separation")
-
-    monkeypatch.setattr(cli, "run_experiment", other_run_finishes_then_this_one_fails)
-    assert cli_main(["run", "--config", cfg_path, "--out", os.path.join("shared", "b")]) == 2
-    assert "perfect separation" in capsys.readouterr().err
-    assert os.listdir("shared") == ["a"]
-    assert os.listdir(os.path.join("shared", "a")) == ["panel_A.csv"]
-
-
-def test_cli_failed_run_resolves_dot_dot_in_out(tmp_path, data_files, capsys, monkeypatch):
+def test_cli_run_resolves_dot_dot_in_out(tmp_path, data_files, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     os.mkdir("x")
-    cfg_path = write_config(tmp_path, data_files, recession_file=str(tmp_path / "absent.csv"))
+    cfg_path = write_config(tmp_path, data_files, horizons=list(DEFAULT_HORIZONS))
     out = os.path.join("new", "..", "x", "y")
-    assert cli_main(["run", "--config", cfg_path, "--out", out]) == 1
-    assert "cannot read input file" in capsys.readouterr().err
+    assert cli_main(["run", "--config", cfg_path, "--out", out]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    names = sorted(os.listdir(os.path.join("x", "y")))
+    assert len(names) == len(printed) == 53
+    assert sorted(printed) == [os.path.join(out, name) for name in names]
     assert sorted(os.listdir(tmp_path)) == ["config.json", "x"]
-    assert os.listdir("x") == []
+    assert os.listdir("x") == ["y"]
 
 
 @pytest.mark.parametrize("kind", ["existing-file", "below-a-file", "empty"])
@@ -698,16 +696,23 @@ def test_cli_output_directory_that_cannot_be_made_exit_2(
     taken.write_text("a file, not a directory", "utf-8")
     out = {"existing-file": str(taken), "below-a-file": str(taken / "sub"), "empty": ""}[kind]
     cfg_path = write_config(tmp_path, data_files, horizons=[3])
+    before = sorted(os.listdir(tmp_path))
+    runs = []
 
-    def run_experiment_not_expected(config):
-        pytest.fail("the output directory must be made before the computation starts")
+    def run_experiment_counted(config):
+        runs.append(config)
+        return run_experiment(config)
 
-    monkeypatch.setattr(cli, "run_experiment", run_experiment_not_expected)
+    monkeypatch.setattr(cli, "run_experiment", run_experiment_counted)
     assert cli_main(["run", "--config", cfg_path, "--out", out]) == 2
+    # the run computes first; only then is the directory refused
+    assert len(runs) == 1
     err = capsys.readouterr().err
-    # nothing was computed, so the message is not a computation failure
+    # the computation succeeded, so the message is not a computation failure
     assert err.startswith(f"error: cannot create output directory {out!r}: ")
     assert err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == before
+    assert taken.read_text("utf-8") == "a file, not a directory"
 
 
 def test_cli_weighted_reseed_13_has_no_uncaught_error(tmp_path, capsys):
