@@ -36,13 +36,15 @@ or padded is parsed in full, and a day on or after 1976-06-01 is dropped.
 
 Every download is read and checked before anything is written; only then
 is ``--out`` made, at its resolved path (``new/../data`` makes no ``new``),
-and are the files written. A missing or unreadable download, one that is
-not UTF-8 text, a malformed row, a second row in one month of a FRED file,
-a daily column with no observation before 1976-06, a bill rate outside
-[0, 100), a gap in a core column (one line per column), or a USREC month
-that is missing (from ``--start`` on) or reads other than 0 or 1 stops the
-script with ``error: ...`` and exit code 1; a bad ``--start`` or ``--end``,
-or a ``--start`` after ``--end``, is a usage error, exit code 2.
+and are the files written, by the writer of ``termspread run``. A missing
+or unreadable download, one that is not UTF-8 text, a malformed row, a
+second row in one month of a FRED file, a daily column with no observation
+before 1976-06, a bill rate outside [0, 100), a gap in a core column (one
+line per column), or a USREC month that is missing (from ``--start`` on) or
+reads other than 0 or 1 stops the script with ``error: ...`` and exit code
+1; an ``--out`` that cannot be made or written, with the CLI's line and
+exit code 2. A bad ``--start`` or ``--end``, or a ``--start`` after
+``--end``, is a usage error, exit code 2.
 
 Usage:
     python scripts/assemble_dataset.py --raw ~/Downloads/fred --out data
@@ -57,16 +59,16 @@ import os
 import re
 import sys
 from collections.abc import Iterator
-from contextlib import contextmanager
-from typing import TextIO
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from termspread.data import Month, discount_to_bond_equivalent, monthly_average  # noqa: E402
+from termspread.data import (  # noqa: E402
+    Month, discount_to_bond_equivalent, monthly_average, open_input,
+)
 from termspread.errors import (  # noqa: E402
     CoverageError, DomainError, EmptyInput, GapInDates, MalformedRow, TermSpreadError,
-    UnreadableInput,
 )
+from termspread.experiment import write_files  # noqa: E402
 
 SAMPLE_START = Month(1961, 6)
 SAMPLE_END = Month(2020, 7)
@@ -96,24 +98,13 @@ def _value(path: str, lineno: int, name: str, token: str) -> float:
     return value
 
 
-@contextmanager
-def _open_text(path: str) -> Iterator[TextIO]:
-    """``path`` opened as UTF-8 text; a decoding error while it is read
-    becomes UnreadableInput naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        raise UnreadableInput(f"{path}: input file is not UTF-8 text: {exc.reason}") from None
-
-
 def read_fred_monthly(path: str) -> dict[Month, float]:
     """FRED two-column CSV -> {month: value}; missing markers dropped.
 
     A month holds one value: a second row in it (a daily or weekly file, or
     a doubled row) is a MalformedRow naming its line."""
     out: dict[Month, float] = {}
-    with _open_text(path) as fh:
+    with open_input(path) as fh:
         header = fh.readline()
         if "," not in header:
             raise MalformedRow(f"{path}:1: not a two-column FRED csv")
@@ -151,7 +142,7 @@ def read_gsw_monthly(
     first_dropped = dt.date(until.year, until.month, 1)
     skip_from = first_dropped.isoformat()
     daily: dict[str, tuple[list[dt.date], list[float]]] = {c: ([], []) for c in columns}
-    with _open_text(path) as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             cells = [c.strip().strip('"') for c in line.strip().split(",")]
             if cells[0].lower() == "date" and set(columns) <= set(cells):
@@ -241,7 +232,8 @@ def build_columns(raw: str) -> dict[str, dict[Month, float]]:
 
 def read_and_check(raw: str, start: Month, end: Month) -> list[tuple[str, Iterator[str]]]:
     """Read every download and make every check, raising on the first
-    failure; return each output file's name and its lazily formatted lines."""
+    failure; return each output file's name and its lazily formatted lines,
+    each ending in a newline, as ``write_files`` takes them."""
     columns = build_columns(raw)
     rec_path = os.path.join(raw, "USREC.csv")
     rec = read_fred_monthly(rec_path)
@@ -266,14 +258,15 @@ def read_and_check(raw: str, start: Month, end: Month) -> list[tuple[str, Iterat
             raise DomainError(f"{rec_path}: {m} reads {rec[m]:g}, not 0 or 1")
 
     def table(codes: tuple[str, ...], months: list[Month]) -> Iterator[str]:
-        yield ",".join(("date", *codes))
+        yield ",".join(("date", *codes)) + "\n"
         for m in months:
-            yield ",".join([str(m)] + [f"{columns[c][m]:.6f}".rstrip("0").rstrip(".") for c in codes])
+            cells = [f"{columns[c][m]:.6f}".rstrip("0").rstrip(".") for c in codes]
+            yield ",".join([str(m), *cells]) + "\n"
 
     def recessions() -> Iterator[str]:
-        yield "date,recession"
+        yield "date,recession\n"
         for m in rec_months:
-            yield f"{m},{int(rec[m])}"
+            yield f"{m},{int(rec[m])}\n"
 
     files = [("yields_monthly.csv", table(CORE, months))]
     # a second file for runs that force the 30y yield / leading indicator:
@@ -304,18 +297,12 @@ def main() -> int:
         parser.error(f"--start {args.start} is after --end {args.end}")
 
     try:
-        files = read_and_check(args.raw, args.start, args.end)
-        target = os.path.realpath(args.out) if args.out else args.out  # realpath('') is the cwd
-        os.makedirs(target, exist_ok=True)
-        for name, lines in files:
-            path = os.path.join(args.out, name)
-            with open(os.path.join(target, name), "w", encoding="utf-8", newline="\n") as fh:
-                for line in lines:
-                    fh.write(line + "\n")
-            print(f"wrote {path}")
-    except (TermSpreadError, OSError) as exc:
+        written = write_files(args.out, read_and_check(args.raw, args.start, args.end))
+    except TermSpreadError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
+    for path in written:
+        print(f"wrote {path}")
     return 0
 
 

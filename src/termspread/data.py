@@ -25,9 +25,10 @@ import math
 import operator
 import re
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -218,20 +219,29 @@ class AlignedDataset:
         return len(self.predictor_dates)
 
 
+@contextmanager
+def open_input(path: str) -> Iterator[TextIO]:
+    """``path`` opened for reading as UTF-8 text past a byte-order mark, in
+    Python's default newline mode, which reads CR LF and a lone CR as LF. An
+    OSError while it is opened or read becomes UnreadableInput naming the
+    file and the reason, and so does a byte that is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            yield fh
+    except OSError as exc:
+        raise UnreadableInput(f"{path}: cannot read input file: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UnreadableInput(f"{path}: input file is not UTF-8 text: {exc.reason}") from None
+
+
 def _parse_csv(path: str) -> tuple[list[str], list[Month], np.ndarray]:
     """Parse one schema CSV into (column names, months, values).
 
     Each row holds one month, the month after the row above; ``values[i, j]``
     is column ``j`` in month ``months[i]``.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
-    except OSError as exc:
-        raise UnreadableInput(f"{path}: cannot read input file: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise UnreadableInput(f"{path}: input file is not UTF-8 text: {exc.reason}") from None
-    lines = [(n, ln) for n, ln in enumerate(lines, start=1) if ln.strip()]  # file line numbers
+    with open_input(path) as fh:
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise MalformedRow(f"{path}: empty file")
     header = [h.strip() for h in lines[0][1].split(",")]

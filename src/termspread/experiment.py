@@ -15,7 +15,7 @@ import json
 import os
 from dataclasses import MISSING, astuple, dataclass, fields
 from itertools import chain
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -409,35 +409,37 @@ def _outputs(result: ExperimentResult, ext: str) -> Iterator[tuple[str, Iterator
             )
 
 
-def emit_all(result: ExperimentResult, out_dir: str, fmt: str = "csv") -> list[str]:
-    """Write the four panels (``fmt`` "csv" or "markdown", a pipe table),
-    eval_reports.csv, and per horizon the coefficient path, the spread
-    series and the four ROC curves; returns the written paths in that order.
-
-    The format and the horizons are checked before the filesystem is
-    touched, so a bad call leaves nothing behind. Then ``out_dir`` is made
-    with its missing parents at its resolved path, so ``new/../x`` makes no
-    ``new``, and the files are written there; the returned paths keep
-    ``out_dir`` as given. Any OSError becomes an IoError naming the
-    directory or the file.
-    """
-    if fmt not in ("csv", "markdown"):
-        raise ConfigError(f"unknown table format: {fmt!r}")
-    if not result.artifacts:
-        raise IoError("the result holds no horizons; refusing to write empty panels")
+def write_files(out_dir: str, files: Iterable[tuple[str, Iterable[str]]]) -> list[str]:
+    """Make ``out_dir`` once, at its resolved path (``new/../x`` makes no
+    ``new``), and write each ``(name, lines)`` there as UTF-8, each line as
+    given with its own newline; return the paths joined on ``out_dir`` as
+    given. An OSError becomes an IoError naming the directory or the file,
+    then its reason alone."""
     target = os.path.realpath(out_dir) if out_dir else out_dir  # realpath('') is the cwd
     try:
         os.makedirs(target, exist_ok=True)
     except OSError as exc:
-        reason = exc.strerror or exc
-        raise IoError(f"cannot create output directory {out_dir!r}: {reason}") from None
+        raise IoError(f"cannot create output directory {out_dir!r}: {exc.strerror or exc}") from None
     written = []
-    for name, lines in _outputs(result, "csv" if fmt == "csv" else "md"):
+    for name, lines in files:
         path = os.path.join(out_dir, name)
         try:
             with open(os.path.join(target, name), "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(lines)
         except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from None
+            raise IoError(f"cannot write {path}: {exc.strerror or exc}") from None
         written.append(path)
     return written
+
+
+def emit_all(result: ExperimentResult, out_dir: str, fmt: str = "csv") -> list[str]:
+    """Write the four panels (``fmt`` "csv" or "markdown", a pipe table),
+    eval_reports.csv, and per horizon the coefficient path, the spread
+    series and the four ROC curves with ``write_files``; returns the
+    written paths in that order. The format and the horizons are checked
+    first, so a bad call touches no file."""
+    if fmt not in ("csv", "markdown"):
+        raise ConfigError(f"unknown table format: {fmt!r}")
+    if not result.artifacts:
+        raise IoError("the result holds no horizons; refusing to write empty panels")
+    return write_files(out_dir, _outputs(result, "csv" if fmt == "csv" else "md"))

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import datetime as dt
+import errno
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from termspread.data import Month, load_recession_series, load_yield_panel
 from termspread.errors import MalformedRow
 
 from conftest import MATURITY_CODES as MATS
+from conftest import REPO_ROOT, readme_config
 from reference import line_by_line_gsw_monthly
 
 SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "assemble_dataset.py")
@@ -333,6 +336,13 @@ def test_gsw_reader_parses_a_padded_date_past_the_cut_off_and_drops_its_month(tm
     assert str(err.value) == f"{path}:{len(rows) + 5}: cannot parse SVENY02='x5'"
 
 
+def test_gsw_reader_reads_past_a_byte_order_mark(tmp_path):
+    # the header may be the first line, behind the mark spreadsheets write
+    path = tmp_path / "f.csv"
+    path.write_bytes(b"\xef\xbb\xbfDate,SVENY02,SVENY07\n1961-06-14,4.0,5.0\n")
+    assert read_gsw(path) == {"SVENY02": {Month(1961, 6): 4.0}, "SVENY07": {Month(1961, 6): 5.0}}
+
+
 def test_gsw_reader_averages_an_early_row_placed_after_later_rows(tmp_path):
     wide_gsw(tmp_path / "f.csv", [
         {"Date": "1961-06-14", "SVENY02": "2.0", "SVENY07": "3.0"},
@@ -386,7 +396,8 @@ def test_malformed_raw_file_is_an_error_line(raw_dir, tmp_path, file, lineno, te
 @pytest.mark.parametrize(
     "file, damage, named",
     [
-        ("GS1.csv", lambda path: path.unlink(), None),
+        ("GS1.csv", lambda path: path.unlink(),
+         f"cannot read input file: {os.strerror(errno.ENOENT)}"),
         ("GS5.csv", lambda path: _replace_line(path, 1, "observation_date"),
          "not a two-column FRED csv"),
         ("feds200628.csv", lambda path: _replace_line(path, 4, "Date,SVENY01,SVENY02"),
@@ -421,7 +432,7 @@ def test_bad_download_is_one_error_line_before_any_write(raw_dir, tmp_path, file
     assert proc.returncode == 1
     [line] = proc.stderr.splitlines()
     assert line.startswith("error: ") and str(path) in line
-    assert named is None or line.endswith(named)
+    assert line.endswith(named)
     assert not out.exists()
 
 
@@ -432,6 +443,62 @@ def test_out_is_made_at_its_resolved_path(raw_dir, tmp_path, monkeypatch):
     assert proc.returncode == 0, proc.stderr
     assert sorted(os.listdir("data")) == ["recessions.csv", "yields_monthly.csv"]
     assert sorted(os.listdir(tmp_path)) == ["data", "raw"]
+
+
+# --- the output directory: both programs write and fail alike ---------------------
+
+def run_program(program, raw, data_files, tmp_path, out):
+    """The script on ``raw``, or ``termspread run`` at h=3 on the seed-42
+    market, writing into ``out``."""
+    if program == "script":
+        return run_script(raw, out)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(readme_config(data_files, horizons=[3])), "utf-8")
+    paths = [os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH")]
+    return subprocess.run(
+        [sys.executable, "-m", "termspread.cli", "run", "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+    )
+
+
+@pytest.mark.parametrize("program", ["script", "cli"])
+@pytest.mark.parametrize(
+    "kind, reason",
+    [("existing-file", errno.EEXIST), ("below-a-file", errno.ENOTDIR), ("empty", errno.ENOENT)],
+    ids=["existing-file", "below-a-file", "empty"],
+)
+def test_unusable_out_is_the_same_error_line_in_both_programs(
+    raw_dir, data_files, tmp_path, monkeypatch, program, kind, reason
+):
+    site = tmp_path / "site"  # the working directory, holding only the file
+    site.mkdir()
+    monkeypatch.chdir(site)
+    taken = site / "taken"
+    taken.write_text("a file, not a directory", "utf-8")
+    out = {"existing-file": str(taken), "below-a-file": str(taken / "sub"), "empty": ""}[kind]
+    proc = run_program(program, raw_dir, data_files, tmp_path, out)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: cannot create output directory {out!r}: {os.strerror(reason)}\n"
+    )
+    assert proc.stdout == ""
+    assert os.listdir(site) == ["taken"]
+    assert taken.read_text("utf-8") == "a file, not a directory"
+
+
+@pytest.mark.parametrize("program, name", [("script", "recessions.csv"), ("cli", "panel_A.csv")])
+def test_file_that_cannot_be_written_is_one_error_line_in_both_programs(
+    raw_dir, data_files, tmp_path, program, name
+):
+    # the script writes recessions.csv last: its first file is written, but
+    # the paths print only once every file is
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    proc = run_program(program, raw_dir, data_files, tmp_path, out)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write {out / name}: {os.strerror(errno.EISDIR)}\n"
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize(
