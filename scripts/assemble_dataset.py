@@ -255,7 +255,7 @@ def read_and_check(raw: str, start: Month, end: Month) -> list[tuple[str, Iterat
         if m not in rec:
             raise CoverageError(f"{rec_path}: no value for {m}")
         if rec[m] not in (0.0, 1.0):
-            raise DomainError(f"{rec_path}: {m} reads {rec[m]:g}, not 0 or 1")
+            raise MalformedRow(f"{rec_path}: {m} reads {rec[m]:g}, not 0 or 1")
 
     def table(codes: tuple[str, ...], months: list[Month]) -> Iterator[str]:
         yield ",".join(("date", *codes)) + "\n"

@@ -358,10 +358,7 @@ def discount_to_bond_equivalent(discount_rate_pct: float, days_to_maturity: int)
     if not 0.0 <= discount_rate_pct < 100.0:
         raise DomainError(f"discount rate out of range: {discount_rate_pct}")
     d = discount_rate_pct / 100.0
-    denom = 360.0 - d * days_to_maturity
-    if denom <= 0.0:
-        raise DomainError("conversion denominator is non-positive")
-    return 100.0 * (365.0 * d) / denom
+    return 100.0 * (365.0 * d) / (360.0 - d * days_to_maturity)
 
 
 def align_dataset(

@@ -29,6 +29,7 @@ from .data import (
     align_dataset,
     load_recession_series,
     load_yield_panel,
+    open_input,
 )
 from .errors import ConfigError, CoverageError, IoError, MissingSeries, TermSpreadError
 from .evaluation import (
@@ -122,15 +123,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
+        """The config in the JSON file ``path``, opened by ``open_input`` as
+        every input file is; text that is not JSON is a ConfigError."""
         try:
-            with open(path, "r", encoding="utf-8-sig") as fh:
+            with open_input(path) as fh:
                 raw = json.load(fh, object_pairs_hook=_unique_keys)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config is not UTF-8 text: {exc.reason}") from None
         return cls.from_mapping(raw)
 
     @classmethod

@@ -44,6 +44,10 @@ prediction of a ``PathStart``) runs on Python floats from ``tolist()``,
 because at that size a NumPy call costs a fixed dispatch larger than its
 arithmetic. Sums run in index order, so J can differ from NumPy's in its
 last bit; the design stays row-major, which keeps identical columns tied.
+The one exception is ``proximal_step``, the fallback for a Newton step that
+fails to descend, which does its coefficient arithmetic in NumPy: it made
+no call in the plain or weighted runs on the test markets (seed 42 and
+reseeds 1-10).
 """
 
 from __future__ import annotations

@@ -203,6 +203,9 @@ def _recessions(paths):
         pytest.param(_recessions, ["date,recession\n1961-06,0\n1961-07,1\n1961-06,1\n"],
                      MalformedRow, ":4", "month 1961-06 follows 1961-07, expected 1961-08",
                      id="repeated-month"),
+        pytest.param(_recessions, ["date,rec\n1961-06,0\n"], MalformedRow, "",
+                     "expected header 'date,recession', got columns ['rec']",
+                     id="recession-header"),
         pytest.param(_yields, ["date,10y\n2001-01,5\n2001-02,5\n2000-12,5\n"], MalformedRow,
                      ":4", "month 2000-12 follows 2001-02, expected 2001-03", id="month-goes-back"),
         pytest.param(_yields, ["date,10y\n2001-01,5\n\n2001-03,5\n"], GapInDates, ":4",

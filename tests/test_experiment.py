@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import dataclasses
+import errno
 import filecmp
 import importlib
 import importlib.util
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from termspread import cli, errors, experiment, logit, selection
 from termspread.cli import main as cli_main
 from termspread.data import YieldPanel
-from termspread.errors import ConfigError, IoError
+from termspread.errors import ConfigError, IoError, UnreadableInput
 from termspread.evaluation import EvalReport, avg_log_likelihood
 from termspread.experiment import (
     DEFAULT_HORIZONS,
@@ -87,6 +89,18 @@ def test_config_rejects_missing_and_malformed(tmp_path, data_files, capsys):
     path.write_text("{not json", "utf-8")
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json(str(path))
+    path.write_text(json.dumps([raw]), "utf-8")
+    with pytest.raises(ConfigError, match="config root must be a JSON object"):
+        ExperimentConfig.from_json(str(path))
+    # a config that cannot be opened is reported as an input file would be
+    out = tmp_path / "o"
+    for absent, reason in [(tmp_path / "absent.json", errno.ENOENT), (tmp_path, errno.EISDIR)]:
+        message = f"{absent}: cannot read input file: {os.strerror(reason)}"
+        with pytest.raises(UnreadableInput, match=re.escape(message)):
+            ExperimentConfig.from_json(str(absent))
+        assert cli_main(["run", "--config", str(absent), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
     # a key named twice, at the top or in split, is refused before any input is read
     missing = str(tmp_path / "absent.csv")
     text = json.dumps(base_config_dict({"yields": missing, "recessions": missing}, horizons=[3]))
@@ -122,6 +136,8 @@ def test_config_validates_horizons(tmp_path, data_files):
         ("weighting", "false"),  # would have been truthy
         ("target_nonzero", 2.9),  # would have been truncated to 2
         ("horizons", [3.7]),  # would have been truncated to (3,)
+        ("recession_file", 3),
+        ("split", "1995-12"),  # not the object of three months
     ],
 )
 def test_config_rejects_coercible_types(tmp_path, data_files, capsys, key, value):
@@ -152,9 +168,14 @@ def test_config_target_nonzero_checked_before_any_input_is_read(tmp_path, capsys
         ({"forced_controls": ["10y"]}, "forced control '10y' is a maturity code"),
         ({"maturities": ["3m", "5y", "20y"]}, "must include '10y' and '3m'"),
         ({"maturities": ["1y", "10y"]}, "must include '10y' and '3m'"),
+        ({"yield_files": []}, "yield_files must not be empty"),
+        ({"horizons": []}, "horizons must not be empty"),
+        ({"split": {"train_end": "1995-12"}},
+         "split must have exactly the keys ['sample_end', 'sample_start', 'train_end']"),
     ],
     ids=["unknown-code", "control-as-maturity", "duplicate-maturity", "duplicate-control",
-         "maturity-as-control", "no-10y", "no-3m"],
+         "maturity-as-control", "no-10y", "no-3m", "no-yield-files", "no-horizons",
+         "split-keys"],
 )
 def test_cli_rejects_series_names_before_any_input_is_read(
     tmp_path, data_files, capsys, overrides, message
@@ -442,7 +463,7 @@ def test_cli_config_that_is_not_utf8_exit_1(tmp_path, capsys):
     out = tmp_path / "never_made"
     assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: config is not UTF-8 text: ") and err.count("\n") == 1
+    assert err == f"error: {bad}: input file is not UTF-8 text: invalid start byte\n"
     assert not out.exists()
 
 
@@ -452,6 +473,10 @@ def test_cli_missing_data_exit_1(tmp_path, data_files, capsys):
     )
     assert cli_main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
     assert "30y" in capsys.readouterr().err
+    cfg_path = write_config(tmp_path, data_files, forced_controls=["vix"], horizons=[3])
+    assert cli_main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == "error: forced control 'vix' not present in the data\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_computation_error_exit_2(tmp_path, data_files, capsys, monkeypatch):
@@ -771,6 +796,28 @@ def test_benchmark_trace_targets_resolve():
     for modname, attr in targets:
         module = script if modname == "assemble_dataset" else importlib.import_module(modname)
         assert callable(getattr(module, attr)), (modname, attr)
+
+
+def test_files_are_opened_in_one_reader_and_one_writer():
+    # every input, the config included, goes through data.open_input and
+    # every output through experiment.write_files
+    callers = set()
+    for folder in (os.path.join("src", "termspread"), "scripts"):
+        for name in sorted(os.listdir(os.path.join(REPO_ROOT, folder))):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(REPO_ROOT, folder, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            owner = {}  # node -> its innermost function; ast.walk visits outer ones first
+            for func in ast.walk(tree):
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    owner.update((node, func.name) for node in ast.walk(func))
+            callers.update(
+                (name, owner.get(node, "<module>")) for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"
+            )
+    assert callers == {("data.py", "open_input"), ("experiment.py", "write_files")}
 
 
 def test_a_run_does_not_import_numpy_ma(tmp_path, data_files):
