@@ -1,8 +1,8 @@
 """Exception types shared across the toolkit.
 
 Every error raised by the library derives from :class:`TermSpreadError`.
-Its ``exit_code`` separates configuration and input-data problems (1) from
-computation failures (2); the CLI exits with it.
+Its ``exit_code`` separates configuration and input-data problems (1, every
+:class:`InputError`) from computation failures (2); the CLI exits with it.
 """
 
 from __future__ import annotations
@@ -14,55 +14,45 @@ class TermSpreadError(Exception):
     exit_code = 2
 
 
+class InputError(TermSpreadError):
+    """Base class for configuration and input-data errors."""
+
+    exit_code = 1
+
+
 # --- data ingestion / alignment (exit 1) ----------------------------------
 
-class MissingSeries(TermSpreadError):
+class MissingSeries(InputError):
     """A requested maturity or control column is absent from the inputs."""
 
-    exit_code = 1
 
-
-class GapInDates(TermSpreadError):
+class GapInDates(InputError):
     """A calendar month is missing from a series that must be contiguous."""
 
-    exit_code = 1
 
-
-class UnreadableInput(TermSpreadError):
+class UnreadableInput(InputError):
     """An input file could not be opened or decoded."""
 
-    exit_code = 1
 
-
-class MalformedRow(TermSpreadError):
+class MalformedRow(InputError):
     """A CSV cell could not be parsed (or is non-finite)."""
 
-    exit_code = 1
 
-
-class EmptyInput(TermSpreadError):
+class EmptyInput(InputError):
     """An operation received no observations."""
 
-    exit_code = 1
 
-
-class DomainError(TermSpreadError):
+class DomainError(InputError):
     """A numeric argument lies outside the operation's domain."""
 
-    exit_code = 1
 
-
-class HorizonTooLong(TermSpreadError):
+class HorizonTooLong(InputError):
     """The horizon leaves no (predictor, target) pairs in the sample or a partition."""
 
-    exit_code = 1
 
-
-class CoverageError(TermSpreadError):
+class CoverageError(InputError):
     """The recession series does not cover the sample or a partition's two
     classes, or a feature does not vary over the training rows."""
-
-    exit_code = 1
 
 
 # --- fitting (exit 2) -------------------------------------------------------
@@ -97,10 +87,8 @@ class ZeroBenchmark(TermSpreadError):
     """The benchmark forecast has zero mean squared error."""
 
 
-class ConfigError(TermSpreadError):
+class ConfigError(InputError):
     """An experiment configuration file is invalid."""
-
-    exit_code = 1
 
 
 class IoError(TermSpreadError):

@@ -14,8 +14,9 @@ The L1 objective is
 where NLL is the weighted negative log likelihood SUMMED over rows (not
 averaged), the intercept is never penalized, and the penalty mask can
 exempt individual features. A ``LogitProblem`` holds the data and builds
-[1 | X], 2y - 1 and the intercept-extended penalty mask once; lambda is the
-argument of each fit. ``fit_l1(start, lam)`` minimizes J by active-orthant
+[1 | X], 2y - 1 and the penalty flags once: ``penalty_mask`` per feature
+and ``penalized`` per coefficient, intercept first; lambda is the argument
+of each fit. ``fit_l1(start, lam)`` minimizes J by active-orthant
 Newton (after OWL-QN, Andrew & Gao 2007): every iteration makes one fused
 evaluation of J, its gradient and the curvature weights w*p*(1-p), all from
 one product [1 | X] b, which give the KKT residual and the Newton system
@@ -143,9 +144,8 @@ class LogitProblem:
 
     The solver's constants are built here, once per problem: the design
     ``[1 | X]`` (``features`` is its view without the intercept column, so
-    the data are held once), 2y - 1, and the penalty mask
-    extended by the never-penalized intercept, as an array (``pen``) and as
-    a list (``penalized``).
+    the data are held once), 2y - 1, and ``penalized``, the list of the
+    ``penalty_mask`` flags after the never-penalized intercept's.
     """
 
     features: np.ndarray
@@ -154,7 +154,6 @@ class LogitProblem:
     penalty_mask: np.ndarray | None = None
     design: np.ndarray = field(init=False, repr=False)
     signs: np.ndarray = field(init=False, repr=False)
-    pen: np.ndarray = field(init=False, repr=False)
     penalized: list[bool] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -178,15 +177,13 @@ class LogitProblem:
         if mask.shape != (p,):
             raise ValueError("penalty_mask length does not match feature count")
         design = np.column_stack([np.ones(n), X])
-        pen = np.concatenate([[False], mask])
         object.__setattr__(self, "features", design[:, 1:])
         object.__setattr__(self, "targets", y)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "penalty_mask", mask)
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "signs", 2.0 * y - 1.0)
-        object.__setattr__(self, "pen", pen)
-        object.__setattr__(self, "penalized", pen.tolist())
+        object.__setattr__(self, "penalized", [False, *mask.tolist()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,8 +344,7 @@ class _FusedObjective:
         self.problem = problem
         self.lam = float(lam)
         self.design = problem.design
-        self.pen = problem.pen if lam > 0.0 else np.zeros_like(problem.pen)
-        self.penalized = problem.penalized if lam > 0.0 else [False] * len(problem.penalized)
+        self.penalized = [pen and lam > 0.0 for pen in problem.penalized]
         self._prox_step = 1.0
         self.evaluations = 0
 
@@ -468,7 +464,7 @@ class _FusedObjective:
         by 1.25 after each, so flat (near-separable) regions are crossed in
         long steps; each fit starts again at 1.
         """
-        b, g, pen, lam = pt.beta, pt.grad, self.pen, self.lam
+        b, g, pen, lam = pt.beta, pt.grad, np.array(self.penalized), self.lam
         t = self._prox_step
         while t >= 1e-18:
             v = b - t * g
@@ -565,11 +561,11 @@ class PathStart:
         """The sign pattern of the penalized entries, -0.0 read as 0."""
         return tuple((b > 0.0) - (b < 0.0) for b, pen in zip(beta, self.problem.penalized) if pen)
 
-    def record(self, pt: _Point, lam: float, certified: bool) -> None:
+    def record(self, pt: _Point, lam: float) -> None:
         """Carry ``pt`` to the next fit; keep it as one of the last three
         optima if it is certified at a positive lambda, else forget them."""
         self.point, beta = pt, pt.beta.tolist()
-        if certified and lam > 0.0:  # the prediction extrapolates in log lambda
+        if pt.kkt <= KKT_TOL and lam > 0.0:  # the prediction extrapolates in log lambda
             self.optima = (self.optima + [(math.log(lam), beta, self._signs_of(beta))])[-3:]
         else:
             self.optima = []
@@ -607,7 +603,7 @@ def fit_l1(start: PathStart, lam: float) -> LogitFit:
                 break
         pt = nxt
         iterations += 1
-    start.record(pt, lam, pt.kkt <= KKT_TOL)
+    start.record(pt, lam)
     return _make_fit(pt, objective, iterations)
 
 

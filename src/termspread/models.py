@@ -34,13 +34,6 @@ class ModelSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "controls", tuple(self.controls))
 
-    @property
-    def yield_feature_names(self) -> tuple[str, ...]:
-        long, short = self.pair
-        if self.simple:
-            return (f"{long}-{short}",)
-        return (long, short)
-
 
 @dataclass(frozen=True, eq=False)
 class FittedModel:
@@ -59,7 +52,7 @@ class FittedModel:
     @property
     def control_coefs(self) -> dict[str, float]:
         """Original-scale coefficient of each control, by name."""
-        trailing = self.coefs[len(self.spec.yield_feature_names):]
+        trailing = self.coefs[1 if self.spec.simple else 2:]
         return {name: float(b) for name, b in zip(self.spec.controls, trailing)}
 
     @property

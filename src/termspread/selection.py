@@ -142,9 +142,7 @@ def sweep_path(
     if bound > 0.0:
         k_end = max(int(np.ceil(10.0 * np.log2(bound))) + 1, K_START)
     k_values = np.arange(K_START, k_end + 1)
-    # stored, not recomputed by lambda_at: the scalar power differs from this
-    # one by an ulp at some k, which would move the solver's iterates
-    lambdas = 2.0 ** (k_values / 10.0)
+    lambdas = np.array([lambda_at(k) for k in k_values.tolist()])
 
     carry = PathStart(problem)
     grid = zip(k_values.tolist(), lambdas.tolist())

@@ -746,7 +746,7 @@ def test_cli_weighted_reseed_13_has_no_uncaught_error(tmp_path, capsys):
 
 INPUT_ERRORS = {
     "ConfigError", "CoverageError", "DomainError", "EmptyInput", "GapInDates",
-    "HorizonTooLong", "MalformedRow", "MissingSeries", "UnreadableInput",
+    "HorizonTooLong", "InputError", "MalformedRow", "MissingSeries", "UnreadableInput",
 }
 ERROR_CLASSES = sorted(
     (c for c in vars(errors).values()

@@ -661,14 +661,15 @@ def test_point_pricing_matches_the_array_oracle(data):
     prob = LogitProblem(np.arange(2.0 * p).reshape(2, p), np.array([0.0, 1.0]), penalty_mask=mask)
     start = logit.PathStart(prob)
     pt = logit._FusedObjective(prob, lam)._priced(beta, np.zeros(2), nll, g)
-    expected = array_pseudo_gradient(g, beta, prob.pen, lam)
+    pen = np.array(prob.penalized)
+    expected = array_pseudo_gradient(g, beta, pen, lam)
     assert pt.pseudo_grad == expected.tolist()
     assert pt.kkt == float(np.abs(expected).max())
     penalty = 0.0  # summed in index order, as the pricing walks the entries
-    for v in np.abs(beta[prob.pen]).tolist():
+    for v in np.abs(beta[pen]).tolist():
         penalty += v
     assert pt.objective == nll + lam * penalty
-    assert start._signs_of(beta.tolist()) == tuple((np.sign(beta[prob.pen]) + 0.0).tolist())
+    assert start._signs_of(beta.tolist()) == tuple((np.sign(beta[pen]) + 0.0).tolist())
 
 
 def test_path_start_predicts_only_from_three_optima_of_one_sign_pattern(monkeypatch):

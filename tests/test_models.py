@@ -51,11 +51,6 @@ def tiny_dataset(values: dict[str, list[float]]) -> AlignedDataset:
 
 def test_conventional_kinds_pin_the_pair():
     assert CONVENTIONAL_PAIR == ("10y", "3m")
-    spec = ModelSpec(CONVENTIONAL_PAIR, simple=True)
-    assert spec.yield_feature_names == ("10y-3m",)
-    gen = ModelSpec(CONVENTIONAL_PAIR, simple=False)
-    assert gen.yield_feature_names == ("10y", "3m")
-    assert ModelSpec(("7y", "3m"), simple=False).yield_feature_names == ("7y", "3m")
 
 
 def test_build_features_simple_difference():
