@@ -124,13 +124,17 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
         """The config in the JSON file ``path``, opened by ``open_input`` as
-        every input file is; text that is not JSON is a ConfigError."""
+        every input file is; text that is not JSON is a ConfigError. Every
+        ConfigError raised here starts ``<path>: ``."""
         try:
             with open_input(path) as fh:
                 raw = json.load(fh, object_pairs_hook=_unique_keys)
+            return cls.from_mapping(raw)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
-        return cls.from_mapping(raw)
+            raise ConfigError(f"{path}: config is not valid JSON: {exc}") from None
+        except ConfigError as exc:
+            exc.args = (f"{path}: {exc}", *exc.args[1:])
+            raise
 
     @classmethod
     def from_mapping(cls, raw: Mapping) -> "ExperimentConfig":
@@ -411,19 +415,22 @@ def _outputs(result: ExperimentResult, ext: str) -> Iterator[tuple[str, Iterator
 def write_files(out_dir: str, files: Iterable[tuple[str, Iterable[str]]]) -> list[str]:
     """Make ``out_dir`` once, at its resolved path (``new/../x`` makes no
     ``new``), and write each ``(name, lines)`` there as UTF-8, each line as
-    given with its own newline; return the paths joined on ``out_dir`` as
-    given. An OSError becomes an IoError naming the directory or the file,
-    then its reason alone."""
+    given with its own newline; return the paths joined on the directory
+    made, relative to the working directory when ``out_dir`` is (``new/../x``
+    gives ``x/<name>``). An OSError becomes an IoError naming the directory
+    as given or the file, then its reason alone."""
     target = os.path.realpath(out_dir) if out_dir else out_dir  # realpath('') is the cwd
     try:
         os.makedirs(target, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {out_dir!r}: {exc.strerror or exc}") from None
+    if not os.path.isabs(out_dir):
+        target = os.path.relpath(target)
     written = []
     for name, lines in files:
-        path = os.path.join(out_dir, name)
+        path = os.path.join(target, name)
         try:
-            with open(os.path.join(target, name), "w", encoding="utf-8", newline="") as fh:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(lines)
         except OSError as exc:
             raise IoError(f"cannot write {path}: {exc.strerror or exc}") from None

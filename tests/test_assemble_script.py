@@ -443,6 +443,13 @@ def test_out_is_made_at_its_resolved_path(raw_dir, tmp_path, monkeypatch):
     assert proc.returncode == 0, proc.stderr
     assert sorted(os.listdir("data")) == ["recessions.csv", "yields_monthly.csv"]
     assert sorted(os.listdir(tmp_path)) == ["data", "raw"]
+    # every printed path opens: it is joined on the directory made
+    printed = [line.removeprefix("wrote ") for line in proc.stdout.splitlines()]
+    assert printed == [os.path.join("data", "yields_monthly.csv"),
+                       os.path.join("data", "recessions.csv")]
+    for path in printed:
+        with open(path, encoding="utf-8") as fh:
+            assert fh.readline().startswith("date,")
 
 
 # --- the output directory: both programs write and fail alike ---------------------

@@ -114,8 +114,36 @@ def test_config_rejects_missing_and_malformed(tmp_path, data_files, capsys):
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_json(str(path))
         assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "config is not valid JSON: Expecting property name enclosed in double "
+                      "quotes: line 1 column 2 (char 1)"),
+        ("[]", "config root must be a JSON object"),
+        ('{"yield_files": []}', "missing config keys: "
+                                "['maturities', 'recession_file', 'split']"),
+        (None, "horizons must not be empty"),
+    ],
+    ids=["not-json", "not-an-object", "missing-keys", "post-init"],
+)
+def test_config_refusals_name_the_config_file(tmp_path, data_files, capsys, text, message):
+    path = tmp_path / "c.json"
+    raw = base_config_dict(data_files, horizons=[])
+    path.write_text(json.dumps(raw) if text is None else text, "utf-8")
+    with pytest.raises(ConfigError) as caught:
+        ExperimentConfig.from_json(str(path))
+    assert str(caught.value) == f"{path}: {message}"
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    # a mapping has no file to name
+    if text is None:
+        with pytest.raises(ConfigError) as caught:
+            ExperimentConfig.from_mapping(raw)
+        assert str(caught.value) == message
 
 
 def test_config_validates_horizons(tmp_path, data_files):
@@ -697,9 +725,28 @@ def test_cli_run_resolves_dot_dot_in_out(tmp_path, data_files, capsys, monkeypat
     printed = capsys.readouterr().out.splitlines()
     names = sorted(os.listdir(os.path.join("x", "y")))
     assert len(names) == len(printed) == 53
-    assert sorted(printed) == [os.path.join(out, name) for name in names]
+    assert sorted(printed) == [os.path.join("x", "y", name) for name in names]
+    for path in printed:
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read()
     assert sorted(os.listdir(tmp_path)) == ["config.json", "x"]
     assert os.listdir("x") == ["y"]
+
+
+@pytest.mark.parametrize("out, shown", [
+    ("./out", "out"), ("out/", "out"), ("link", "target"), ("link/../out", "out"),
+])
+def test_written_paths_name_the_directory_made(tmp_path, monkeypatch, out, shown):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("target")
+    os.symlink("target", "link")
+    written = experiment.write_files(out, [("a.csv", ["x\n"])])
+    assert written == [os.path.join(shown, "a.csv")]
+    absolute = experiment.write_files(str(tmp_path / out), [("b.csv", ["y\n"])])
+    assert absolute == [os.path.join(os.path.realpath(tmp_path), shown, "b.csv")]
+    for path in written + absolute:
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() in ("x\n", "y\n")
 
 
 @pytest.mark.parametrize("kind", ["existing-file", "below-a-file", "empty"])
