@@ -2,9 +2,9 @@
 
 The recession probability for a feature row x is phi(-b0 - b.x) with
 phi(z) = 1 / (1 + exp(-z)), so the probability RISES as the linear
-combination of yields FALLS. All optimization runs on z-scored features,
-and a ``LogitFit`` is the solver's point in that standardized scale;
-``destandardize`` maps it to the original scale where a number is reported
+combination of yields FALLS. All optimization runs on z-scored features:
+a ``LogitFit`` is the solver's point in the scale of its ``LogitProblem``,
+whose ``original`` maps it to the input scale where a number is reported
 (``selection`` and ``models``).
 
 The L1 objective is
@@ -80,42 +80,6 @@ def constant_mask(X: np.ndarray) -> np.ndarray:
     return (X == X[:1]).all(axis=0)
 
 
-@dataclass(frozen=True, eq=False)
-class Standardizer:
-    """Per-feature z-score transform fitted on training rows only.
-
-    Uses the population standard deviation (divide by n). ``fit`` rejects a
-    column whose rows are all equal, whatever rounding leaves in its
-    standard deviation, and one whose standard deviation is 0 or NaN.
-    """
-
-    means: np.ndarray
-    stds: np.ndarray
-
-    def __post_init__(self) -> None:
-        means = np.asarray(self.means, dtype=float)
-        stds = np.asarray(self.stds, dtype=float)
-        if means.shape != stds.shape or means.ndim != 1:
-            raise ValueError("means and stds must be matching 1-D arrays")
-        if not np.all(stds > 0.0):
-            raise ValueError("standard deviations must be strictly positive")
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "stds", stds)
-
-    @classmethod
-    def fit(cls, features: np.ndarray) -> "Standardizer":
-        X = np.atleast_2d(np.asarray(features, dtype=float))
-        means = X.mean(axis=0)
-        stds = X.std(axis=0)  # population variance, ddof=0
-        bad = np.flatnonzero(constant_mask(X) | (stds == 0.0))
-        if bad.size:
-            raise ValueError(f"constant feature column(s): {bad.tolist()}")
-        return cls(means=means, stds=stds)
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=float) - self.means) / self.stds
-
-
 @dataclass(frozen=True)
 class ClassWeights:
     """Per-class weights 1/(2r) and 1/(2(1-r)) from the recession ratio r."""
@@ -140,7 +104,9 @@ class ClassWeights:
 
 @dataclass(frozen=True, eq=False)
 class LogitProblem:
-    """A weighted, penalized logistic fit problem on standardized features.
+    """A weighted, penalized logistic fit problem on (u - means) / stds of
+    the input columns u: their z-scores when built by ``standardized``, else
+    the identity scale; ``original`` maps a fit back to the input scale.
 
     The solver's constants are built here, once per problem: the design
     ``[1 | X]`` (``features`` is its view without the intercept column, so
@@ -152,9 +118,28 @@ class LogitProblem:
     targets: np.ndarray
     weights: np.ndarray | None = None
     penalty_mask: np.ndarray | None = None
+    means: np.ndarray | None = None
+    stds: np.ndarray | None = None
     design: np.ndarray = field(init=False, repr=False)
     signs: np.ndarray = field(init=False, repr=False)
     penalized: list[bool] = field(init=False, repr=False)
+
+    @classmethod
+    def standardized(
+        cls, features: np.ndarray, targets: np.ndarray,
+        weights: np.ndarray | None = None, penalty_mask: np.ndarray | None = None,
+    ) -> LogitProblem:
+        """The problem on the z-scores of the input rows ``features``, by the
+        population standard deviation (divide by n). Rejects a column whose
+        rows are all equal, whatever rounding leaves in its standard
+        deviation, and one whose standard deviation is 0."""
+        U = np.atleast_2d(np.asarray(features, dtype=float))
+        means = U.mean(axis=0)
+        stds = U.std(axis=0)  # population variance, ddof=0
+        bad = np.flatnonzero(constant_mask(U) | (stds == 0.0))
+        if bad.size:
+            raise ValueError(f"constant feature column(s): {bad.tolist()}")
+        return cls((U - means) / stds, targets, weights, penalty_mask, means, stds)
 
     def __post_init__(self) -> None:
         X = np.atleast_2d(np.asarray(self.features, dtype=float))
@@ -162,6 +147,12 @@ class LogitProblem:
         n, p = X.shape
         if not np.all(np.isfinite(X)):
             raise ValueError("features must be finite")
+        means = np.zeros(p) if self.means is None else np.asarray(self.means, dtype=float)
+        stds = np.ones(p) if self.stds is None else np.asarray(self.stds, dtype=float)
+        if means.shape != (p,) or stds.shape != (p,):
+            raise ValueError("means and stds must hold one value per feature")
+        if not (np.all(np.isfinite(means)) and np.all((stds > 0.0) & np.isfinite(stds))):
+            raise ValueError("means must be finite and stds strictly positive and finite")
         if y.shape != (n,):
             raise ValueError("targets length does not match features")
         if not np.all(np.isin(y, (0.0, 1.0))):
@@ -181,16 +172,26 @@ class LogitProblem:
         object.__setattr__(self, "targets", y)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "penalty_mask", mask)
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "stds", stds)
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "signs", 2.0 * y - 1.0)
         object.__setattr__(self, "penalized", [False, *mask.tolist()])
+
+    def original(self, fit: LogitFit) -> tuple[float, np.ndarray]:
+        """The fit's intercept and coefficients on the input scale, b0 - sum_j
+        b_j * mean_j / std_j and b_j / std_j: every row's probability is kept."""
+        b = fit.coefs_std
+        if len(b) != len(self.stds):
+            raise ValueError("problem feature count does not match coefficients")
+        return fit.intercept_std - float((b * self.means / self.stds).sum()), b / self.stds
 
 
 @dataclass(frozen=True, eq=False)
 class LogitFit:
     """A fitted logistic model in the scale of the problem it solved: the
-    standardized one when the features were z-scored, which
-    ``destandardize`` maps back.
+    standardized one when the features were z-scored, which the problem's
+    ``original`` maps back.
 
     ``evaluations`` counts the fused evaluations of J the fit made: every
     line-search and proximal trial, and the start point unless it was
@@ -279,24 +280,6 @@ def kkt_residual(
     if free.any():
         res = max(res, float(np.max(np.abs(g[free]))))
     return res
-
-
-def destandardize(
-    intercept: float, coefs: np.ndarray, standardizer: Standardizer
-) -> tuple[float, np.ndarray]:
-    """Map standardized-scale parameters to the original feature scale.
-
-    The probability of every row is unchanged:
-
-        b_orig_j = b_std_j / std_j
-        b0_orig  = b0_std - sum_j b_std_j * mean_j / std_j
-    """
-    b0, b, std = float(intercept), np.asarray(coefs, dtype=float), standardizer
-    if len(std.means) != len(b):
-        raise ValueError("standardizer feature count does not match coefficients")
-    coefs_orig = b / std.stds
-    intercept_orig = b0 - float((b * std.means / std.stds).sum())
-    return intercept_orig, coefs_orig
 
 
 class _Point(NamedTuple):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import AlignedDataset
 from .errors import MissingSeries
-from .logit import LogitFit, LogitProblem, Standardizer, destandardize, fit_mle, predict_proba
+from .logit import LogitFit, LogitProblem, fit_mle, predict_proba
 
 CONVENTIONAL_PAIR = ("10y", "3m")
 
@@ -96,14 +96,9 @@ def fit_spec(
     are mapped back to the original scale.
     """
     X_train = _aligned_columns(ds, spec)[: ds.split_index]
-    standardizer = Standardizer.fit(X_train)
-    problem = LogitProblem(
-        features=standardizer.transform(X_train),
-        targets=ds.targets[: ds.split_index],
-        weights=weights,
-    )
+    problem = LogitProblem.standardized(X_train, ds.targets[: ds.split_index], weights)
     fit = fit_mle(problem)
-    return FittedModel(spec, fit, *destandardize(fit.intercept_std, fit.coefs_std, standardizer))
+    return FittedModel(spec, fit, *problem.original(fit))
 
 
 def forecast_series(model: FittedModel, ds: AlignedDataset) -> ForecastSeries:

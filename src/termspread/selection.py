@@ -23,8 +23,6 @@ from .logit import (
     LogitFit,
     LogitProblem,
     PathStart,
-    Standardizer,
-    destandardize,
     fit_l1,
     null_model_lambda_bound,
 )
@@ -47,22 +45,22 @@ class CoefficientPath:
     ``problem`` is the standardized training problem that every fit of the
     path solved, each at its own lambda; a refit starts a ``PathStart`` on
     it. Its penalty mask marks the columns named by maturity codes. The
-    fits are in its scale; ``standardizer`` maps them back. ``null_fit`` is
-    the null model's MLE that set the grid's end (None if nothing is penalized).
+    fits are in its scale, and its ``original`` maps them back. ``null_fit``
+    is the null model's MLE that set the grid's end (None if nothing is
+    penalized).
     """
 
     k_values: np.ndarray
     lambdas: np.ndarray
     fits: tuple[LogitFit, ...]
     problem: LogitProblem
-    standardizer: Standardizer
     feature_names: tuple[str, ...]
     null_fit: LogitFit | None
 
     @property
     def coef_matrix(self) -> np.ndarray:
         """Original-scale coefficients, one row per lambda."""
-        return np.array([f.coefs_std for f in self.fits]) / self.standardizer.stds
+        return np.array([f.coefs_std for f in self.fits]) / self.problem.stds
 
     @property
     def nonzero_counts(self) -> np.ndarray:
@@ -130,13 +128,8 @@ def sweep_path(
     names = tuple(feature_names)
     if len(names) != X.shape[1]:
         raise ValueError("feature_names length does not match feature count")
-    standardizer = Standardizer.fit(X)
-    problem = LogitProblem(
-        features=standardizer.transform(X),
-        targets=targets,
-        weights=weights,
-        penalty_mask=[name in MATURITY_CODES for name in names],
-    )
+    mask = [name in MATURITY_CODES for name in names]
+    problem = LogitProblem.standardized(X, targets, weights, mask)
     bound, null_fit = null_model_lambda_bound(problem)
     k_end = K_START
     if bound > 0.0:
@@ -148,22 +141,14 @@ def sweep_path(
     grid = zip(k_values.tolist(), lambdas.tolist())
     fits = [_certified(fit_l1(carry, lam), k) for k, lam in grid]
 
-    return CoefficientPath(
-        k_values=k_values,
-        lambdas=lambdas,
-        fits=tuple(fits),
-        problem=problem,
-        standardizer=standardizer,
-        feature_names=names,
-        null_fit=null_fit,
-    )
+    return CoefficientPath(k_values, lambdas, tuple(fits), problem, names, null_fit)
 
 
 def _result_from_fit(
     path: CoefficientPath, k: float, lam: float, fit: LogitFit, trials: tuple = ()
 ) -> SelectionResult:
     # keep the pair (positive first) and the controls; the rest are exact zeros
-    intercept, coefs = destandardize(fit.intercept_std, fit.coefs_std, path.standardizer)
+    intercept, coefs = path.problem.original(fit)
     mask, names = path.problem.penalty_mask, path.feature_names
     pair = sorted(_support(fit, mask), key=lambda j: -coefs[j])
     controls = np.flatnonzero(~mask)

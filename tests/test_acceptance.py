@@ -27,7 +27,6 @@ from termspread.logit import (
     ClassWeights,
     LogitProblem,
     PathStart,
-    Standardizer,
     fit_l1,
     fit_mle,
     kkt_residual,
@@ -101,8 +100,7 @@ def test_acceptance_1_solver_oracle_equivalence():
         worst_mle = max(worst_mle, float(np.max(np.abs(ours - ref))))
         assert np.max(np.abs(ours - ref)) <= 1e-4
 
-        st = Standardizer.fit(X)
-        prob = LogitProblem(features=st.transform(X), targets=y)
+        prob = LogitProblem.standardized(X, y)
         l1 = fit_l1(PathStart(prob), 0.0)
         mle = fit_mle(prob)
         diff = max(
@@ -140,9 +138,8 @@ def test_acceptance_2_kkt_certification():
         mask = rng.random(p) < 0.85
         if not mask.any():
             mask[0] = True
-        st = Standardizer.fit(X)
         lam = float(2.0 ** rng.uniform(-10, 6))
-        prob = LogitProblem(features=st.transform(X), targets=y, penalty_mask=mask)
+        prob = LogitProblem.standardized(X, y, penalty_mask=mask)
         fit = fit_l1(PathStart(prob), lam)
         assert fit.converged
         res = kkt_residual(prob, lam, fit.intercept_std, fit.coefs_std)

@@ -33,7 +33,7 @@ from termspread.experiment import (
     emit_all,
     run_experiment,
 )
-from termspread.logit import ClassWeights, destandardize
+from termspread.logit import ClassWeights
 
 from conftest import MATURITY_CODES as MATS
 from conftest import REPO_ROOT, make_market, readme_block, readme_config, write_market
@@ -340,7 +340,7 @@ def test_forced_control_run(data_files):
     j = art.path.feature_names.index("lead_idx")
     assert not art.path.problem.penalty_mask[j]
     fit = art.selection.fit
-    coefs = destandardize(fit.intercept_std, fit.coefs_std, art.path.standardizer)[1]
+    coefs = art.path.problem.original(fit)[1]
     assert art.models["A"].control_coefs["lead_idx"] == coefs[j] != 0.0
 
 

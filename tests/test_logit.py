@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,8 @@ from termspread.errors import NotConverged, Separation, SingleClass, Singular
 from termspread.logit import (
     ClassWeights,
     LogitProblem,
+    LogitFit,
     PathStart,
-    Standardizer,
-    destandardize,
     fit_l1,
     fit_mle,
     kkt_residual,
@@ -152,30 +153,39 @@ def test_gradient_matches_central_differences_100_instances():
         assert np.max(np.abs(a - e)) / scale <= 1e-6
 
 
-# --- standardizer / destandardize ------------------------------------------------
+# --- LogitProblem.standardized / original -----------------------------------------
+
+def point_fit(intercept, coefs):
+    """A LogitFit at the given standardized-scale point, for ``original``."""
+    return LogitFit(float(intercept), np.asarray(coefs, dtype=float), 0.0, 0, 0, 0.0)
+
+
+def two_class(n):
+    return np.arange(n) % 2
+
 
 def test_standardizer_round_trip_and_population_variance():
     rng = np.random.default_rng(8)
     X = rng.normal(5.0, 3.0, size=(30, 4))
-    st = Standardizer.fit(X)
-    assert np.allclose(st.stds, X.std(axis=0, ddof=0))
-    Z = st.transform(X)
+    prob = LogitProblem.standardized(X, two_class(30))
+    assert np.allclose(prob.stds, X.std(axis=0, ddof=0))
+    Z = prob.features
     assert np.allclose(Z.mean(axis=0), 0.0) and np.allclose(Z.std(axis=0), 1.0)
-    back = Z * st.stds + st.means
+    back = Z * prob.stds + prob.means
     assert np.max(np.abs(back - X) / np.maximum(np.abs(X), 1.0)) < 1e-12
 
 
 def test_standardizer_rejects_constant_feature():
     X = np.column_stack([np.ones(10), np.arange(10.0)])
-    with pytest.raises(ValueError):
-        Standardizer.fit(X)
+    with pytest.raises(ValueError, match=r"constant feature column\(s\): \[0\]$"):
+        LogitProblem.standardized(X, two_class(10))
 
 
 def test_standardizer_rejects_a_column_with_a_nan():
     X = np.column_stack([np.arange(10.0), np.arange(10.0)])
     X[3, 1] = np.nan
-    with pytest.raises(ValueError, match="strictly positive"):
-        Standardizer.fit(X)
+    with pytest.raises(ValueError, match="^features must be finite"):
+        LogitProblem.standardized(X, two_class(10))
 
 
 @pytest.mark.parametrize("field, bad", [
@@ -196,21 +206,36 @@ def test_standardizer_rejects_equal_rows_whose_std_rounds_above_zero(value, rows
     X = np.column_stack([np.arange(float(rows)), np.full(rows, value)])
     assert X.std(axis=0)[1] > 0.0  # the mean rounds, so the deviations do not cancel
     with pytest.raises(ValueError, match=r"constant feature column\(s\): \[1\]$"):
-        Standardizer.fit(X)
+        LogitProblem.standardized(X, two_class(rows))
+
+
+def test_problem_scale_defaults_to_the_identity_and_survives_replace():
+    prob = LogitProblem(np.array([[1.0], [3.0]]), [0, 1])
+    assert prob.means.tolist() == [0.0] and prob.stds.tolist() == [1.0]
+    scaled = LogitProblem.standardized(np.array([[3.0], [7.0]]), [0, 1])
+    copy = dataclasses.replace(scaled)
+    assert copy.means.tolist() == [5.0] and copy.stds.tolist() == [2.0]
 
 
 def test_destandardize_identity():
-    st = Standardizer(means=np.zeros(2), stds=np.ones(2))
-    i, c = destandardize(0.7, np.array([1.0, -2.0]), st)
+    prob = LogitProblem(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 1])
+    i, c = prob.original(point_fit(0.7, [1.0, -2.0]))
     assert i == 0.7 and c.tolist() == [1.0, -2.0]
 
 
+def test_original_rejects_a_coefficient_count_that_differs():
+    prob = LogitProblem(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 1])
+    with pytest.raises(ValueError, match="^problem feature count does not match coefficients$"):
+        prob.original(point_fit(0.0, [1.0]))
+
+
 def test_destandardize_hand_case_and_probability_equivalence():
-    st = Standardizer(means=np.array([5.0]), stds=np.array([2.0]))
-    i, c = destandardize(0.0, np.array([1.0]), st)
+    prob = LogitProblem.standardized(np.array([[3.0], [7.0]]), [0, 1])
+    assert prob.means.tolist() == [5.0] and prob.stds.tolist() == [2.0]
+    i, c = prob.original(point_fit(0.0, [1.0]))
     assert i == pytest.approx(-2.5) and c[0] == pytest.approx(0.5)
     X = np.array([[1.0], [5.0], [-3.2]])
-    p_std = predict_proba(0.0, np.array([1.0]), st.transform(X))
+    p_std = predict_proba(0.0, np.array([1.0]), (X - prob.means) / prob.stds)
     p_orig = predict_proba(i, c, X)
     assert np.max(np.abs(p_std - p_orig)) < 1e-12
 
@@ -220,10 +245,10 @@ def test_destandardize_hand_case_and_probability_equivalence():
 def test_destandardize_preserves_every_probability(seed, n, p):
     rng = np.random.default_rng(seed)
     X = rng.normal(rng.uniform(-20.0, 20.0, p), rng.uniform(0.1, 10.0, p), size=(n, p))
-    std = Standardizer.fit(X)
+    prob = LogitProblem.standardized(X, two_class(n))
     b0, b = float(rng.normal()), rng.normal(scale=2.0, size=p)
-    b0_orig, b_orig = destandardize(b0, b, std)
-    expected = predict_proba(b0, b, std.transform(X))
+    b0_orig, b_orig = prob.original(point_fit(b0, b))
+    expected = predict_proba(b0, b, prob.features)
     assert np.allclose(predict_proba(b0_orig, b_orig, X), expected, rtol=1e-9, atol=1e-12)
 
 
@@ -232,11 +257,10 @@ def test_fit_prediction_equivalence_across_scales():
     X = rng.normal(3.0, 1.5, size=(60, 3))
     y = (rng.random(60) < 0.3).astype(float)
     y[:2] = [0.0, 1.0]
-    st = Standardizer.fit(X)
-    prob = LogitProblem(features=st.transform(X), targets=y)
+    prob = LogitProblem.standardized(X, y)
     fit = fit_l1(PathStart(prob), 0.5)
-    p_std = predict_proba(fit.intercept_std, fit.coefs_std, st.transform(X))
-    p_orig = predict_proba(*destandardize(fit.intercept_std, fit.coefs_std, st), X)
+    p_std = predict_proba(fit.intercept_std, fit.coefs_std, prob.features)
+    p_orig = predict_proba(*prob.original(fit), X)
     assert np.max(np.abs(p_std - p_orig)) <= 1e-10
 
 
@@ -383,10 +407,8 @@ def test_mle_single_class_error():
 def test_l1_null_model_at_high_lambda():
     rng = np.random.default_rng(19)
     prob_raw = random_problem(rng, 80, 4)
-    st = Standardizer.fit(prob_raw.features)
-    Z = st.transform(prob_raw.features)
-    bound, _ = null_model_lambda_bound(LogitProblem(features=Z, targets=prob_raw.targets))
-    prob = LogitProblem(features=Z, targets=prob_raw.targets)
+    prob = LogitProblem.standardized(prob_raw.features, prob_raw.targets)
+    bound, _ = null_model_lambda_bound(prob)
     fit = fit_l1(PathStart(prob), bound * 1.01)
     assert np.all(fit.coefs_std == 0.0)
     p_bar = prob_raw.targets.mean()
@@ -399,11 +421,7 @@ def test_null_model_bound_matches_intercept_only_closed_form():
     for weighted in (False, True):
         for _ in range(5):
             raw = random_problem(rng, 80, 4, weighted=weighted)
-            prob = LogitProblem(
-                features=Standardizer.fit(raw.features).transform(raw.features),
-                targets=raw.targets,
-                weights=raw.weights,
-            )
+            prob = LogitProblem.standardized(raw.features, raw.targets, raw.weights)
             closed_form = intercept_only_lambda_bound(prob.features, prob.targets, prob.weights)
             bound, null_fit = null_model_lambda_bound(prob)
             assert bound == pytest.approx(closed_form, rel=1e-12)
@@ -414,10 +432,7 @@ def test_l1_at_zero_matches_mle():
     rng = np.random.default_rng(23)
     for _ in range(10):
         raw = random_problem(rng, 60, 3, weighted=True)
-        st = Standardizer.fit(raw.features)
-        prob = LogitProblem(
-            features=st.transform(raw.features), targets=raw.targets, weights=raw.weights
-        )
+        prob = LogitProblem.standardized(raw.features, raw.targets, raw.weights)
         f_l1 = fit_l1(PathStart(prob), 0.0)
         f_mle = fit_mle(prob)
         assert abs(f_l1.intercept_std - f_mle.intercept_std) <= 1e-6
@@ -430,17 +445,11 @@ def test_l1_kkt_certificate_randomized():
         n = int(rng.integers(20, 80))
         p = int(rng.integers(1, 7))
         raw = random_problem(rng, n, p, weighted=bool(rng.integers(2)))
-        st = Standardizer.fit(raw.features)
         mask = rng.random(p) < 0.8
         if not mask.any():
             mask[0] = True
         lam = float(rng.uniform(0.01, 10.0))
-        prob = LogitProblem(
-            features=st.transform(raw.features),
-            targets=raw.targets,
-            weights=raw.weights,
-            penalty_mask=mask,
-        )
+        prob = LogitProblem.standardized(raw.features, raw.targets, raw.weights, mask)
         fit = fit_l1(PathStart(prob), lam)
         assert fit.converged
         assert kkt_residual(prob, lam, fit.intercept_std, fit.coefs_std) <= 1e-7
@@ -452,14 +461,13 @@ def test_l1_kkt_certificate_randomized():
 def test_fit_objective_matches_reference_likelihood():
     rng = np.random.default_rng(43)
     raw = random_problem(rng, 80, 4, weighted=True)
-    Z = Standardizer.fit(raw.features).transform(raw.features)
-    prob = LogitProblem(features=Z, targets=raw.targets, weights=raw.weights)
+    prob = LogitProblem.standardized(raw.features, raw.targets, raw.weights)
     fit = fit_l1(PathStart(prob), 0.8)
     reference = weighted_nll(prob, fit.intercept_std, fit.coefs_std) + 0.8 * np.abs(
         fit.coefs_std
     ).sum()
     assert fit.objective_value == pytest.approx(reference, rel=1e-12)
-    mle = fit_mle(LogitProblem(features=Z, targets=raw.targets, weights=raw.weights))
+    mle = fit_mle(LogitProblem(prob.features, raw.targets, raw.weights))
     assert mle.objective_value == pytest.approx(
         weighted_nll(prob, mle.intercept_std, mle.coefs_std), rel=1e-12
     )
@@ -469,9 +477,7 @@ def test_l1_monotone_descent_without_polish(monkeypatch):
     # trace the objective across iteration caps on a small unweighted problem
     rng = np.random.default_rng(31)
     raw = random_problem(rng, 50, 3)
-    st = Standardizer.fit(raw.features)
-    Z = st.transform(raw.features)
-    prob, lam = LogitProblem(features=Z, targets=raw.targets), 1.0
+    prob, lam = LogitProblem.standardized(raw.features, raw.targets), 1.0
 
     values = []
     for cap in range(1, 60):
@@ -487,8 +493,7 @@ def test_l1_monotone_descent_without_polish(monkeypatch):
 def test_l1_monotone_descent_with_polish(monkeypatch):
     rng = np.random.default_rng(37)
     raw = random_problem(rng, 60, 4)
-    st = Standardizer.fit(raw.features)
-    prob, lam = LogitProblem(features=st.transform(raw.features), targets=raw.targets), 0.7
+    prob, lam = LogitProblem.standardized(raw.features, raw.targets), 0.7
     values = []
     for cap in range(1, 60):
         monkeypatch.setattr(logit, "MAX_ITER_L1", cap)
@@ -503,10 +508,8 @@ def test_l1_monotone_descent_with_polish(monkeypatch):
 def test_l1_unpenalized_features_kept_free():
     rng = np.random.default_rng(41)
     raw = random_problem(rng, 100, 3)
-    st = Standardizer.fit(raw.features)
-    Z = st.transform(raw.features)
     mask = np.array([True, True, False])
-    prob = LogitProblem(features=Z, targets=raw.targets, penalty_mask=mask)
+    prob = LogitProblem.standardized(raw.features, raw.targets, penalty_mask=mask)
     fit = fit_l1(PathStart(prob), 50.0)
     assert fit.coefs_std[0] == 0.0 and fit.coefs_std[1] == 0.0
     # the exempt feature keeps a gradient-zero (not shrunk-to-zero) value

@@ -16,7 +16,7 @@ from termspread.data import (
     align_dataset,
 )
 from termspread.errors import MissingSeries
-from termspread.logit import ClassWeights, Standardizer, destandardize, predict_proba
+from termspread.logit import ClassWeights, LogitProblem, predict_proba
 from termspread.models import (
     CONVENTIONAL_PAIR,
     FittedModel,
@@ -212,7 +212,7 @@ def test_selection_model_reduction_preserves_probabilities(ds12):
     model = sel.model
     fc = forecast_series(model, ds12)
     # the dropped exact zeros cannot change the linear combination
-    intercept, coefs = destandardize(sel.fit.intercept_std, sel.fit.coefs_std, path.standardizer)
+    intercept, coefs = path.problem.original(sel.fit)
     full_spread = intercept + ds12.features @ coefs
     assert np.max(np.abs(fc.spread - full_spread)) < 1e-12
     assert model.spec.pair == sel.pair and not model.spec.simple
@@ -221,14 +221,15 @@ def test_selection_model_reduction_preserves_probabilities(ds12):
     assert model.fit is sel.fit
     assert model.intercept == intercept
     assert np.array_equal(model.coefs, coefs[[ALL.index(m) for m in sel.pair]])
-    # panels B-D map their MLE fits with the standardizer of their own columns
+    # panels B-D map their MLE fits with the scale of their own columns
     for spec in (
         ModelSpec(sel.pair, simple=True),
         ModelSpec(CONVENTIONAL_PAIR, simple=False),
         ModelSpec(CONVENTIONAL_PAIR, simple=True),
     ):
         fitted = fit_spec(ds12, spec)
-        std = Standardizer.fit(_aligned_columns(ds12, spec)[: ds12.split_index])
-        intercept, coefs = destandardize(fitted.fit.intercept_std, fitted.fit.coefs_std, std)
+        k = ds12.split_index
+        problem = LogitProblem.standardized(_aligned_columns(ds12, spec)[:k], ds12.targets[:k])
+        intercept, coefs = problem.original(fitted.fit)
         assert fitted.intercept == intercept
         assert np.array_equal(fitted.coefs, coefs)

@@ -42,7 +42,6 @@ def test_array_records_compare_by_identity_and_value_records_by_value(market, se
         "YieldPanel": panel,
         "RecessionSeries": recessions,
         "AlignedDataset": art.dataset,
-        "Standardizer": art.path.standardizer,
         "LogitProblem": art.path.problem,
         "LogitFit": art.selection.fit,
         "CoefficientPath": art.path,

@@ -17,8 +17,6 @@ from termspread.logit import (
     KKT_TOL,
     NONZERO_TOL,
     LogitProblem,
-    Standardizer,
-    destandardize,
     fit_mle,
     kkt_residual,
     null_model_lambda_bound,
@@ -65,8 +63,7 @@ def test_grid_values_increase_and_double_every_ten():
 def test_grid_covering_reaches_past_bound():
     X, y = make_instance(seed=0)
     path = sweep_path(X, y, NAMES)
-    st = Standardizer.fit(X)
-    bound, _ = null_model_lambda_bound(LogitProblem(features=st.transform(X), targets=y))
+    bound, _ = null_model_lambda_bound(LogitProblem.standardized(X, y))
     assert path.lambdas[-1] > bound
     assert path.lambdas[-2] <= bound * 2 ** (1 / 10)
 
@@ -77,8 +74,7 @@ def test_sweep_smallest_lambda_close_to_mle():
     X, y = make_instance(seed=1)
     path = sweep_path(X, y, NAMES)
     assert path.k_values[0] == -100
-    st = Standardizer.fit(X)
-    mle = fit_mle(LogitProblem(features=st.transform(X), targets=y))
+    mle = fit_mle(LogitProblem.standardized(X, y))
     assert np.max(np.abs(path.fits[0].coefs_std - mle.coefs_std)) <= 1e-4
 
 
@@ -237,7 +233,7 @@ def test_sweep_shape_and_names():
     assert path.feature_names == ("10y", "3m", "5y")
     # the matrix is each fit mapped to the original scale, bit for bit
     for row, fit in zip(path.coef_matrix, path.fits):
-        expected = destandardize(fit.intercept_std, fit.coefs_std, path.standardizer)[1]
+        expected = path.problem.original(fit)[1]
         assert np.array_equal(row, expected)
     with pytest.raises(ValueError, match="feature_names"):
         sweep_path(X, y, feature_names=["10y", "3m"])
@@ -267,7 +263,7 @@ def test_select_first_hit_rule():
     assert sel.fit is path.fits[first]
     assert sel.trials == ()  # selected on the grid, without bisection
     long, short = (names.index(m) for m in sel.pair)
-    coefs = destandardize(sel.fit.intercept_std, sel.fit.coefs_std, path.standardizer)[1]
+    coefs = path.problem.original(sel.fit)[1]
     assert coefs[long] > 0 > coefs[short]
 
 
@@ -277,7 +273,7 @@ def test_select_pair_orders_positive_coefficient_first():
     sel = select_pair(path)
     long, short = sel.pair
     cols = list(path.feature_names)
-    coefs = destandardize(sel.fit.intercept_std, sel.fit.coefs_std, path.standardizer)[1]
+    coefs = path.problem.original(sel.fit)[1]
     assert coefs[cols.index(long)] > 0
     assert coefs[cols.index(short)] < 0
 
