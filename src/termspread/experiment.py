@@ -41,7 +41,7 @@ from .evaluation import (
     relative_mse,
     roc_curve,
 )
-from .logit import ClassWeights, LogitFit, constant_mask
+from .logit import ClassWeights, LogitFit
 from .models import (
     CONVENTIONAL_PAIR,
     FittedModel,
@@ -49,6 +49,7 @@ from .models import (
     ModelSpec,
     fit_spec,
     forecast_series,
+    require_varying,
 )
 from .selection import (
     TARGET_NONZERO,
@@ -230,7 +231,8 @@ def run_horizon(
     and the forecasts at it. Class weights use the training recession ratio
     on the test rows too. Before any fit, a CoverageError names a partition
     holding one class only, a feature constant over the training rows, or
-    the recession file if it misses a predictor or target month. The message
+    the recession file if it misses a predictor or target month; before a
+    panel's fit, one names a spread of the panel that is constant. The message
     of every TermSpreadError raised here starts ``[horizon=<h><stage>] ``:
     the stage is `` panel A selection`` in the sweep and selection,
     `` panel B`` to `` panel D`` in those fits, and empty elsewhere.
@@ -250,13 +252,7 @@ def run_horizon(
                     f"the {name} partition's {len(part)} rows "
                     f"all have recession={int(part[0])}; both classes are needed"
                 )
-        constant = np.flatnonzero(constant_mask(X_train))
-        if constant.size:
-            j = int(constant[0])
-            raise CoverageError(
-                f"the training partition's {split} rows "
-                f"all have {feature_names[j]}={X_train[0, j]:g}; every feature must vary"
-            )
+        require_varying(X_train, feature_names)
         if config.weighting:
             cw = ClassWeights.from_targets(y_train)
             w_train, w_test = cw.per_row(y_train), cw.per_row(y_test)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AlignedDataset
-from .errors import MissingSeries
-from .logit import LogitFit, LogitProblem, fit_mle, predict_proba
+from .errors import CoverageError, MissingSeries
+from .logit import LogitFit, LogitProblem, constant_mask, fit_mle, predict_proba
 
 CONVENTIONAL_PAIR = ("10y", "3m")
 
@@ -72,6 +72,17 @@ class ForecastSeries:
     probabilities: np.ndarray
 
 
+def require_varying(X_train: np.ndarray, names: tuple[str, ...]) -> None:
+    """CoverageError naming the first column of ``X_train`` whose rows are all equal."""
+    constant = np.flatnonzero(constant_mask(X_train))
+    if constant.size:
+        j = int(constant[0])
+        raise CoverageError(
+            f"the training partition's {len(X_train)} rows "
+            f"all have {names[j]}={X_train[0, j]:g}; every feature must vary"
+        )
+
+
 def _aligned_columns(ds: AlignedDataset, spec: ModelSpec) -> np.ndarray:
     """The spec's design columns: yield pair or spread, then controls."""
     columns = dict(zip(ds.feature_names, ds.features.T))
@@ -93,9 +104,13 @@ def fit_spec(
     ``weights`` are per-row weights for the training rows, e.g. the class
     weights of ``ClassWeights.from_targets``; None weighs every row 1.
     Features are z-scored for the optimization and the reported coefficients
-    are mapped back to the original scale.
+    are mapped back to the original scale. Raises CoverageError naming a
+    design column, e.g. the spread ``7y-10y``, that does not vary over the
+    training rows.
     """
     X_train = _aligned_columns(ds, spec)[: ds.split_index]
+    legs = [f"{spec.pair[0]}-{spec.pair[1]}"] if spec.simple else list(spec.pair)
+    require_varying(X_train, (*legs, *spec.controls))
     problem = LogitProblem.standardized(X_train, ds.targets[: ds.split_index], weights)
     fit = fit_mle(problem)
     return FittedModel(spec, fit, *problem.original(fit))

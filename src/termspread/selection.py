@@ -51,11 +51,15 @@ class CoefficientPath:
     """
 
     k_values: np.ndarray
-    lambdas: np.ndarray
     fits: tuple[LogitFit, ...]
     problem: LogitProblem
     feature_names: tuple[str, ...]
     null_fit: LogitFit | None
+
+    @property
+    def lambdas(self) -> np.ndarray:
+        """The grid's lambda at each k."""
+        return np.array([lambda_at(k) for k in self.k_values.tolist()])
 
     @property
     def coef_matrix(self) -> np.ndarray:
@@ -76,10 +80,13 @@ class SelectionResult:
     leg on all observed data) and whose ``fit`` is the unreduced selection fit.
     ``trials`` are the bisection's (k, fit) in order, the last one selected."""
 
-    lambda_selected: float
     k_selected: float
     model: FittedModel
     trials: tuple[tuple[float, LogitFit], ...] = ()
+
+    @property
+    def lambda_selected(self) -> float:
+        return lambda_at(self.k_selected)
 
     @property
     def pair(self) -> tuple[str, str]:
@@ -135,17 +142,13 @@ def sweep_path(
     if bound > 0.0:
         k_end = max(int(np.ceil(10.0 * np.log2(bound))) + 1, K_START)
     k_values = np.arange(K_START, k_end + 1)
-    lambdas = np.array([lambda_at(k) for k in k_values.tolist()])
-
     carry = PathStart(problem)
-    grid = zip(k_values.tolist(), lambdas.tolist())
-    fits = [_certified(fit_l1(carry, lam), k) for k, lam in grid]
-
-    return CoefficientPath(k_values, lambdas, tuple(fits), problem, names, null_fit)
+    fits = [_certified(fit_l1(carry, lambda_at(k)), k) for k in k_values.tolist()]
+    return CoefficientPath(k_values, tuple(fits), problem, names, null_fit)
 
 
 def _result_from_fit(
-    path: CoefficientPath, k: float, lam: float, fit: LogitFit, trials: tuple = ()
+    path: CoefficientPath, k: float, fit: LogitFit, trials: tuple = ()
 ) -> SelectionResult:
     # keep the pair (positive first) and the controls; the rest are exact zeros
     intercept, coefs = path.problem.original(fit)
@@ -154,7 +157,7 @@ def _result_from_fit(
     controls = np.flatnonzero(~mask)
     spec = ModelSpec(tuple(names[j] for j in pair), False, tuple(names[j] for j in controls))
     model = FittedModel(spec, fit, intercept, coefs[[*pair, *controls]])
-    return SelectionResult(lambda_selected=lam, k_selected=k, model=model, trials=trials)
+    return SelectionResult(k_selected=k, model=model, trials=trials)
 
 
 def select_pair(path: CoefficientPath) -> SelectionResult:
@@ -169,9 +172,7 @@ def select_pair(path: CoefficientPath) -> SelectionResult:
     counts = path.nonzero_counts
     for i, count in enumerate(counts):
         if count == TARGET_NONZERO:
-            return _result_from_fit(
-                path, float(path.k_values[i]), float(path.lambdas[i]), path.fits[i]
-            )
+            return _result_from_fit(path, float(path.k_values[i]), path.fits[i])
         if i > 0 and counts[i - 1] > TARGET_NONZERO > count:
             return _bisect(path, counts, i - 1, i)
     raise CountNeverAttained(
@@ -187,12 +188,11 @@ def _bisect(path: CoefficientPath, counts: np.ndarray, lo_idx: int, hi_idx: int)
     trials = []
     while k_hi - k_lo >= 1e-6:
         k_mid = 0.5 * (k_lo + k_hi)
-        lam = lambda_at(k_mid)
-        fit = _certified(fit_l1(PathStart(path.problem, fit_lo), lam), k_mid)
+        fit = _certified(fit_l1(PathStart(path.problem, fit_lo), lambda_at(k_mid)), k_mid)
         trials.append((k_mid, fit))
         count = _support(fit, path.problem.penalty_mask).size
         if count == TARGET_NONZERO:
-            return _result_from_fit(path, k_mid, lam, fit, tuple(trials))
+            return _result_from_fit(path, k_mid, fit, tuple(trials))
         if count > TARGET_NONZERO:
             k_lo, fit_lo, count_lo = k_mid, fit, count
         else:

@@ -628,6 +628,24 @@ def test_cli_constant_training_feature_exit_1(tmp_path, market, capsys):
     assert not out.exists()
 
 
+def test_cli_constant_panel_spread_exit_1(tmp_path, market, capsys):
+    # 7y sits 0.5 above 10y in every month, so the sweep may select the pair
+    # while its spread, panel B's one yield column, never varies; 10y is on a
+    # 1/64 grid so that every difference is exactly 0.5
+    panel, recessions = market
+    ten = np.round(panel.columns["10y"] * 64.0) / 64.0
+    shifted = YieldPanel(panel.dates, {**panel.columns, "10y": ten, "7y": ten + 0.5})
+    files = write_market(str(tmp_path), shifted, recessions)
+    cfg_path = write_config(tmp_path, files, horizons=[3], maturities=["3m", "10y", "7y"])
+    out = tmp_path / "c"
+    assert cli_main(["run", "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [horizon=3 panel B] the training partition's ")
+    assert "rows all have 7y-10y=0.5; every feature must vary" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_recession_file_missing_the_first_predictor_months_fails_before_any_fit(
     tmp_path, data_files, capsys, monkeypatch
 ):
@@ -896,5 +914,7 @@ def test_readme_library_sketch_runs(data_files):
         sketch = sketch.replace(f'"{path}"', repr(data_files[key]))
     namespace: dict = {}
     exec(sketch, namespace)
-    assert namespace["selection"].pair == ("7y", "3m")
-    assert namespace["probs"].shape == (namespace["ds"].n_rows,)
+    selection = namespace["selection"]
+    assert selection.pair == ("7y", "3m")
+    assert namespace["b0"] == selection.model.intercept
+    assert namespace["probs"].shape == (namespace["ds"].n_rows,) == (698,)
