@@ -2,16 +2,20 @@
 
 The goldens pin one market's numbers; these pin what must not move when the
 yields are shifted or scaled, the maturities are listed in another order, or
-the same yields arrive split over two files or beside an unused column. Each
-relation runs ``run_experiment`` on ``make_market(42)`` (the ``market``
-fixture) at horizons 3 and 12, plain and, where it compares numbers, also
-with class weights and the ``lead_idx`` control.
+the same yields arrive split over two files or beside an unused column, or
+the run's BLAS uses another number of threads. Each relation runs
+``make_market(42)`` (the ``market`` fixture) at horizons 3 and 12, plain
+and, where it compares numbers, also with class weights and the
+``lead_idx`` control.
 """
 
 from __future__ import annotations
 
 import filecmp
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +23,15 @@ import pytest
 from termspread.data import YieldPanel
 from termspread.experiment import emit_all, run_experiment
 
-from conftest import MATURITY_CODES, RUNS, run_config, write_market, write_yield_panel
+from conftest import (
+    MATURITY_CODES,
+    REPO_ROOT,
+    RUNS,
+    readme_config,
+    run_config,
+    write_market,
+    write_yield_panel,
+)
 
 HORIZONS = [3, 12]
 METRIC_TOL = 1e-12  # absolute; the largest move measured is 2.1e-14
@@ -110,3 +122,27 @@ def test_an_unused_column_writes_the_same_files(
         str(tmp_path), YieldPanel(panel.dates, {**panel.columns, column: noise}), recessions
     )
     assert_same_output_files(tmp_path, files, plain_outputs)
+
+
+def test_blas_thread_counts_write_the_same_files(tmp_path, data_files):
+    # the CLI in fresh processes, so that each reads its BLAS thread count at start
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(readme_config(data_files, horizons=HORIZONS)), "utf-8")
+    paths = [os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH")]
+    dirs = []
+    for threads in ("1", "2", "4"):
+        out = str(tmp_path / f"threads_{threads}")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        subprocess.run(
+            [sys.executable, "-m", "termspread.cli", "run", "--config", str(config),
+             "--out", out],
+            env=env, check=True, capture_output=True,
+        )
+        dirs.append(out)
+    names = sorted(os.listdir(dirs[0]))
+    assert len(names) == 5 + 6 * len(HORIZONS)
+    for other in dirs[1:]:
+        assert sorted(os.listdir(other)) == names
+        match, mismatch, errors = filecmp.cmpfiles(dirs[0], other, names, shallow=False)
+        assert mismatch == [] and errors == []
